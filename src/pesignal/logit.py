@@ -5,6 +5,18 @@ log-likelihood with a fixed learning rate and no regularization; an
 iteration cap bounds the separable case, where the unpenalized MLE
 diverges. All probability and likelihood arithmetic stays in log space
 so saturated scores never overflow.
+
+One kernel fits a whole stack of windows at once, and a single fit is
+the batch of one. Each window's result is bit-identical to fitting it
+alone with ``z @ w + b`` and ``z.T @ resid``, and that rests on the exact
+operations the kernel uses: scores are
+``np.matmul(z, w[:, :, None])[:, :, 0] + b[:, None]``, the weight
+gradient is ``np.matmul(z.transpose(0, 2, 1), resid[:, :, None])[:, :, 0]``
+on the transposed view, and the bias gradient is ``resid.sum(axis=1)``.
+Equivalent-looking rewrites change the summation order and with it the
+last bits: ``einsum``, ``(z * w).sum(-1)`` and a contiguous copy of the
+transpose all do. ``np.matvec``/``np.vecmat`` would match but need numpy
+2.2, above this package's floor.
 """
 
 from __future__ import annotations
@@ -110,10 +122,6 @@ def prob_up(z, params: LogitParams) -> float:
     return e / (1.0 + e)
 
 
-def prob_down(z, params: LogitParams) -> float:
-    return 1.0 - prob_up(z, params)
-
-
 def _loglik(z, y, w, b) -> float:
     # overflow to inf/nan is detected by the callers, so the default
     # numpy warning is pure noise here
@@ -149,72 +157,105 @@ def gradient(samples, params: LogitParams) -> tuple:
     return tuple(float(v) for v in dw), db
 
 
-def _max_norm(dw, db) -> float:
-    head = float(np.max(np.abs(dw))) if dw.size else 0.0
-    return max(head, abs(db))
-
-
 def fit(samples, config: FitConfig = FitConfig(), record_likelihood: bool = False) -> FitReport:
-    """Gradient ascent from config.init (zeros by default).
+    """Gradient ascent on one window: the batch-of-one case of fit_windows.
 
-    Stops when the gradient max-norm falls to config.tolerance or after
-    config.max_iter updates. Non-finite likelihood or gradient raises
-    NumericalError: it marks data pathology, never a stopping state.
+    Raises the window's NumericalError instead of returning it.
     """
-    z, y = _design(samples)
-    dim = z.shape[1]
+    (outcome,) = fit_windows([samples], config, record_likelihood)
+    if isinstance(outcome, NumericalError):
+        raise outcome
+    return outcome
+
+
+def fit_windows(windows, config: FitConfig = FitConfig(), record_likelihood: bool = False) -> list:
+    """Gradient ascent on every window at once, each from config.init
+    (zeros by default).
+
+    windows is a sequence of training-sample lists that share their size
+    and feature dimension. Each window stops on its own when its gradient
+    max-norm falls to config.tolerance or after config.max_iter updates.
+    Non-finite likelihood or gradient marks data pathology, never a
+    stopping state: that window's entry is a NumericalError while the
+    others carry on. Returns one FitReport or NumericalError per window,
+    in order; each equals, bit for bit, what a fit of that window alone
+    gives.
+    """
+    if not windows:
+        return []
+    designs = [_design(samples) for samples in windows]
+    z = np.stack([z for z, _ in designs])  # ValueError unless all shapes agree
+    y = np.stack([y for _, y in designs])
+    dim = z.shape[2]
     init = config.init if config.init is not None else LogitParams.zeros(dim)
     if init.dim != dim:
         raise ValueError(f"init dimension {init.dim} != feature dimension {dim}")
-    w = np.array(init.weights, dtype=float)
-    b = init.bias
+    w = np.tile(np.array(init.weights, dtype=float), (len(windows), 1))
+    b = np.full(len(windows), init.bias)
+    return _ascend(z, y, w, b, config, record_likelihood)
+
+
+def _ascend(z, y, w, b, config: FitConfig, record_likelihood: bool) -> list:
+    """The fit kernel on stacked windows: z (W, n, d), y (W, n), w (W, d),
+    b (W,).
+
+    Windows advance in lockstep, so they share the iteration count; a
+    window that stops leaves the active arrays, which shrink only on
+    iterations where some window stopped.
+    """
     eta = config.learning_rate
-    trace = [] if record_likelihood else None
+    outcomes = [None] * len(b)
+    traces = [[] for _ in outcomes] if record_likelihood else None
+    active = np.arange(len(b))
+    zt = z.transpose(0, 2, 1)
     iterations = 0
-    # one score evaluation per iteration feeds likelihood and gradient
-    # alike; the errstate wraps the whole loop because non-finite values
-    # are detected explicitly below. The likelihood itself is skipped
-    # when nobody records it (score finiteness covers the same failure,
-    # since the stable softplus cannot overflow on finite scores) and
-    # recomputed once at the exit point.
+    # the errstate wraps the whole loop because non-finite values are
+    # detected explicitly below; the likelihood is only computed when it
+    # is recorded (score finiteness covers the same failure otherwise,
+    # since the stable softplus cannot overflow on finite scores)
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            s = z @ w + b
-            if trace is not None:
-                ll = float(np.sum(y * s) - np.sum(_softplus(s)))
-                healthy = math.isfinite(ll)
-            else:
-                ll = None
-                healthy = bool(np.isfinite(s).all())
+            s = np.matmul(z, w[:, :, None])[:, :, 0] + b[:, None]
             resid = y - _sigmoid(s)
-            dw = z.T @ resid
-            db = float(resid.sum())
-            if not (healthy and math.isfinite(db) and np.all(np.isfinite(dw))):
-                raise NumericalError(
-                    f"non-finite likelihood or gradient after {iterations} iterations"
-                )
-            if trace is not None:
-                trace.append(ll)
-            grad_norm = _max_norm(dw, db)
-            if grad_norm <= config.tolerance:
-                converged = True
-                break
+            dw = np.matmul(zt, resid[:, :, None])[:, :, 0]
+            db = resid.sum(axis=1)
+            # NaN propagates through max, so a finite norm means a finite gradient
+            norm = np.maximum(np.abs(dw).max(axis=1, initial=0.0), np.abs(db))
+            healthy = np.isfinite(s).all(axis=1) & np.isfinite(norm)
+            if traces is not None:
+                ll = (y * s).sum(axis=1) - _softplus(s).sum(axis=1)
+                healthy &= np.isfinite(ll)
+                for k, value, ok in zip(active, ll, healthy):
+                    if ok:
+                        traces[k].append(float(value))
+            converged = norm <= config.tolerance
+            stop = ~healthy | converged
             if iterations >= config.max_iter:
-                converged = False
-                break
+                stop[:] = True
+            if stop.any():
+                for row in np.flatnonzero(stop):
+                    k = active[row]
+                    if not healthy[row]:
+                        outcomes[k] = NumericalError(
+                            f"non-finite likelihood or gradient after {iterations} iterations"
+                        )
+                        continue
+                    outcomes[k] = FitReport(
+                        params=LogitParams(w[row], b[row]),
+                        iterations=iterations,
+                        final_gradient_norm=float(norm[row]),
+                        final_log_likelihood=_loglik(z[row], y[row], w[row], b[row]),
+                        converged=bool(converged[row]),
+                        likelihood_trace=None if traces is None else tuple(traces[k]),
+                    )
+                keep = ~stop
+                if not keep.any():
+                    return outcomes
+                active, z, y, w, b, dw, db = (a[keep] for a in (active, z, y, w, b, dw, db))
+                zt = z.transpose(0, 2, 1)
             w = w + eta * dw
             b = b + eta * db
             iterations += 1
-    if ll is None:
-        ll = _loglik(z, y, w, b)
-    return FitReport(
-        params=LogitParams(tuple(float(v) for v in w), float(b)),
-        iterations=iterations,
-        final_gradient_norm=grad_norm,
-        final_log_likelihood=ll,
-        converged=converged,
-        likelihood_trace=None if trace is None else tuple(trace),
-    )
 
 
 def classify(p_up: float, threshold: float) -> Label:

@@ -15,6 +15,7 @@ from pesignal.backtest import (
 )
 from pesignal.errors import DataError, InsufficientHistoryError, NumericalError
 from pesignal.features import BROAD_SCOPE, RawFeatureRow, Scope
+from pesignal.logit import fit_windows
 from pesignal.quarters import Quarter
 from pesignal.response import Label, ResponseLabel
 
@@ -192,15 +193,27 @@ class TestRun:
             run(rows, labels, FAST)
 
     def test_estimation_failure_skips(self, monkeypatch):
-        def explode(samples, config):
-            raise NumericalError("boom")
+        # labels missing at START+5 and START+11 skip the windows that
+        # predict START+6..8 and START+12..14; of the runnable windows
+        # (predicting START+9, 10, 11, 15) the kernel fails the second
+        def second_fails(windows, config):
+            outcomes = fit_windows(windows, config)
+            outcomes[1] = NumericalError("boom")
+            return outcomes
 
-        monkeypatch.setattr("pesignal.backtest.fit", explode)
         rows = broad_rows(16)
-        labels = broad_labels([r.quarter for r in rows])
+        labels = [
+            lab for lab in broad_labels([r.quarter for r in rows]) if lab.quarter not in (START + 5, START + 11)
+        ]
+        clean = run(rows, labels, FAST)
+        monkeypatch.setattr("pesignal.backtest.fit_windows", second_fails)
         result = run(rows, labels, FAST)
-        assert result.records == ()
-        assert all("estimation failed" in s.reason for s in result.skipped)
+        assert [s.predicted for s in result.skipped] == [START + k for k in (6, 7, 8, 10, 12, 13, 14)]
+        reasons = {s.predicted: s.reason for s in result.skipped}
+        assert reasons[START + 10] == "estimation failed: boom"
+        assert all("no label at" in r for q, r in reasons.items() if q != START + 10)
+        assert [r.quarter for r in result.records] == [START + k for k in (9, 11, 15)]
+        assert result.records == tuple(r for r in clean.records if r.quarter != START + 10)
 
 
 class TestPredictionIO:

@@ -1,5 +1,6 @@
 """End-to-end command behavior: composition, exit codes, manifests."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -265,6 +266,23 @@ class TestPaperShapedRun:
             assert len(rows) == 50
             assert rows[0].split(",")[1] == "2004-09-30"
             assert rows[-1].split(",")[1] == "2016-12-31"
+
+
+class TestDefaultIterationCap:
+    def test_market_at_default_max_iter_matches_pinned_predictions(self, tmp_path):
+        # max_iter stays at its default of 100000: 15 Market windows of 4
+        # points each, which all run to the cap. The digest was pinned
+        # from the sequential one-window-at-a-time fit; the batched
+        # kernel must reproduce it byte for byte.
+        config = write_config(tmp_path, {"n_quarters": 24, "t": 6, "ne": 4, "seed": 11})
+        out = tmp_path / "out"
+        for command in ("synth", "features", "backtest"):
+            assert main([command, "--config", config, "--out", str(out), "--scopes", "Market"]) == 0, command
+        predictions = (out / "predictions_market.csv").read_bytes()
+        assert len(predictions.splitlines()) - 1 == 15
+        assert hashlib.sha256(predictions).hexdigest() == (
+            "69e17945cbb60210e584955e0b73f7eb184e67689fc07e366fcdcc6aa7601b6b"
+        )
 
 
 def test_module_entry_point_runs(tmp_path):

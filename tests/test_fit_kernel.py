@@ -1,0 +1,207 @@
+"""The batched fit kernel against the sequential one-window fit it replaced.
+
+oracle_fit is that sequential gradient-ascent loop, kept here verbatim
+with the helpers it used, so the kernel is checked against the
+implementation whose outputs the CLI's byte-identical tables pin. Every
+window the kernel fits must report exactly (==, not approx) what the
+oracle reports for that window alone.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pesignal.errors import NumericalError
+from pesignal.logit import FitConfig, FitReport, LogitParams, TrainingSample, fit, fit_windows
+from pesignal.response import Label
+
+
+def _sigmoid(s):
+    e = np.exp(-np.abs(s))
+    return np.where(s >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _softplus(s):
+    return np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s)))
+
+
+def _design(samples):
+    if not samples:
+        raise ValueError("need at least one training sample")
+    dim = len(samples[0].z)
+    for sample in samples:
+        if len(sample.z) != dim:
+            raise ValueError(f"inconsistent feature dimension: {len(sample.z)} != {dim}")
+    z = np.array([sample.z for sample in samples], dtype=float)
+    y = np.array([1.0 if sample.y is Label.UP else 0.0 for sample in samples])
+    return z, y
+
+
+def _loglik(z, y, w, b) -> float:
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = z @ w + b
+        return float(np.sum(y * s) - np.sum(_softplus(s)))
+
+
+def _max_norm(dw, db) -> float:
+    head = float(np.max(np.abs(dw))) if dw.size else 0.0
+    return max(head, abs(db))
+
+
+def oracle_fit(samples, config: FitConfig = FitConfig(), record_likelihood: bool = False) -> FitReport:
+    z, y = _design(samples)
+    dim = z.shape[1]
+    init = config.init if config.init is not None else LogitParams.zeros(dim)
+    if init.dim != dim:
+        raise ValueError(f"init dimension {init.dim} != feature dimension {dim}")
+    w = np.array(init.weights, dtype=float)
+    b = init.bias
+    eta = config.learning_rate
+    trace = [] if record_likelihood else None
+    iterations = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            s = z @ w + b
+            if trace is not None:
+                ll = float(np.sum(y * s) - np.sum(_softplus(s)))
+                healthy = math.isfinite(ll)
+            else:
+                ll = None
+                healthy = bool(np.isfinite(s).all())
+            resid = y - _sigmoid(s)
+            dw = z.T @ resid
+            db = float(resid.sum())
+            if not (healthy and math.isfinite(db) and np.all(np.isfinite(dw))):
+                raise NumericalError(
+                    f"non-finite likelihood or gradient after {iterations} iterations"
+                )
+            if trace is not None:
+                trace.append(ll)
+            grad_norm = _max_norm(dw, db)
+            if grad_norm <= config.tolerance:
+                converged = True
+                break
+            if iterations >= config.max_iter:
+                converged = False
+                break
+            w = w + eta * dw
+            b = b + eta * db
+            iterations += 1
+    if ll is None:
+        ll = _loglik(z, y, w, b)
+    return FitReport(
+        params=LogitParams(tuple(float(v) for v in w), float(b)),
+        iterations=iterations,
+        final_gradient_norm=grad_norm,
+        final_log_likelihood=ll,
+        converged=converged,
+        likelihood_trace=None if trace is None else tuple(trace),
+    )
+
+
+def oracle_outcome(samples, config, record_likelihood=False):
+    try:
+        return oracle_fit(samples, config, record_likelihood)
+    except NumericalError as exc:
+        return exc
+
+
+def assert_same(got, want):
+    if isinstance(want, NumericalError):
+        assert isinstance(got, NumericalError), got
+        assert str(got) == str(want)
+    else:
+        assert isinstance(got, FitReport), got
+        assert got.params == want.params
+        assert got.iterations == want.iterations
+        assert got.final_gradient_norm == want.final_gradient_norm
+        assert got.final_log_likelihood == want.final_log_likelihood
+        assert got.converged == want.converged
+        assert got.likelihood_trace == want.likelihood_trace
+
+
+def draw_windows(rng, count, n, dim, coarse):
+    """count windows of n samples; coarse draws repeat points, which
+    leaves many windows non-separable so they converge at different
+    iterations instead of all running to the cap."""
+    if coarse:
+        z = rng.integers(-2, 3, size=(count, n, dim)).astype(float)
+    else:
+        z = rng.normal(0.0, 1.5, size=(count, n, dim))
+    up = rng.random((count, n)) < 0.5
+    return [
+        [TrainingSample(tuple(z[k, i]), Label.UP if up[k, i] else Label.DOWN) for i in range(n)]
+        for k in range(count)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    count=st.integers(1, 60),
+    dim=st.integers(1, 6),
+    n=st.integers(2, 20),
+    seed=st.integers(0, 2**32 - 1),
+    coarse=st.booleans(),
+    learning_rate=st.sampled_from([1e-3, 0.05, 0.5]),
+    tolerance=st.sampled_from([0.0, 1e-6, 0.05, 0.3, 1.0]),
+    max_iter=st.integers(0, 120),
+    poison=st.one_of(st.none(), st.tuples(st.integers(0, 59), st.sampled_from([1e200, 1e300]))),
+    record_likelihood=st.booleans(),
+    start_off_zero=st.booleans(),
+)
+def test_every_window_matches_the_sequential_oracle(
+    count, dim, n, seed, coarse, learning_rate, tolerance, max_iter, poison, record_likelihood, start_off_zero
+):
+    rng = np.random.default_rng(seed)
+    windows = draw_windows(rng, count, n, dim, coarse)
+    if poison is not None:
+        # huge features overflow the scores after one step (1e200) or the
+        # gradient at once (1e300); only this window may fail
+        k, scale = poison
+        k %= count
+        windows[k] = [TrainingSample(tuple(v * scale for v in s.z), s.y) for s in windows[k]]
+    init = LogitParams(tuple(rng.normal(0.0, 0.5, dim)), rng.normal()) if start_off_zero else None
+    config = FitConfig(learning_rate=learning_rate, tolerance=tolerance, max_iter=max_iter, init=init)
+    got = fit_windows(windows, config, record_likelihood)
+    assert len(got) == count
+    for samples, outcome in zip(windows, got):
+        assert_same(outcome, oracle_outcome(samples, config, record_likelihood))
+
+
+def test_windows_stop_at_their_own_iterations():
+    rng = np.random.default_rng(3)
+    windows = draw_windows(rng, 40, 12, 3, coarse=True)
+    config = FitConfig(learning_rate=0.5, tolerance=0.05, max_iter=200)
+    got = fit_windows(windows, config)
+    assert len({report.iterations for report in got}) > 3
+    for samples, outcome in zip(windows, got):
+        assert_same(outcome, oracle_fit(samples, config))
+
+
+def test_poisoned_window_fails_alone():
+    rng = np.random.default_rng(5)
+    windows = draw_windows(rng, 8, 7, 5, coarse=False)
+    windows[2] = [TrainingSample(tuple(v * 1e200 for v in s.z), s.y) for s in windows[2]]
+    config = FitConfig(max_iter=50)
+    got = fit_windows(windows, config)
+    assert [isinstance(outcome, NumericalError) for outcome in got] == [k == 2 for k in range(8)]
+    for samples, outcome in zip(windows, got):
+        assert_same(outcome, oracle_outcome(samples, config))
+
+
+def test_single_fit_is_the_batch_of_one():
+    rng = np.random.default_rng(13)
+    (samples,) = draw_windows(rng, 1, 7, 5, coarse=False)
+    config = FitConfig(max_iter=500)
+    assert fit(samples, config) == oracle_fit(samples, config)
+
+
+def test_empty_batch_and_mismatched_windows():
+    assert fit_windows([]) == []
+    rng = np.random.default_rng(17)
+    short, long = draw_windows(rng, 1, 3, 2, False)[0], draw_windows(rng, 1, 4, 2, False)[0]
+    with pytest.raises(ValueError):
+        fit_windows([short, long])

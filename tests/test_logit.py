@@ -16,7 +16,6 @@ from pesignal.logit import (
     fit_report_line,
     gradient,
     log_likelihood,
-    prob_down,
     prob_up,
 )
 from pesignal.response import Label
@@ -51,20 +50,11 @@ class TestProbUp:
         assert f"{p:.5f}" == "0.66819"
 
     def test_saturation_no_overflow(self):
-        # true complement at bias 50 is exp(-50)/(1+exp(-50)) < 1e-20
-        assert prob_down((), LogitParams((), 50.0)) < 1e-20
         assert prob_up((), LogitParams((), 50.0)) >= 1.0 - 1e-15
         for bias in (700.0, 800.0, -700.0, -800.0):
             p = prob_up((), LogitParams((), bias))
             assert 0.0 <= p <= 1.0
             assert math.isfinite(p)
-
-    def test_complement_exact(self):
-        rng = random.Random(41)
-        for _ in range(100):
-            params = LogitParams((rng.gauss(0, 2),), rng.gauss(0, 2))
-            z = (rng.gauss(0, 2),)
-            assert prob_down(z, params) == 1.0 - prob_up(z, params)
 
     def test_negation_symmetry(self):
         rng = random.Random(43)
