@@ -25,7 +25,7 @@ from pathlib import Path
 from .backtest import BacktestConfig, run, write_predictions, read_predictions
 from .errors import DataError, InsufficientHistoryError, NumericalError, UsageError
 from .evaluation import report, roc, scored_pairs, write_roc_points, write_scatter, write_score_reports
-from .features import Scope, build_feature_table, read_feature_table, write_feature_table
+from .features import Scope, build_feature_table, deals_by_quarter, read_feature_table, write_feature_table
 from .ingest import (
     BROAD_INDEX_NAME,
     DealFileFormat,
@@ -287,7 +287,7 @@ def cmd_features(config: RunConfig) -> int:
         parsed = parse_deals(handle, config.deal_format(), strict=config.strict)
     for issue in parsed.issues:
         log.warning("%s %s", deals_path, issue)
-    records = first_deals(parsed.records)
+    buckets = deals_by_quarter(first_deals(parsed.records))
     with _open_input(pe_path) as handle:
         pe_map = parse_prices(handle, config.price_format())
     market_pe = _series_for(pe_map, BROAD_INDEX_NAME, pe_path)
@@ -298,7 +298,7 @@ def cmd_features(config: RunConfig) -> int:
     outputs = []
     for scope in config.scope_list():
         sector_pe = None if scope.is_broad else _series_for(pe_map, scope.name, pe_path)
-        rows = build_feature_table(records, scope, first, last, market_pe, sector_pe)
+        rows = build_feature_table(buckets, scope, first, last, market_pe, sector_pe)
         table = build_zscore_table(rows, config.t)
         if table.dropped:
             log.warning("%s: %d quarters dropped for missing features", scope.name, len(table.dropped))

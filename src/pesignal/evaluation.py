@@ -49,20 +49,26 @@ def roc(pairs) -> RocCurve:
 
     Thresholds: every distinct score, plus 0 and a value just above 1,
     descending, so the curve starts empty at (0,0) and ends all-UP at
-    (1,1).
+    (1,1). One sort, then one sweep that admits the pairs scoring at or
+    above each threshold in turn (Fawcett 2006, Algorithm 1).
     """
-    pos = [p for p, y in pairs if y is Label.UP]
-    neg = [p for p, y in pairs if y is Label.DOWN]
-    if not pos or not neg:
+    n_pos = sum(1 for _, y in pairs if y is Label.UP)
+    n_neg = sum(1 for _, y in pairs if y is Label.DOWN)
+    if not n_pos or not n_neg:
         raise DataError("AUC undefined: need at least one UP and one DOWN outcome")
     above_one = math.nextafter(1.0, 2.0)
     thresholds = sorted({0.0, above_one} | {p for p, _ in pairs}, reverse=True)
+    ranked = sorted(pairs, key=lambda pair: pair[0], reverse=True)
     points = []
+    tp = fp = k = 0
     for theta in thresholds:
-        tpr = sum(1 for p in pos if p >= theta) / len(pos)
-        fpr = sum(1 for p in neg if p >= theta) / len(neg)
-        if not points or points[-1] != (fpr, tpr):
-            points.append((fpr, tpr))
+        while k < len(ranked) and ranked[k][0] >= theta:
+            tp += ranked[k][1] is Label.UP
+            fp += ranked[k][1] is Label.DOWN
+            k += 1
+        point = (fp / n_neg, tp / n_pos)
+        if not points or points[-1] != point:
+            points.append(point)
     return RocCurve(tuple(points), _trapezoid(points))
 
 

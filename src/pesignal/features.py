@@ -88,11 +88,6 @@ def feature_names(scope: Scope) -> tuple:
     return BROAD_FEATURES if scope.is_broad else SECTOR_FEATURES
 
 
-def feature_vector(row: RawFeatureRow) -> tuple:
-    """Feature values in the fixed column order for the row's scope."""
-    return tuple(getattr(row, name) for name in feature_names(row.scope))
-
-
 def aum_weight(aum: float) -> float:
     """Deal weight by investor size: 0.1 below $2B, 0.5 through $10B, 1.5 above."""
     if aum < 2.0:
@@ -102,81 +97,45 @@ def aum_weight(aum: float) -> float:
     return 1.5
 
 
-def matching_deals(deals, scope: Scope, quarter: Quarter) -> list:
-    return [
-        d
-        for d in deals
-        if scope.matches(d) and Quarter.of_date(d.investment_date) == quarter
-    ]
+def deals_by_quarter(deals) -> dict:
+    """First deals keyed by investment quarter, input order kept within each."""
+    buckets = {}
+    for d in deals:
+        buckets.setdefault(Quarter.of_date(d.investment_date), []).append(d)
+    return buckets
 
 
-def deal_count(deals, scope: Scope, quarter: Quarter) -> int:
-    return len(matching_deals(deals, scope, quarter))
+def matching_deals(bucket, scope: Scope) -> list:
+    return [d for d in bucket if scope.matches(d)]
 
 
-def _usable_aums(deals, scope: Scope, quarter: Quarter) -> list:
-    aums = [d.numeric_aum() for d in matching_deals(deals, scope, quarter)]
-    return [a for a in aums if a is not None]
-
-
-def avg_aum(deals, scope: Scope, quarter: Quarter) -> float | None:
-    aums = _usable_aums(deals, scope, quarter)
-    if not aums:
-        return None
+def _mean(values) -> float | None:
     # statistics.mean is exact on rationals, so an all-equal input
     # returns its value bit for bit.
-    return statistics.mean(aums)
+    return statistics.mean(values) if values else None
 
 
-def weighted_avg_aum(
-    deals, scope: Scope, quarter: Quarter, normalize_by_count: bool = False
-) -> float | None:
-    """Size-weighted mean AUM.
-
-    The default normalizes by the weight sum (a true weighted mean); the
-    count normalization is kept only as a sensitivity switch.
-    """
-    aums = _usable_aums(deals, scope, quarter)
+def _weighted_mean(aums) -> float | None:
+    """Size-weighted mean AUM, normalized by the weight sum."""
     if not aums:
         return None
-    weighted = math.fsum(aum_weight(a) * a for a in aums)
-    denom = len(aums) if normalize_by_count else math.fsum(aum_weight(a) for a in aums)
-    return weighted / denom
-
-
-def avg_fund_ranking(deals, quarter: Quarter) -> float | None:
-    """Mean quartile rank over all sectors' deals in the quarter (broad only)."""
-    ranks = [
-        d.investor_rank
-        for d in matching_deals(deals, BROAD_SCOPE, quarter)
-        if d.investor_rank is not None
-    ]
-    if not ranks:
-        return None
-    return statistics.mean(ranks)
-
-
-def sector_count_pct(deals, sector: str, quarter: Quarter) -> float | None:
-    """Sector deal count as a percent of the all-sector count; None when total is 0."""
-    total = deal_count(deals, BROAD_SCOPE, quarter)
-    if total == 0:
-        return None
-    return 100.0 * deal_count(deals, Scope(sector), quarter) / total
+    return math.fsum(aum_weight(a) * a for a in aums) / math.fsum(aum_weight(a) for a in aums)
 
 
 def build_feature_table(
-    deals,
+    buckets: dict,
     scope: Scope,
     first_quarter: Quarter,
     last_quarter: Quarter,
     market_pe: QuarterlySeries,
     sector_pe: QuarterlySeries | None = None,
-    normalize_by_count: bool = False,
 ) -> list:
     """One RawFeatureRow per quarter in [first_quarter, last_quarter].
 
-    market_pe must cover every quarter; sector scopes additionally need
-    sector_pe coverage. Raises DataError naming the first bare quarter.
+    buckets maps each quarter to its first deals (deals_by_quarter), so
+    one grouping serves every scope. market_pe must cover every quarter;
+    sector scopes additionally need sector_pe coverage. Raises DataError
+    naming the first bare quarter.
     """
     if not scope.is_broad and sector_pe is None:
         raise DataError(f"sector scope {scope.name} needs a sector P/E series")
@@ -190,15 +149,21 @@ def build_feature_table(
             s_pe = sector_pe.get(quarter)
             if s_pe is None:
                 raise DataError(f"sector P/E series for {scope.name} does not cover {quarter}")
+        bucket = buckets.get(quarter, [])
+        matched = matching_deals(bucket, scope)
+        aums = [a for a in (d.numeric_aum() for d in matched) if a is not None]
+        ranks = [d.investor_rank for d in matched if d.investor_rank is not None]
+        # a sector's share of all the quarter's deals; None when it has none
+        share = None if scope.is_broad or not bucket else 100.0 * len(matched) / len(bucket)
         row = RawFeatureRow(
             quarter=quarter,
             scope=scope,
-            deal_count=deal_count(deals, scope, quarter),
-            avg_aum=avg_aum(deals, scope, quarter),
-            weighted_avg_aum=weighted_avg_aum(deals, scope, quarter, normalize_by_count),
+            deal_count=len(matched),
+            avg_aum=_mean(aums),
+            weighted_avg_aum=_weighted_mean(aums),
             market_pe=m_pe,
-            avg_fund_ranking=None if not scope.is_broad else avg_fund_ranking(deals, quarter),
-            sector_count_pct=None if scope.is_broad else sector_count_pct(deals, scope.sector, quarter),
+            avg_fund_ranking=_mean(ranks) if scope.is_broad else None,
+            sector_count_pct=share,
             sector_pe=s_pe,
         )
         rows.append(row)

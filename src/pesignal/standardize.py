@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DataError, InsufficientHistoryError
 from .features import feature_names, feature_series
@@ -108,11 +109,12 @@ class ZScoreTable:
     dropped: tuple
     zero_variance: tuple
 
+    @cached_property
+    def _by_quarter(self) -> dict:
+        return {row.quarter: row for row in self.rows}
+
     def row_at(self, quarter: Quarter):
-        for row in self.rows:
-            if row.quarter == quarter:
-                return row
-        return None
+        return self._by_quarter.get(quarter)
 
 
 def build_zscore_table(feature_rows, window: int) -> ZScoreTable:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import BROAD_SCOPE, Scope, build_feature_table
+from .features import BROAD_SCOPE, Scope, build_feature_table, deals_by_quarter
 from .ingest import AumBucket, DealRecord, SECTOR_NAMES, write_deals, write_prices
 from .logit import LogitParams, TrainingSample, prob_up
 from .quarters import Quarter, QuarterlySeries
@@ -243,11 +243,12 @@ def generate_features(spec: SyntheticSpec, deals=None, pe=None) -> tuple:
         deals = generate_deals(spec)
     if pe is None:
         pe = generate_pe(spec)
+    buckets = deals_by_quarter(deals)
     features = {}
     ztables = {}
     for scope in spec.scopes():
         rows = build_feature_table(
-            deals,
+            buckets,
             scope,
             spec.start,
             spec.last,

@@ -285,6 +285,57 @@ class TestDefaultIterationCap:
         )
 
 
+PINNED_FEATURE_DIGESTS = {
+    # default density: every quarter of every scope has deals
+    "dense": (
+        {"seed": 3},
+        {
+            "features_market.csv": "109241890fadb8bb048c0bb3eba63bc1b99659db4fe5c8828517467341df32a8",
+            "features_commercial_services.csv": "fb65ff45deae2de9fddbbca54a38369f5f4b2fd9a9516fbd44b0a420abf07ecc",
+            "features_communications.csv": "048cc88d6495d187c5dac7e4525da38b6d84b4c77fda84339d86c5f645e7ee1b",
+            "features_consumer_durables.csv": "2f769f5f7ae19140725f83949e803019f7b83d8a82449d8967e46256b0731704",
+            "zscores_market.csv": "1c5684b07944e18b91bc6d369404ecd0f939e65a5a5938343369653281593d81",
+            "zscores_commercial_services.csv": "18bab3d79272d56890c19f02dc77b7d76d952cf828f4915343ca93db7e43f1b7",
+            "zscores_communications.csv": "411339001416eb631966357c86169729d24441c3232c848629616ca25f851f85",
+            "zscores_consumer_durables.csv": "1f7e13690c4b0c2ee73f23b3d98be974d775d7566e7d6887e1b76302f95e68b3",
+        },
+    ),
+    # sparse: one Consumer Durables quarter has no deals, so its AUMs are
+    # NA and 14 z rows drop
+    "sparse": (
+        {"seed": 3, "base_deal_intensity": 4.0},
+        {
+            "features_market.csv": "a29a121db8a7f9d8f75eb6e58e578b606851d49a1d0f826c137902c7c9af17aa",
+            "features_commercial_services.csv": "1c1f73a511957ed4516910640de8f3c3aecf2f3115edb34b91478c2b79c72c6a",
+            "features_communications.csv": "3fe38ad342d91a362f669793027a608544d623ff39892c0c029d53fc845b7441",
+            "features_consumer_durables.csv": "4d2b4766d718a337dd24e37d79f599a5345ef6eb9f0d9594b100fad580620fd1",
+            "zscores_market.csv": "57c33a7b8f62640e8b05ac921afde0098006af595bf83457811d5af1a3fa32e5",
+            "zscores_commercial_services.csv": "c95db23839a73c6e18207f1a67e2606bd20827ca914d4a14fcaf625cddb222e0",
+            "zscores_communications.csv": "84a121e15342ccbb7a394831188a44161b611ee95364b837d0cc034597413cb8",
+            "zscores_consumer_durables.csv": "620982cffb08e4d6f2f298c93a4a600180901273601f9980ec963a44a0244457",
+        },
+    ),
+}
+
+
+class TestPinnedFeatureBytes:
+    @pytest.mark.parametrize("case", sorted(PINNED_FEATURE_DIGESTS))
+    def test_features_for_all_scopes_match_pinned_digests(self, tmp_path, case):
+        # 68 quarters and 3 sectors. The digests were pinned from the
+        # per-quarter scan over all deals; aggregating from deals grouped
+        # by quarter must reproduce them byte for byte.
+        settings, digests = PINNED_FEATURE_DIGESTS[case]
+        config = write_config(tmp_path, settings)
+        out = tmp_path / "out"
+        scopes = "Market,Commercial Services,Communications,Consumer Durables"
+        for command in ("synth", "features"):
+            assert main([command, "--config", config, "--out", str(out), "--scopes", scopes]) == 0, command
+        written = {p.name for p in out.glob("*.csv") if p.name.startswith(("features_", "zscores_"))}
+        assert written == set(digests)
+        for name, digest in digests.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_module_entry_point_runs(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "pesignal", "synth", "--out", str(tmp_path / "out"), "--seed", "2"],

@@ -2,14 +2,18 @@
 
 import io
 import json
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pesignal.backtest import PredictionRecord
 from pesignal.errors import DataError
 from pesignal.evaluation import (
     RocCurve,
+    _trapezoid,
     confusion,
     f1,
     pooled_roc,
@@ -40,6 +44,21 @@ def concordance_auc(pairs):
             elif p == q:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def sweep_roc(pairs):
+    """The quadratic sweep roc() replaced: every threshold counts every score."""
+    pos = [p for p, y in pairs if y is UP]
+    neg = [p for p, y in pairs if y is DOWN]
+    above_one = math.nextafter(1.0, 2.0)
+    thresholds = sorted({0.0, above_one} | {p for p, _ in pairs}, reverse=True)
+    points = []
+    for theta in thresholds:
+        tpr = sum(1 for p in pos if p >= theta) / len(pos)
+        fpr = sum(1 for p in neg if p >= theta) / len(neg)
+        if not points or points[-1] != (fpr, tpr):
+            points.append((fpr, tpr))
+    return tuple(points), _trapezoid(points)
 
 
 def random_pairs(rng, n=20, tie_heavy=False):
@@ -92,6 +111,28 @@ class TestRoc:
         assert curve.points[-1] == (1.0, 1.0)
         assert all(b[0] >= a[0] for a, b in zip(curve.points, curve.points[1:]))
         assert 0.0 <= curve.auc <= 1.0
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(2, 4000),
+        seed=st.integers(0, 2**32 - 1),
+        tie_share=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    @example(n=4000, seed=0, tie_share=0.0)
+    @example(n=4000, seed=1, tie_share=0.5)
+    def test_sort_and_sweep_matches_quadratic_sweep(self, n, seed, tie_share):
+        rng = random.Random(seed)
+        # grid scores tie with each other; 0.0 and 1.0 meet the sentinels
+        pairs = [
+            (
+                rng.choice((0.0, 0.25, 0.5, 1.0)) if rng.random() < tie_share else rng.random(),
+                UP if rng.random() < 0.5 else DOWN,
+            )
+            for _ in range(n)
+        ]
+        pairs[0], pairs[-1] = (pairs[0][0], UP), (pairs[-1][0], DOWN)
+        curve = roc(pairs)
+        assert (curve.points, curve.auc) == sweep_roc(pairs)
 
     def test_single_class_rejected(self):
         with pytest.raises(DataError, match="AUC undefined"):

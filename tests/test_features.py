@@ -1,33 +1,33 @@
 """Quarterly feature aggregation over first deals."""
 
 import io
+import math
 import random
+import statistics
 from datetime import date
 from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pesignal.errors import DataError
 from pesignal.features import (
     BROAD_FEATURES,
     BROAD_SCOPE,
     SECTOR_FEATURES,
+    RawFeatureRow,
     Scope,
     aum_weight,
-    avg_aum,
-    avg_fund_ranking,
     build_feature_table,
-    deal_count,
+    deals_by_quarter,
     feature_names,
     feature_series,
-    feature_vector,
     read_feature_table,
-    sector_count_pct,
-    weighted_avg_aum,
     write_feature_table,
 )
 from pesignal.ingest import AumBucket, DealRecord, SECTOR_NAMES
-from pesignal.quarters import Quarter, QuarterlySeries
+from pesignal.quarters import Quarter, QuarterlySeries, quarter_range
 
 Q = Quarter(2008, 1)
 
@@ -36,6 +36,78 @@ def deal(sector="Finance", when=date(2008, 2, 12), aum=None, rank=None, cid=None
     if cid is None:
         cid = f"c{random.randrange(10**9)}"
     return DealRecord(cid, cid.upper(), sector, when, aum, rank)
+
+
+# The per-quarter scan that build_feature_table replaced, kept as the
+# oracle: every feature of every quarter scans the whole deal list.
+
+
+def scan_deals(deals, scope: Scope, quarter: Quarter) -> list:
+    return [
+        d
+        for d in deals
+        if scope.matches(d) and Quarter.of_date(d.investment_date) == quarter
+    ]
+
+
+def deal_count(deals, scope: Scope, quarter: Quarter) -> int:
+    return len(scan_deals(deals, scope, quarter))
+
+
+def _usable_aums(deals, scope: Scope, quarter: Quarter) -> list:
+    aums = [d.numeric_aum() for d in scan_deals(deals, scope, quarter)]
+    return [a for a in aums if a is not None]
+
+
+def avg_aum(deals, scope: Scope, quarter: Quarter) -> float | None:
+    aums = _usable_aums(deals, scope, quarter)
+    if not aums:
+        return None
+    return statistics.mean(aums)
+
+
+def weighted_avg_aum(deals, scope: Scope, quarter: Quarter) -> float | None:
+    aums = _usable_aums(deals, scope, quarter)
+    if not aums:
+        return None
+    weighted = math.fsum(aum_weight(a) * a for a in aums)
+    denom = math.fsum(aum_weight(a) for a in aums)
+    return weighted / denom
+
+
+def avg_fund_ranking(deals, quarter: Quarter) -> float | None:
+    ranks = [
+        d.investor_rank
+        for d in scan_deals(deals, BROAD_SCOPE, quarter)
+        if d.investor_rank is not None
+    ]
+    if not ranks:
+        return None
+    return statistics.mean(ranks)
+
+
+def sector_count_pct(deals, sector: str, quarter: Quarter) -> float | None:
+    total = deal_count(deals, BROAD_SCOPE, quarter)
+    if total == 0:
+        return None
+    return 100.0 * deal_count(deals, Scope(sector), quarter) / total
+
+
+def oracle_feature_table(deals, scope, first_quarter, last_quarter, market_pe, sector_pe=None):
+    return [
+        RawFeatureRow(
+            quarter=quarter,
+            scope=scope,
+            deal_count=deal_count(deals, scope, quarter),
+            avg_aum=avg_aum(deals, scope, quarter),
+            weighted_avg_aum=weighted_avg_aum(deals, scope, quarter),
+            market_pe=market_pe.get(quarter),
+            avg_fund_ranking=None if not scope.is_broad else avg_fund_ranking(deals, quarter),
+            sector_count_pct=None if scope.is_broad else sector_count_pct(deals, scope.sector, quarter),
+            sector_pe=None if scope.is_broad else sector_pe.get(quarter),
+        )
+        for quarter in quarter_range(first_quarter, last_quarter)
+    ]
 
 
 class TestScope:
@@ -142,11 +214,6 @@ class TestAumFeatures:
         displayed = Decimal(value).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
         assert displayed == Decimal("14.13")
 
-    def test_weighted_count_normalization_switch(self):
-        deals = [deal(aum=1.0), deal(aum=15.0)]
-        value = weighted_avg_aum(deals, BROAD_SCOPE, Q, normalize_by_count=True)
-        assert value == pytest.approx(11.3, abs=1e-12)
-
     def test_weighted_mean_bounds(self):
         rng = random.Random(9)
         for _ in range(50):
@@ -183,7 +250,11 @@ class TestBuildFeatureTable:
     def test_broad_rows(self):
         deals = [deal("Finance", date(2008, 2, 1), aum=4.0, rank=1.5)]
         rows = build_feature_table(
-            deals, BROAD_SCOPE, Quarter(2008, 1), Quarter(2008, 2), pe_series(Quarter(2008, 1), 2)
+            deals_by_quarter(deals),
+            BROAD_SCOPE,
+            Quarter(2008, 1),
+            Quarter(2008, 2),
+            pe_series(Quarter(2008, 1), 2),
         )
         assert [r.quarter for r in rows] == [Quarter(2008, 1), Quarter(2008, 2)]
         first, second = rows
@@ -200,7 +271,7 @@ class TestBuildFeatureTable:
             deal("Utilities", date(2008, 2, 1), aum=2.0),
         ]
         rows = build_feature_table(
-            deals,
+            deals_by_quarter(deals),
             Scope("Finance"),
             Quarter(2008, 1),
             Quarter(2008, 1),
@@ -212,24 +283,29 @@ class TestBuildFeatureTable:
         assert row.sector_count_pct == 50.0
         assert row.sector_pe == 22.0
         assert row.avg_fund_ranking is None
-        assert feature_vector(row) == (1, 50.0, 4.0, 4.0, 22.0, 15.1 - 0.1)
+        values = tuple(getattr(row, name) for name in SECTOR_FEATURES)
+        assert values == (1, 50.0, 4.0, 4.0, 22.0, 15.1 - 0.1)
 
     def test_missing_market_pe_names_quarter(self):
         with pytest.raises(DataError, match="2008Q2"):
             build_feature_table(
-                [], BROAD_SCOPE, Quarter(2008, 1), Quarter(2008, 2), pe_series(Quarter(2008, 1), 1)
+                {}, BROAD_SCOPE, Quarter(2008, 1), Quarter(2008, 2), pe_series(Quarter(2008, 1), 1)
             )
 
     def test_sector_scope_needs_sector_pe(self):
         with pytest.raises(DataError, match="Finance"):
             build_feature_table(
-                [], Scope("Finance"), Quarter(2008, 1), Quarter(2008, 1), pe_series(Quarter(2008, 1), 1)
+                {}, Scope("Finance"), Quarter(2008, 1), Quarter(2008, 1), pe_series(Quarter(2008, 1), 1)
             )
 
     def test_feature_series_round_trip(self):
         deals = [deal("Finance", date(2008, 2, 1), aum=4.0, rank=1.5)]
         rows = build_feature_table(
-            deals, BROAD_SCOPE, Quarter(2008, 1), Quarter(2008, 3), pe_series(Quarter(2008, 1), 3)
+            deals_by_quarter(deals),
+            BROAD_SCOPE,
+            Quarter(2008, 1),
+            Quarter(2008, 3),
+            pe_series(Quarter(2008, 1), 3),
         )
         series = feature_series(rows)
         assert set(series) == set(BROAD_FEATURES)
@@ -240,7 +316,11 @@ class TestBuildFeatureTable:
     def test_write_table(self):
         deals = [deal("Finance", date(2008, 2, 1), aum=4.0, rank=1.5)]
         rows = build_feature_table(
-            deals, BROAD_SCOPE, Quarter(2008, 1), Quarter(2008, 2), pe_series(Quarter(2008, 1), 2)
+            deals_by_quarter(deals),
+            BROAD_SCOPE,
+            Quarter(2008, 1),
+            Quarter(2008, 2),
+            pe_series(Quarter(2008, 1), 2),
         )
         out = io.StringIO()
         write_feature_table(rows, out)
@@ -256,7 +336,7 @@ class TestBuildFeatureTable:
         ]
         for scope in (BROAD_SCOPE, Scope("Finance")):
             rows = build_feature_table(
-                deals,
+                deals_by_quarter(deals),
                 scope,
                 Quarter(2008, 1),
                 Quarter(2008, 2),
@@ -282,3 +362,50 @@ class TestBuildFeatureTable:
             read_feature_table(
                 io.StringIO(header + "\nFinance,2008-03-31,1,NA,NA,NA,15.000000\n")
             )
+
+
+FIRST, LAST = Quarter(2008, 1), Quarter(2009, 4)
+
+deal_records = st.builds(
+    DealRecord,
+    company_id=st.text("abc", min_size=1, max_size=4),
+    company_name=st.just("Co"),
+    sector=st.sampled_from(SECTOR_NAMES),
+    # two years either side of the table's range, so some deals fall
+    # outside; one crowded quarter gives means over many values
+    investment_date=st.dates(date(2006, 1, 1), date(2011, 12, 31)) | st.just(date(2008, 5, 1)),
+    investor_aum=st.none()
+    | st.sampled_from(AumBucket)
+    | st.sampled_from([0.0, 1.99, 2.0, 10.0, 10.01])
+    | st.floats(0.0, 50.0),
+    investor_rank=st.none() | st.floats(1.0, 4.0),
+)
+
+
+class TestGroupedAggregation:
+    def test_buckets_keep_input_order_within_a_quarter(self):
+        deals = [
+            deal(cid="b", when=date(2008, 3, 1)),
+            deal(cid="x", when=date(2008, 4, 1)),
+            deal(cid="a", when=date(2008, 1, 2)),
+        ]
+        buckets = deals_by_quarter(deals)
+        assert [d.company_id for d in buckets[Quarter(2008, 1)]] == ["b", "a"]
+        assert [d.company_id for d in buckets[Quarter(2008, 2)]] == ["x"]
+        assert deals_by_quarter([]) == {}
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(deal_records, max_size=40)
+        | st.lists(deal_records.filter(lambda d: d.sector in SECTOR_NAMES[:2]), max_size=40)
+    )
+    def test_matches_per_quarter_scan_for_every_scope(self, deals):
+        # one grouping serves Market and all 19 sectors, as in the CLI
+        buckets = deals_by_quarter(deals)
+        market_pe = pe_series(FIRST, 8)
+        sector_pe = pe_series(FIRST, 8, base=22.0)
+        for scope in [BROAD_SCOPE] + [Scope(name) for name in SECTOR_NAMES]:
+            s_pe = None if scope.is_broad else sector_pe
+            got = build_feature_table(buckets, scope, FIRST, LAST, market_pe, s_pe)
+            want = oracle_feature_table(deals, scope, FIRST, LAST, market_pe, s_pe)
+            assert repr(got) == repr(want)

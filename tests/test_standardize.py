@@ -148,6 +148,14 @@ class TestZScoreTable:
         assert table.dropped == (START + 4, START + 5, START + 6)
         assert [row.quarter for row in table.rows] == [START + 2, START + 3, START + 7]
 
+    def test_row_at_finds_kept_rows_only(self):
+        table = build_zscore_table(self.make_rows(hole=4), 3)
+        for row in table.rows:
+            assert table.row_at(row.quarter) is row
+        assert table.row_at(START + 5) is None  # dropped for the hole
+        assert table.row_at(START + 1) is None  # before the first full window
+        assert table.row_at(START + 8) is None  # past the end
+
     def test_zero_variance_flag_propagates(self):
         rows = [broad_row(START + k, 100, 5.0, 5.0, 2.0, 12.0 + k) for k in range(5)]
         table = build_zscore_table(rows, 3)

@@ -7,7 +7,7 @@ import pytest
 from pesignal.backtest import BacktestConfig, run
 from pesignal.errors import DataError
 from pesignal.evaluation import pooled_roc, scored_pairs
-from pesignal.features import BROAD_SCOPE, Scope, build_feature_table
+from pesignal.features import BROAD_SCOPE, Scope, build_feature_table, deals_by_quarter
 from pesignal.ingest import load_deals, load_prices, first_deals
 from pesignal.logit import LogitParams, prob_up
 from pesignal.quarters import Quarter
@@ -225,9 +225,10 @@ def test_written_files_round_trip_exactly(tmp_path):
     assert prices == data.prices
     pe = load_prices(paths["pe"])
     assert pe == data.pe
+    buckets = deals_by_quarter(parsed.records)
     for scope in SMALL.scopes():
         rows = build_feature_table(
-            parsed.records,
+            buckets,
             scope,
             SMALL.start,
             SMALL.last,
