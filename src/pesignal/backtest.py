@@ -46,9 +46,6 @@ class BacktestConfig:
             max_iter=self.max_iter,
         )
 
-    def min_quarters(self) -> int:
-        return self.std_window + self.est_window
-
 
 @dataclass(frozen=True)
 class ScheduleEntry:

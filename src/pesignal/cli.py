@@ -98,11 +98,16 @@ class RunConfig:
         return PriceFileFormat(delimiter=self.delimiter, **dict(self.price_columns))
 
     def scope_list(self) -> list:
+        if not self.scopes:
+            raise UsageError("scope list is empty")
         scopes = []
         for name in self.scopes:
             if name != BROAD_INDEX_NAME and name not in SECTOR_NAMES:
                 raise UsageError(f"unknown scope {name!r}")
-            scopes.append(Scope.of_name(name))
+            scope = Scope.of_name(name)
+            if scope in scopes:
+                raise UsageError(f"scope {name!r} is listed more than once")
+            scopes.append(scope)
         return scopes
 
     def backtest_config(self) -> BacktestConfig:

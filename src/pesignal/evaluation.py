@@ -72,15 +72,6 @@ def roc(pairs) -> RocCurve:
     return RocCurve(tuple(points), _trapezoid(points))
 
 
-def pooled_roc(pair_lists) -> RocCurve:
-    """ROC of the concatenated raw pairs, never an average of AUCs."""
-    populated = [pairs for pairs in pair_lists if pairs]
-    if len(populated) < 2:
-        raise DataError("pooling needs scored records from at least two sectors")
-    merged = [pair for pairs in populated for pair in pairs]
-    return roc(merged)
-
-
 def confusion(pairs, threshold: float) -> tuple:
     """(tp, fp, tn, fn) classifying UP at p_up >= threshold."""
     tp = fp = tn = fn = 0

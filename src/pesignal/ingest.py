@@ -61,10 +61,6 @@ class AumBucket(enum.Enum):
     MID = 6.0
     HIGH = 15.0
 
-    @property
-    def representative(self) -> float:
-        return self.value
-
 
 _BUCKET_TAGS = {
     "LOW": AumBucket.LOW,
@@ -117,23 +113,8 @@ class DealRecord:
         if self.investor_aum is None:
             return None
         if isinstance(self.investor_aum, AumBucket):
-            return self.investor_aum.representative
+            return self.investor_aum.value
         return float(self.investor_aum)
-
-
-@dataclass(frozen=True)
-class PriceRecord:
-    """One quarter-end index level."""
-
-    index_name: str
-    quarter: Quarter
-    value: float
-
-    def __post_init__(self):
-        if not self.index_name:
-            raise ValueError("index_name must be nonempty")
-        if not (math.isfinite(self.value) and self.value > 0):
-            raise ValueError(f"index level must be finite and > 0, got {self.value!r}")
 
 
 @dataclass(frozen=True)
@@ -404,13 +385,3 @@ def write_prices(series_by_index, stream, fmt: PriceFileFormat = PriceFileFormat
             if value is None:
                 continue
             writer.writerow([name, quarter.end_date().isoformat(), repr(float(value))])
-
-
-def load_deals(path, fmt: DealFileFormat = DealFileFormat(), strict: bool = False) -> ParsedDeals:
-    with open(path, newline="", encoding="utf-8") as handle:
-        return parse_deals(handle, fmt, strict=strict)
-
-
-def load_prices(path, fmt: PriceFileFormat = PriceFileFormat()) -> dict:
-    with open(path, newline="", encoding="utf-8") as handle:
-        return parse_prices(handle, fmt)

@@ -1,4 +1,4 @@
-"""Calendar-quarter arithmetic and aligned quarterly series.
+"""Calendar-quarter arithmetic and gap-free quarterly series.
 
 Quarters are keyed by (year, index) and identified with their end date
 (2004Q3 <-> 2004-09-30). All joins are exact on (year, index), never on
@@ -50,12 +50,6 @@ class Quarter:
             return (self.year * 4 + self.index) - (other.year * 4 + other.index)
         return NotImplemented
 
-    def next(self) -> "Quarter":
-        return self + 1
-
-    def prev(self) -> "Quarter":
-        return self - 1
-
     def end_date(self) -> date:
         month, day = _QUARTER_END[self.index]
         return date(self.year, month, day)
@@ -78,11 +72,6 @@ class Quarter:
 
     def __str__(self) -> str:
         return f"{self.year}Q{self.index}"
-
-
-def quarter_end_date(quarter: Quarter) -> date:
-    """Last calendar day of the quarter."""
-    return quarter.end_date()
 
 
 def quarter_count(first: Quarter, last: Quarter) -> int:
@@ -123,10 +112,6 @@ class QuarterlySeries:
             raise ValueError("empty series has no end quarter")
         return self.start + (len(self.values) - 1)
 
-    def covers(self, quarter: Quarter) -> bool:
-        offset = quarter - self.start
-        return 0 <= offset < len(self.values)
-
     def get(self, quarter: Quarter):
         """Value at the quarter, or None when missing or out of range."""
         offset = quarter - self.start
@@ -140,9 +125,6 @@ class QuarterlySeries:
         if v is None:
             raise DataError(f"no value at {quarter}")
         return v
-
-    def quarters(self) -> list[Quarter]:
-        return [self.start + k for k in range(len(self.values))]
 
     def items(self):
         return [(self.start + k, v) for k, v in enumerate(self.values)]
@@ -160,22 +142,3 @@ class QuarterlySeries:
                 raise DataError(f"non-contiguous quarters: gap or duplicate at {q}")
             values.append(v)
         return cls(start, tuple(values))
-
-
-def align(series_list) -> list:
-    """Inner-join series on quarter.
-
-    Returns [(quarter, (v0, v1, ...)), ...] for quarters covered by every
-    series, in quarter order. Raises when the intersection is empty.
-    """
-    series_list = list(series_list)
-    if not series_list or any(len(s) == 0 for s in series_list):
-        raise DataError("align requires nonempty series")
-    first = max(s.start for s in series_list)
-    last = min(s.end for s in series_list)
-    if first > last:
-        raise DataError("no overlapping history between series")
-    return [
-        (q, tuple(s.get(q) for s in series_list))
-        for q in quarter_range(first, last)
-    ]

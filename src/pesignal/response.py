@@ -29,23 +29,12 @@ def label_of(value: float) -> Label:
     return Label.UP if value > 0.0 else Label.DOWN
 
 
-def _price_pair(prices: QuarterlySeries, t: Quarter) -> tuple:
+def ann_forward_return(prices: QuarterlySeries, t: Quarter) -> float:
+    """Annualized forward return in percent: 100 ((P(t+1)/P(t))^4 - 1)."""
     p0 = prices.get(t)
     p1 = prices.get(t + 1)
     if p0 is None or p1 is None:
         raise DataError(f"forward return at {t} needs prices at {t} and {t + 1}")
-    return p0, p1
-
-
-def simple_forward_return(prices: QuarterlySeries, t: Quarter) -> float:
-    """One-quarter forward return in percent: 100 (P(t+1)/P(t) - 1)."""
-    p0, p1 = _price_pair(prices, t)
-    return 100.0 * (p1 / p0 - 1.0)
-
-
-def ann_forward_return(prices: QuarterlySeries, t: Quarter) -> float:
-    """Annualized forward return in percent: 100 ((P(t+1)/P(t))^4 - 1)."""
-    p0, p1 = _price_pair(prices, t)
     return 100.0 * ((p1 / p0) ** 4 - 1.0)
 
 
@@ -124,18 +113,3 @@ def build_labels(
                 labels.append(sector_label(sector_prices, market_prices, t, scope))
         t = t + 1
     return labels
-
-
-def labels_by_quarter(labels) -> dict:
-    return {lab.quarter: lab for lab in labels}
-
-
-def write_labels_table(labels, stream):
-    """Audit table: one row per labeled quarter, 6-decimal fixed."""
-    stream.write("scope,quarter_end,ann_forward_return,spread,label\n")
-    for lab in labels:
-        spread = "NA" if lab.spread is None else f"{lab.spread:.6f}"
-        stream.write(
-            f"{lab.scope.name},{lab.quarter.end_date().isoformat()},"
-            f"{lab.ann_forward_return:.6f},{spread},{lab.y.value}\n"
-        )

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DataError, InsufficientHistoryError
+from .errors import InsufficientHistoryError
 from .features import feature_names, feature_series
 from .quarters import Quarter, QuarterlySeries, quarter_range
 
@@ -21,22 +21,6 @@ def _window_stats(window) -> tuple:
     mu = math.fsum(window) / len(window)
     var = math.fsum((v - mu) ** 2 for v in window) / (len(window) - 1)
     return mu, math.sqrt(var)
-
-
-def rolling_stats(x: QuarterlySeries, window: int, t: Quarter) -> tuple:
-    """Sample mean and std of the trailing `window` quarters ending at t."""
-    if window < 2:
-        raise ValueError(f"window must be at least 2 quarters, got {window}")
-    first = t - (window - 1)
-    if not (x.covers(first) and x.covers(t)):
-        raise InsufficientHistoryError(
-            f"window {first}..{t} reaches outside the series {x.start}..{x.end}"
-        )
-    values = [x.get(first + k) for k in range(window)]
-    for k, v in enumerate(values):
-        if v is None:
-            raise DataError(f"missing value at {first + k} inside the window ending {t}")
-    return _window_stats(values)
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from datetime import timedelta
-from pathlib import Path
 
 import numpy as np
 
 from .features import BROAD_SCOPE, Scope, build_feature_table, deals_by_quarter
-from .ingest import AumBucket, DealRecord, SECTOR_NAMES, write_deals, write_prices
+from .ingest import AumBucket, DealRecord, SECTOR_NAMES
 from .logit import LogitParams, TrainingSample, prob_up
 from .quarters import Quarter, QuarterlySeries
 from .response import Label, build_labels
@@ -354,21 +353,3 @@ def planted_samples(params: LogitParams, n: int, seed: int) -> list:
         y = Label.UP if coin < prob_up(tuple(row), params) else Label.DOWN
         samples.append(TrainingSample(tuple(row), y))
     return samples
-
-
-def write_dataset(dataset: SyntheticDataset, out_dir) -> dict:
-    """Emit deals.csv, prices.csv, and pe.csv in the ingestion formats."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "deals": out / "deals.csv",
-        "prices": out / "prices.csv",
-        "pe": out / "pe.csv",
-    }
-    with open(paths["deals"], "w", newline="", encoding="utf-8") as handle:
-        write_deals(dataset.deals, handle)
-    with open(paths["prices"], "w", newline="", encoding="utf-8") as handle:
-        write_prices(dataset.prices, handle)
-    with open(paths["pe"], "w", newline="", encoding="utf-8") as handle:
-        write_prices(dataset.pe, handle)
-    return paths

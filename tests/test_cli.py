@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
+from pesignal.backtest import read_predictions
 from pesignal.cli import main, resolve_config
 from pesignal.errors import NumericalError, UsageError
+from pesignal.evaluation import roc, scored_pairs
 
 SMALL = {
     "n_quarters": 24,
@@ -60,8 +62,15 @@ class TestSmokePath:
 
     def test_scores_include_each_scope_and_pooled_all(self, tmp_path):
         out = run_pipeline(tmp_path, SMALL)
-        names = [json.loads(line)["scope"] for line in (out / "scores.jsonl").read_text().splitlines()]
-        assert names == SMALL_SCOPES + ["ALL"]
+        rows = [json.loads(line) for line in (out / "scores.jsonl").read_text().splitlines()]
+        assert [row["scope"] for row in rows] == SMALL_SCOPES + ["ALL"]
+        # ALL scores the concatenated pairs of every scope, not an average of AUCs
+        pooled = []
+        for slug in ("market", "commercial_services", "communications"):
+            with open(out / f"predictions_{slug}.csv", encoding="utf-8") as handle:
+                pooled += scored_pairs(read_predictions(handle))
+        assert rows[-1]["n"] == len(pooled) == sum(row["n"] for row in rows[:-1])
+        assert rows[-1]["auc"] == pytest.approx(roc(pooled).auc, abs=5e-7)
         assert (out / "roc_all.csv").is_file()
         assert not (out / "scatter_all.csv").exists()
 
@@ -156,6 +165,20 @@ class TestExitCodes:
         assert main(["synth", "--config", config, "--out", out]) == 0
         assert main(["features", "--config", config, "--out", out, "--scopes", "Tulips"]) == 1
         assert "unknown scope" in capsys.readouterr().err
+
+    def test_repeated_scope(self, tmp_path, capsys):
+        config = write_config(tmp_path, SMALL)
+        out = str(tmp_path / "out")
+        assert main(["synth", "--config", config, "--out", out]) == 0
+        assert main(["features", "--config", config, "--out", out, "--scopes", "Market,Communications,Market"]) == 1
+        assert "scope 'Market' is listed more than once" in capsys.readouterr().err
+
+    def test_empty_scope_list(self, tmp_path, capsys):
+        config = write_config(tmp_path, SMALL)
+        out = str(tmp_path / "out")
+        assert main(["synth", "--config", config, "--out", out]) == 0
+        assert main(["features", "--config", config, "--out", out, "--scopes", ","]) == 1
+        assert "scope list is empty" in capsys.readouterr().err
 
     def test_unknown_command(self, capsys):
         assert main(["replay"]) == 1

@@ -16,7 +16,6 @@ from pesignal.evaluation import (
     _trapezoid,
     confusion,
     f1,
-    pooled_roc,
     report,
     roc,
     score_report_json,
@@ -146,22 +145,19 @@ class TestRoc:
 
 
 class TestPooledRoc:
+    """The pooled ALL report scores the concatenated pairs of its scopes."""
+
     def test_duplicated_sector_invariance(self):
         rng = random.Random(89)
         pairs = random_pairs(rng, 20)
-        pooled = pooled_roc([pairs, list(pairs)])
-        assert pooled.auc == pytest.approx(roc(pairs).auc, abs=1e-12)
+        assert roc(pairs + pairs).auc == pytest.approx(roc(pairs).auc, abs=1e-12)
 
     def test_pooling_is_concatenation(self):
         perfect = [(0.9, UP), (0.1, DOWN)]
         inverted = [(0.1, UP), (0.9, DOWN)]
-        pooled = pooled_roc([perfect, inverted])
+        pooled = roc(perfect + inverted)
         assert pooled.auc == pytest.approx(concordance_auc(perfect + inverted), abs=1e-9)
         assert 0.0 < pooled.auc < 1.0
-
-    def test_needs_two_sectors(self):
-        with pytest.raises(DataError, match="two sectors"):
-            pooled_roc([[(0.9, UP), (0.1, DOWN)], []])
 
 
 class TestF1:

@@ -5,9 +5,13 @@ import random
 from datetime import date, timedelta
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pesignal.errors import DataError
 from pesignal.ingest import (
+    BROAD_INDEX_NAME,
+    SECTOR_NAMES,
     AumBucket,
     DealFileFormat,
     DealRecord,
@@ -21,7 +25,7 @@ from pesignal.ingest import (
     write_deals,
     write_prices,
 )
-from pesignal.quarters import Quarter
+from pesignal.quarters import Quarter, QuarterlySeries
 
 DEAL_HEADER = (
     "company_id,company_name,sector,first_investment_date,investor_aum,investor_performance"
@@ -61,9 +65,9 @@ class TestFieldParsers:
             parse_aum("lots")
 
     def test_bucket_representatives(self):
-        assert AumBucket.LOW.representative == 1.0
-        assert AumBucket.MID.representative == 6.0
-        assert AumBucket.HIGH.representative == 15.0
+        for bucket, level in ((AumBucket.LOW, 1.0), (AumBucket.MID, 6.0), (AumBucket.HIGH, 15.0)):
+            assert bucket.value == level
+            assert DealRecord("x", "X", "Finance", date(2008, 2, 12), bucket).numeric_aum() == level
 
     def test_rank_mappings(self):
         assert parse_rank("Top Two Quartiles") == 1.5
@@ -280,3 +284,47 @@ class TestRoundTrips:
         write_prices(series, out, fmt)
         assert out.getvalue().splitlines()[0] == "idx|d|v"
         assert parse_prices(io.StringIO(out.getvalue()), fmt) == series
+
+
+# Cell text with the characters a CSV writer has to quote: commas,
+# quotes and the other delimiters; parsers strip cells, so drawn text
+# carries no outer whitespace.
+cells = st.text(alphabet='ab Z9,;|"\'-.&', max_size=12).map(str.strip)
+delimiters = st.sampled_from([",", ";", "|", "\t"])
+deal_records = st.builds(
+    DealRecord,
+    company_id=cells.filter(bool),
+    company_name=cells,
+    sector=st.sampled_from((*SECTOR_NAMES, BROAD_INDEX_NAME)),
+    investment_date=st.dates(date(1900, 1, 1), date(2100, 12, 31)),
+    investor_aum=st.none()
+    | st.sampled_from(AumBucket)
+    | st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
+    investor_rank=st.none() | st.floats(min_value=1.0, max_value=4.0),
+    investor=cells,
+)
+price_series = st.builds(
+    QuarterlySeries,
+    st.builds(Quarter, st.integers(1900, 2100), st.integers(1, 4)),
+    st.lists(
+        st.floats(min_value=1e-6, max_value=1e9, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=12,
+    ).map(tuple),
+)
+
+
+class TestRoundTripProperties:
+    @given(st.lists(deal_records, max_size=8), delimiters)
+    def test_deals(self, records, delimiter):
+        fmt = DealFileFormat(delimiter=delimiter)
+        out = io.StringIO()
+        write_deals(records, out, fmt)
+        assert parse_deals(io.StringIO(out.getvalue()), fmt, strict=True).records == records
+
+    @given(st.dictionaries(cells.filter(bool), price_series, max_size=4), delimiters)
+    def test_prices(self, series_by_index, delimiter):
+        fmt = PriceFileFormat(delimiter=delimiter)
+        out = io.StringIO()
+        write_prices(series_by_index, out, fmt)
+        assert parse_prices(io.StringIO(out.getvalue()), fmt) == series_by_index

@@ -1,27 +1,24 @@
-"""Quarter arithmetic and series alignment."""
+"""Quarter arithmetic and gap-free quarterly series."""
 
 import random
 from datetime import date
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pesignal.errors import DataError
-from pesignal.quarters import (
-    Quarter,
-    QuarterlySeries,
-    align,
-    quarter_count,
-    quarter_end_date,
-    quarter_range,
-)
+from pesignal.quarters import Quarter, QuarterlySeries, quarter_count, quarter_range
+
+quarters = st.builds(Quarter, st.integers(1000, 9000), st.integers(1, 4))
 
 
 class TestQuarter:
     def test_end_dates(self):
-        assert quarter_end_date(Quarter(2002, 4)) == date(2002, 12, 31)
-        assert quarter_end_date(Quarter(2003, 1)) == date(2003, 3, 31)
-        assert quarter_end_date(Quarter(2004, 3)) == date(2004, 9, 30)
-        assert quarter_end_date(Quarter(2016, 4)) == date(2016, 12, 31)
+        assert Quarter(2002, 4).end_date() == date(2002, 12, 31)
+        assert Quarter(2003, 1).end_date() == date(2003, 3, 31)
+        assert Quarter(2004, 3).end_date() == date(2004, 9, 30)
+        assert Quarter(2016, 4).end_date() == date(2016, 12, 31)
 
     def test_bad_index_rejected(self):
         with pytest.raises(ValueError):
@@ -35,23 +32,15 @@ class TestQuarter:
         assert Quarter(2004, 3) == Quarter(2004, 3)
         assert Quarter(2004, 3) <= Quarter(2004, 3)
 
-    def test_add_sub_roundtrip(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            q = Quarter(rng.randrange(1990, 2030), rng.randrange(1, 5))
-            n = rng.randrange(-40, 41)
-            assert (q + n) - n == q
-            assert (q + n) - q == n
+    @given(quarters, st.integers(-3000, 3000))
+    def test_add_sub_roundtrip(self, q, n):
+        assert (q + n) - n == q
+        assert (q + n) - q == n
 
     def test_year_wrap(self):
         assert Quarter(2000, 4) + 1 == Quarter(2001, 1)
         assert Quarter(2001, 1) - 1 == Quarter(2000, 4)
         assert Quarter(2000, 1) + 18 == Quarter(2004, 3)
-
-    def test_next_prev_inverse(self):
-        q = Quarter(2007, 2)
-        assert q.next().prev() == q
-        assert q.prev().next() == q
 
     def test_of_date(self):
         assert Quarter.of_date(date(2004, 9, 30)) == Quarter(2004, 3)
@@ -69,6 +58,15 @@ class TestQuarter:
 
     def test_str(self):
         assert str(Quarter(2004, 3)) == "2004Q3"
+
+    @given(quarters)
+    def test_str_parses_back(self, q):
+        assert Quarter.parse(str(q)) == q
+
+    @given(quarters)
+    def test_end_date_lies_in_its_quarter(self, q):
+        assert Quarter.of_date(q.end_date()) == q
+        assert Quarter.parse(q.end_date().isoformat()) == q
 
 
 class TestQuarterCount:
@@ -118,8 +116,8 @@ class TestQuarterlySeries:
     def test_end_and_covers(self):
         s = QuarterlySeries(Quarter(2000, 1), (1.0, 2.0, 3.0))
         assert s.end == Quarter(2000, 3)
-        assert s.covers(Quarter(2000, 3))
-        assert not s.covers(Quarter(2000, 4))
+        assert s.get(s.end) == 3.0
+        assert s.get(s.end + 1) is None
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -139,32 +137,3 @@ class TestQuarterlySeries:
             QuarterlySeries.from_items([(Quarter(2000, 1), 1.0), (Quarter(2000, 3), 3.0)])
         with pytest.raises(DataError):
             QuarterlySeries.from_items([(Quarter(2000, 1), 1.0), (Quarter(2000, 1), 2.0)])
-
-
-class TestAlign:
-    def test_inner_join(self):
-        a = QuarterlySeries(Quarter(2000, 1), (1.0, 2.0, 3.0, 4.0))
-        b = QuarterlySeries(Quarter(2000, 3), (30.0, 40.0, 50.0))
-        joined = align([a, b])
-        assert joined == [
-            (Quarter(2000, 3), (3.0, 30.0)),
-            (Quarter(2000, 4), (4.0, 40.0)),
-        ]
-
-    def test_missing_values_pass_through(self):
-        a = QuarterlySeries(Quarter(2000, 1), (1.0, None))
-        b = QuarterlySeries(Quarter(2000, 1), (10.0, 20.0))
-        joined = align([a, b])
-        assert joined[1] == (Quarter(2000, 2), (None, 20.0))
-
-    def test_disjoint_rejected(self):
-        a = QuarterlySeries(Quarter(2000, 1), (1.0, 2.0))
-        b = QuarterlySeries(Quarter(2005, 1), (3.0, 4.0))
-        with pytest.raises(DataError):
-            align([a, b])
-
-    def test_idempotent_on_single(self):
-        a = QuarterlySeries(Quarter(2000, 1), (1.0, 2.0))
-        joined = align([a])
-        assert [q for q, _ in joined] == a.quarters()
-        assert [v[0] for _, v in joined] == list(a.values)

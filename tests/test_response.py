@@ -1,6 +1,5 @@
 """Forward-return labels from price series."""
 
-import io
 import random
 
 import pytest
@@ -16,8 +15,6 @@ from pesignal.response import (
     label_of,
     sector_label,
     sector_spread,
-    simple_forward_return,
-    write_labels_table,
 )
 
 START = Quarter(2002, 4)
@@ -39,9 +36,14 @@ def prices_with_ann_return(ann_pct, start=START, base=100.0):
 
 class TestForwardReturns:
     def test_quarterly_returns(self):
+        # the annualized return compounds the quarterly one four times
         p = prices(*LEVELS)
-        assert simple_forward_return(p, START) == pytest.approx(-3.04, abs=0.005)
-        assert simple_forward_return(p, START + 1) == pytest.approx(15.82, abs=0.005)
+        for k, quarterly in enumerate((-3.04, 15.82)):
+            simple = 100.0 * (LEVELS[k + 1] / LEVELS[k] - 1.0)
+            assert simple == pytest.approx(quarterly, abs=0.005)
+            assert ann_forward_return(p, START + k) == pytest.approx(
+                100.0 * ((1.0 + simple / 100.0) ** 4 - 1.0), rel=1e-12
+            )
 
     def test_annualized_returns(self):
         p = prices(*LEVELS)
@@ -49,9 +51,7 @@ class TestForwardReturns:
         assert ann_forward_return(p, START + 1) == pytest.approx(79.97, abs=0.005)
 
     def test_flat_price(self):
-        p = prices(50.0, 50.0)
-        assert simple_forward_return(p, START) == 0.0
-        assert ann_forward_return(p, START) == 0.0
+        assert ann_forward_return(prices(50.0, 50.0), START) == 0.0
 
     def test_missing_next_price(self):
         p = prices(*LEVELS)
@@ -63,10 +63,9 @@ class TestForwardReturns:
     def test_signs_agree(self):
         rng = random.Random(23)
         for _ in range(200):
-            p = prices(rng.uniform(10, 200), rng.uniform(10, 200))
-            simple = simple_forward_return(p, START)
-            annual = ann_forward_return(p, START)
-            assert label_of(simple) is label_of(annual)
+            p0, p1 = rng.uniform(10, 200), rng.uniform(10, 200)
+            annual = ann_forward_return(prices(p0, p1), START)
+            assert label_of(p1 - p0) is label_of(annual)
 
     def test_rescaling_invariance(self):
         rng = random.Random(29)
@@ -154,13 +153,3 @@ class TestBuildLabels:
             from pesignal.response import ResponseLabel
 
             ResponseLabel(START, BROAD_SCOPE, -5.0, Label.UP)
-
-    def test_write_table(self):
-        p = prices(*LEVELS)
-        out = io.StringIO()
-        write_labels_table(build_labels(BROAD_SCOPE, p), out)
-        lines = out.getvalue().splitlines()
-        assert lines[0] == "scope,quarter_end,ann_forward_return,spread,label"
-        assert lines[1].startswith("Market,2002-12-31,-11.60")
-        assert lines[1].endswith(",NA,DOWN")
-        assert lines[2].endswith(",NA,UP")

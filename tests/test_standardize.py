@@ -5,15 +5,10 @@ import random
 import numpy as np
 import pytest
 
-from pesignal.errors import DataError, InsufficientHistoryError
+from pesignal.errors import InsufficientHistoryError
 from pesignal.features import BROAD_SCOPE, RawFeatureRow
 from pesignal.quarters import Quarter, QuarterlySeries
-from pesignal.standardize import (
-    build_zscore_table,
-    rolling_stats,
-    write_zscore_table,
-    zscore,
-)
+from pesignal.standardize import build_zscore_table, write_zscore_table, zscore
 
 START = Quarter(2000, 1)
 
@@ -23,41 +18,44 @@ def series(*values):
 
 
 class TestRollingStats:
+    """The trailing-window mean and sample standard deviation each z is
+    built from, seen through the z of the window's last quarter."""
+
     def test_small_sample(self):
-        mu, sigma = rolling_stats(series(1.0, 2.0, 3.0), 3, Quarter(2000, 3))
-        assert mu == 2.0
-        assert sigma == 1.0
+        # mean 2, sample std 1
+        assert zscore(series(1.0, 2.0, 3.0), 3).series.values == (1.0,)
 
     def test_constant_window(self):
-        mu, sigma = rolling_stats(series(*([4.2] * 5)), 4, Quarter(2000, 4))
-        assert mu == 4.2
-        assert sigma == 0.0
+        # 4.2 is not a binary fraction, yet the window's sigma is exactly 0
+        z = zscore(series(*([4.2] * 5)), 4)
+        assert z.series.values == (0.0, 0.0)
+        assert z.zero_variance == (Quarter(2000, 4), Quarter(2001, 1))
 
     def test_matches_two_pass_oracle(self):
         rng = random.Random(21)
         values = [rng.uniform(-5, 5) for _ in range(12)]
-        mu, sigma = rolling_stats(series(*values), 12, Quarter(2002, 4))
-        assert mu == pytest.approx(np.mean(values), abs=1e-12)
-        assert sigma == pytest.approx(np.std(values, ddof=1), abs=1e-12)
+        (z,) = zscore(series(*values), 12).series.values
+        expected = (values[-1] - np.mean(values)) / np.std(values, ddof=1)
+        assert z == pytest.approx(expected, abs=1e-12)
 
     def test_trailing_window_only(self):
         values = [100.0, 100.0, 1.0, 2.0, 3.0]
-        mu, _ = rolling_stats(series(*values), 3, Quarter(2001, 1))
-        assert mu == 2.0
+        assert zscore(series(*values), 3).series.get(Quarter(2001, 1)) == 1.0
 
     def test_insufficient_history(self):
         with pytest.raises(InsufficientHistoryError):
-            rolling_stats(series(1.0, 2.0), 3, Quarter(2000, 2))
-        with pytest.raises(InsufficientHistoryError):
-            rolling_stats(series(1.0, 2.0, 3.0), 3, Quarter(2001, 1))
+            zscore(series(1.0, 2.0), 3)
+        z = zscore(series(1.0, 2.0, 3.0), 3)
+        assert z.series.start == z.series.end == Quarter(2000, 3)
 
     def test_missing_value_in_window(self):
-        with pytest.raises(DataError, match="2000Q2"):
-            rolling_stats(series(1.0, None, 3.0), 3, Quarter(2000, 3))
+        z = zscore(series(1.0, None, 3.0), 3)
+        assert z.series.values == (None,)
+        assert z.zero_variance == ()
 
     def test_window_below_two_rejected(self):
         with pytest.raises(ValueError):
-            rolling_stats(series(1.0, 2.0), 1, Quarter(2000, 2))
+            zscore(series(1.0, 2.0), 1)
 
 
 class TestZScore:

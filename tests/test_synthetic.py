@@ -1,14 +1,16 @@
 """Generator checks: determinism, planted law, and round-trip identity."""
 
+import json
 import math
 
 import pytest
 
 from pesignal.backtest import BacktestConfig, run
+from pesignal.cli import main
 from pesignal.errors import DataError
-from pesignal.evaluation import pooled_roc, scored_pairs
+from pesignal.evaluation import roc, scored_pairs
 from pesignal.features import BROAD_SCOPE, Scope, build_feature_table, deals_by_quarter
-from pesignal.ingest import load_deals, load_prices, first_deals
+from pesignal.ingest import first_deals, parse_deals, parse_prices
 from pesignal.logit import LogitParams, prob_up
 from pesignal.quarters import Quarter
 from pesignal.response import Label, build_labels
@@ -25,7 +27,6 @@ from pesignal.synthetic import (
     planted_params,
     planted_samples,
     quarter_deal_counts,
-    write_dataset,
 )
 
 SMALL = SyntheticSpec(seed=7, n_quarters=20, n_sectors=2, std_window=6)
@@ -215,15 +216,25 @@ def test_planted_samples_deterministic():
 
 def test_written_files_round_trip_exactly(tmp_path):
     data = generate_dataset(SMALL)
-    paths = write_dataset(data, tmp_path)
-    parsed = load_deals(paths["deals"])
+    settings = tmp_path / "config.json"
+    settings.write_text(
+        json.dumps(
+            {"seed": SMALL.seed, "n_quarters": SMALL.n_quarters, "n_sectors": SMALL.n_sectors, "t": SMALL.std_window}
+        ),
+        encoding="utf-8",
+    )
+    assert main(["synth", "--config", str(settings), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "deals.csv", newline="", encoding="utf-8") as handle:
+        parsed = parse_deals(handle)
     assert parsed.issues == []
     assert first_deals(parsed.records) == sorted(
         data.deals, key=lambda d: (d.investment_date, d.company_id)
     )
-    prices = load_prices(paths["prices"])
+    with open(tmp_path / "prices.csv", newline="", encoding="utf-8") as handle:
+        prices = parse_prices(handle)
     assert prices == data.prices
-    pe = load_prices(paths["pe"])
+    with open(tmp_path / "pe.csv", newline="", encoding="utf-8") as handle:
+        pe = parse_prices(handle)
     assert pe == data.pe
     buckets = deals_by_quarter(parsed.records)
     for scope in SMALL.scopes():
@@ -251,8 +262,10 @@ def _pooled_auc(spec: SyntheticSpec, config: BacktestConfig) -> float:
         result = run(data.features[scope.name], data.labels[scope.name], config)
         pairs.append(scored_pairs(result.records))
     populated = [p for p in pairs if p]
+    if len(populated) < 2:
+        return 0.5
     try:
-        return pooled_roc(populated).auc
+        return roc([pair for p in populated for pair in p]).auc
     except DataError:
         return 0.5
 
