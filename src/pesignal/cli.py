@@ -45,8 +45,11 @@ from .synthetic import SyntheticSpec, generate_dataset
 
 log = logging.getLogger("pesignal")
 
-_DEAL_COLUMN_KEYS = ("company_id", "company_name", "sector", "date", "aum", "rank", "investor")
-_PRICE_COLUMN_KEYS = ("index_name", "date", "value")
+# the column names a config may remap: each file format's fields but the delimiter
+_COLUMN_KEYS = {
+    key: {f.name for f in dataclasses.fields(fmt)} - {"delimiter"}
+    for key, fmt in (("deal_columns", DealFileFormat), ("price_columns", PriceFileFormat))
+}
 
 
 @dataclass(frozen=True)
@@ -162,6 +165,10 @@ def _coerce(key: str, value):
             if isinstance(value, bool):
                 raise ValueError
             return float(value)
+        if key == "delimiter":
+            if not isinstance(value, str) or len(value) != 1:
+                raise ValueError
+            return value
         if key == "strict":
             if not isinstance(value, bool):
                 raise ValueError
@@ -172,10 +179,9 @@ def _coerce(key: str, value):
             return tuple(str(v) for v in value)
         if key == "planted_w":
             return tuple(float(v) for v in value)
-        if key in ("deal_columns", "price_columns"):
-            wanted = _DEAL_COLUMN_KEYS if key == "deal_columns" else _PRICE_COLUMN_KEYS
+        if key in _COLUMN_KEYS:
             for column in value:
-                if column not in wanted:
+                if column not in _COLUMN_KEYS[key]:
                     raise UsageError(f"unknown {key} entry {column!r}")
             return tuple(sorted((str(k), str(v)) for k, v in value.items()))
         if value is None or isinstance(value, str):
@@ -217,34 +223,53 @@ def _slug(name: str) -> str:
     return name.lower().replace(" ", "_").replace("-", "_")
 
 
-def _write_atomic(path: Path, text: str):
-    tmp = path.parent / (path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+class _Files:
+    """The files one command reads and writes, each recorded by the
+    SHA-256 of exactly the bytes it parsed or wrote."""
 
+    def __init__(self, config: RunConfig):
+        self.config = config
+        self.inputs = {}
+        self.outputs = {}
 
-def _render(write, *args) -> str:
-    buffer = io.StringIO()
-    write(*args, buffer)
-    return buffer.getvalue()
+    def read(self, path: Path):
+        """The file as a text stream to parse, read from disk once."""
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            raise UsageError(f"input file not found: {path}") from None
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start}") from None
+        self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
+        # a stream over the bytes holds the file once; a StringIO would
+        # hold it again at four bytes a character
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
 
+    def write(self, path: Path, writer, *args, **kwargs):
+        """writer(*args, stream, **kwargs) rendered, then written atomically."""
+        buffer = io.StringIO()
+        writer(*args, buffer, **kwargs)
+        data = buffer.getvalue().encode("utf-8")
+        self.outputs[str(path)] = hashlib.sha256(data).hexdigest()
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.parent / (path.name + ".tmp")
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
 
-def _digest(path: Path) -> str:
-    try:
-        return hashlib.sha256(path.read_bytes()).hexdigest()
-    except FileNotFoundError:
-        raise UsageError(f"input file not found: {path}") from None
-
-
-def _write_manifest(command: str, config: RunConfig, inputs, outputs):
-    manifest = {
-        "command": command,
-        "config": config.to_dict(),
-        "inputs": {str(path): _digest(Path(path)) for path in inputs},
-        "outputs": {str(path): _digest(Path(path)) for path in outputs},
-    }
-    path = config.out_dir() / f"manifest_{command}.json"
-    _write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    def manifest(self, command: str):
+        manifest = {
+            "command": command,
+            "config": self.config.to_dict(),
+            "inputs": self.inputs,
+            "outputs": self.outputs,
+        }
+        # rendered before write records its own digest, so it lists the other files only
+        self.write(
+            self.config.out_dir() / f"manifest_{command}.json",
+            lambda stream: stream.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n"),
+        )
 
 
 def _series_for(series_map: dict, name: str, path: Path):
@@ -255,52 +280,40 @@ def _series_for(series_map: dict, name: str, path: Path):
 
 def cmd_synth(config: RunConfig) -> int:
     spec = config.synthetic_spec()
+    made = spec.scopes()
+    for scope in config.scope_list():
+        if scope not in made:
+            raise UsageError(f"scope {scope.name!r} is not synthesized with n_sectors = {spec.n_sectors}")
     data = generate_dataset(spec)
     config = dataclasses.replace(
         config,
-        scopes=tuple(s.name for s in spec.scopes()),
+        scopes=tuple(s.name for s in made),
         deals=str(config.deals_path()),
         prices=str(config.prices_path()),
         pe=str(config.pe_path()),
     )
-    out = config.out_dir()
-    out.mkdir(parents=True, exist_ok=True)
-    targets = {
-        config.deals_path(): _render(write_deals, data.deals),
-        config.prices_path(): _render(write_prices, data.prices),
-        config.pe_path(): _render(write_prices, data.pe),
-    }
-    for path, text in targets.items():
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _write_atomic(path, text)
-    log.info("synth: %d deals, %d scopes, %d quarters", len(data.deals), len(spec.scopes()), spec.n_quarters)
-    _write_manifest("synth", config, [], list(targets))
+    files = _Files(config)
+    files.write(config.deals_path(), write_deals, data.deals, fmt=config.deal_format())
+    files.write(config.prices_path(), write_prices, data.prices, fmt=config.price_format())
+    files.write(config.pe_path(), write_prices, data.pe, fmt=config.price_format())
+    log.info("synth: %d deals, %d scopes, %d quarters", len(data.deals), len(made), spec.n_quarters)
+    files.manifest("synth")
     return 0
 
 
-def _open_input(path: Path):
-    try:
-        return open(path, newline="", encoding="utf-8")
-    except FileNotFoundError:
-        raise UsageError(f"input file not found: {path}") from None
-
-
 def cmd_features(config: RunConfig) -> int:
+    files = _Files(config)
     deals_path = config.deals_path()
     pe_path = config.pe_path()
-    with _open_input(deals_path) as handle:
-        parsed = parse_deals(handle, config.deal_format(), strict=config.strict)
+    parsed = parse_deals(files.read(deals_path), config.deal_format(), strict=config.strict)
     for issue in parsed.issues:
         log.warning("%s %s", deals_path, issue)
     buckets = deals_by_quarter(first_deals(parsed.records))
-    with _open_input(pe_path) as handle:
-        pe_map = parse_prices(handle, config.price_format())
+    pe_map = parse_prices(files.read(pe_path), config.price_format())
     market_pe = _series_for(pe_map, BROAD_INDEX_NAME, pe_path)
     first = Quarter.parse(config.first) if config.first else market_pe.start
     last = Quarter.parse(config.last) if config.last else market_pe.end
     out = config.out_dir()
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = []
     for scope in config.scope_list():
         sector_pe = None if scope.is_broad else _series_for(pe_map, scope.name, pe_path)
         rows = build_feature_table(buckets, scope, first, last, market_pe, sector_pe)
@@ -309,30 +322,21 @@ def cmd_features(config: RunConfig) -> int:
             log.warning("%s: %d quarters dropped for missing features", scope.name, len(table.dropped))
         if table.zero_variance:
             log.warning("%s: %d zero-variance windows pinned to z=0", scope.name, len(table.zero_variance))
-        feature_path = out / f"features_{_slug(scope.name)}.csv"
-        z_path = out / f"zscores_{_slug(scope.name)}.csv"
-        _write_atomic(feature_path, _render(write_feature_table, rows))
-        _write_atomic(z_path, _render(write_zscore_table, table))
-        outputs += [feature_path, z_path]
-    _write_manifest("features", config, [deals_path, pe_path], outputs)
+        files.write(out / f"features_{_slug(scope.name)}.csv", write_feature_table, rows)
+        files.write(out / f"zscores_{_slug(scope.name)}.csv", write_zscore_table, table)
+    files.manifest("features")
     return 0
 
 
 def cmd_backtest(config: RunConfig) -> int:
+    files = _Files(config)
     prices_path = config.prices_path()
-    with _open_input(prices_path) as handle:
-        price_map = parse_prices(handle, config.price_format())
+    price_map = parse_prices(files.read(prices_path), config.price_format())
     market_prices = _series_for(price_map, BROAD_INDEX_NAME, prices_path)
     out = config.out_dir()
-    out.mkdir(parents=True, exist_ok=True)
     bt_config = config.backtest_config()
-    inputs = [prices_path]
-    outputs = []
     for scope in config.scope_list():
-        feature_path = out / f"features_{_slug(scope.name)}.csv"
-        with _open_input(feature_path) as handle:
-            rows = read_feature_table(handle)
-        inputs.append(feature_path)
+        rows = read_feature_table(files.read(out / f"features_{_slug(scope.name)}.csv"))
         sector_prices = None if scope.is_broad else _series_for(price_map, scope.name, prices_path)
         labels = build_labels(scope, market_prices, sector_prices)
         result = run(rows, labels, bt_config)
@@ -340,26 +344,19 @@ def cmd_backtest(config: RunConfig) -> int:
             log.warning("%s %s: skipped, %s", scope.name, skip.predicted, skip.reason)
         for record in result.records:
             log.info("%s %s %s", scope.name, record.quarter, fit_report_line(record.fit))
-        prediction_path = out / f"predictions_{_slug(scope.name)}.csv"
-        _write_atomic(prediction_path, _render(write_predictions, result.records))
-        outputs.append(prediction_path)
-    _write_manifest("backtest", config, inputs, outputs)
+        files.write(out / f"predictions_{_slug(scope.name)}.csv", write_predictions, result.records)
+    files.manifest("backtest")
     return 0
 
 
 def cmd_evaluate(config: RunConfig) -> int:
+    files = _Files(config)
     out = config.out_dir()
-    out.mkdir(parents=True, exist_ok=True)
-    inputs = []
-    outputs = []
     reports = []
     pooled_records = []
     per_scope = []
     for scope in config.scope_list():
-        prediction_path = out / f"predictions_{_slug(scope.name)}.csv"
-        with _open_input(prediction_path) as handle:
-            records = read_predictions(handle)
-        inputs.append(prediction_path)
+        records = read_predictions(files.read(out / f"predictions_{_slug(scope.name)}.csv"))
         per_scope.append((scope.name, records))
         pooled_records.extend(records)
     if len(per_scope) > 1:
@@ -374,17 +371,11 @@ def cmd_evaluate(config: RunConfig) -> int:
         except DataError as exc:
             log.warning("%s: no ROC curve, %s", name, exc)
         else:
-            roc_path = out / f"roc_{_slug(name)}.csv"
-            _write_atomic(roc_path, _render(write_roc_points, curve))
-            outputs.append(roc_path)
+            files.write(out / f"roc_{_slug(name)}.csv", write_roc_points, curve)
         if name != "ALL":
-            scatter_path = out / f"scatter_{_slug(name)}.csv"
-            _write_atomic(scatter_path, _render(write_scatter, records))
-            outputs.append(scatter_path)
-    scores_path = out / "scores.jsonl"
-    _write_atomic(scores_path, _render(write_score_reports, reports))
-    outputs.append(scores_path)
-    _write_manifest("evaluate", config, inputs, outputs)
+            files.write(out / f"scatter_{_slug(name)}.csv", write_scatter, records)
+    files.write(out / "scores.jsonl", write_score_reports, reports)
+    files.manifest("evaluate")
     return 0
 
 

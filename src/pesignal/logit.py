@@ -66,7 +66,6 @@ class FitConfig:
     learning_rate: float = 1e-3
     tolerance: float = 1e-6
     max_iter: int = 100_000
-    init: LogitParams | None = None
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -169,8 +168,8 @@ def fit(samples, config: FitConfig = FitConfig(), record_likelihood: bool = Fals
 
 
 def fit_windows(windows, config: FitConfig = FitConfig(), record_likelihood: bool = False) -> list:
-    """Gradient ascent on every window at once, each from config.init
-    (zeros by default).
+    """Gradient ascent on every window at once, each from zero weights
+    and bias.
 
     windows is a sequence of training-sample lists that share their size
     and feature dimension. Each window stops on its own when its gradient
@@ -186,12 +185,8 @@ def fit_windows(windows, config: FitConfig = FitConfig(), record_likelihood: boo
     designs = [_design(samples) for samples in windows]
     z = np.stack([z for z, _ in designs])  # ValueError unless all shapes agree
     y = np.stack([y for _, y in designs])
-    dim = z.shape[2]
-    init = config.init if config.init is not None else LogitParams.zeros(dim)
-    if init.dim != dim:
-        raise ValueError(f"init dimension {init.dim} != feature dimension {dim}")
-    w = np.tile(np.array(init.weights, dtype=float), (len(windows), 1))
-    b = np.full(len(windows), init.bias)
+    w = np.zeros((len(windows), z.shape[2]))
+    b = np.zeros(len(windows))
     return _ascend(z, y, w, b, config, record_likelihood)
 
 

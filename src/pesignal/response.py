@@ -20,10 +20,6 @@ class Label(enum.Enum):
     UP = "UP"
     DOWN = "DOWN"
 
-    @property
-    def sign(self) -> int:
-        return 1 if self is Label.UP else -1
-
 
 def label_of(value: float) -> Label:
     return Label.UP if value > 0.0 else Label.DOWN
@@ -85,8 +81,6 @@ def build_labels(
     scope: Scope,
     market_prices: QuarterlySeries,
     sector_prices: QuarterlySeries | None = None,
-    first: Quarter | None = None,
-    last: Quarter | None = None,
 ) -> list:
     """Labels for every quarter where the needed prices exist.
 
@@ -99,10 +93,6 @@ def build_labels(
     needed = [market_prices] if scope.is_broad else [market_prices, sector_prices]
     lo = max(s.start for s in needed)
     hi = min(s.end for s in needed) - 1
-    if first is not None and first > lo:
-        lo = first
-    if last is not None and last < hi:
-        hi = last
     labels = []
     t = lo
     while t <= hi:

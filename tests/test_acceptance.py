@@ -42,7 +42,7 @@ def test_criterion_1_forward_returns_and_labels():
     assert ann_forward_return(prices, first) == pytest.approx(-11.60, abs=0.005)
     assert ann_forward_return(prices, second) == pytest.approx(79.97, abs=0.005)
     labels = build_labels(BROAD_SCOPE, prices)
-    assert [lab.y.sign for lab in labels] == [-1, +1]
+    assert [lab.y for lab in labels] == [Label.DOWN, Label.UP]
 
 
 def test_criterion_2_sector_spreads_and_labels():
@@ -52,7 +52,7 @@ def test_criterion_2_sector_spreads_and_labels():
     assert sector_spread(sector, market, first) == pytest.approx(-6.30, abs=0.005)
     assert sector_spread(sector, market, second) == pytest.approx(44.70, abs=0.005)
     labels = build_labels(Scope("Finance"), market, sector)
-    assert [lab.y.sign for lab in labels] == [-1, +1]
+    assert [lab.y for lab in labels] == [Label.DOWN, Label.UP]
 
 
 def test_criterion_3_schedule_yields_50_predictions():

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +91,25 @@ class TestSmokePath:
         after = {p.name: p.read_bytes() for p in out.iterdir()}
         assert after == before
 
+    def test_manifests_hash_each_input_as_read_once_and_no_output_is_read_back(self, tmp_path, monkeypatch):
+        from pesignal import cli
+
+        out = run_pipeline(tmp_path, SMALL)
+        config = write_config(tmp_path, SMALL)
+        opened = []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda path: opened.append(str(path)) or read_bytes(path))
+        monkeypatch.setattr(
+            cli, "open", lambda path, *a, **k: opened.append(str(path)) or open(path, *a, **k), raising=False
+        )
+        for command in ("features", "backtest", "evaluate"):
+            opened.clear()
+            assert main([command, "--config", config, "--out", str(out), "--scopes", ",".join(SMALL_SCOPES)]) == 0
+            manifest = json.loads(read_bytes(out / f"manifest_{command}.json"))
+            assert sorted(path for path in opened if path != config) == sorted(manifest["inputs"]), command
+            for path, digest in {**manifest["inputs"], **manifest["outputs"]}.items():
+                assert hashlib.sha256(read_bytes(Path(path))).hexdigest() == digest, path
+
     def test_downstream_stage_can_use_its_own_out_dir(self, tmp_path):
         config = write_config(tmp_path, SMALL)
         data = tmp_path / "data"
@@ -130,6 +150,22 @@ class TestSynth:
         assert main(["synth", "--config", config, "--out", str(tmp_path / "out")]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "scopes, message",
+        [
+            ("Tulips", "unknown scope 'Tulips'"),
+            ("Market,Market", "scope 'Market' is listed more than once"),
+            (",", "scope list is empty"),
+            # SMALL synthesizes the first two sectors only
+            ("Market,Finance", "scope 'Finance' is not synthesized with n_sectors = 2"),
+        ],
+    )
+    def test_bad_scopes_are_usage_errors(self, tmp_path, capsys, scopes, message):
+        out = tmp_path / "out"
+        assert main(["synth", "--config", write_config(tmp_path, SMALL), "--out", str(out), "--scopes", scopes]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_insufficient_history_names_required_quarters(self, tmp_path, capsys):
@@ -147,6 +183,20 @@ class TestExitCodes:
     def test_missing_input_file_is_a_usage_error(self, tmp_path, capsys):
         assert main(["features", "--out", str(tmp_path / "nowhere")]) == 1
         assert "not found" in capsys.readouterr().err
+
+    def test_input_that_is_not_utf8_is_a_data_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, SMALL)
+        out = tmp_path / "out"
+        assert main(["synth", "--config", config, "--out", str(out)]) == 0
+        deals = out / "deals.csv"
+        text = deals.read_text(encoding="utf-8")
+        # a Latin-1 export: everything before the first name is ASCII
+        deals.write_bytes(text.replace("Synthetic", "Caf\u00e9", 1).encode("latin-1"))
+        offset = text.index("Synthetic") + 3
+        assert main(["features", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {deals} is not UTF-8: byte 0xe9 at offset {offset}" in err
+        assert not (out / "manifest_features.json").exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         config = write_config(tmp_path, {"windows": 9})
@@ -242,9 +292,39 @@ class TestColumnMappings:
         assert (out / "features_market.csv").read_bytes() == baseline
 
     def test_unknown_column_mapping_key(self, tmp_path, capsys):
-        config = write_config(tmp_path, dict(SMALL, deal_columns={"ticker": "id"}))
+        for key, columns in (("deal_columns", {"ticker": "id"}), ("deal_columns", {"delimiter": ";"})):
+            config = write_config(tmp_path, dict(SMALL, **{key: columns}))
+            assert main(["synth", "--config", config, "--out", str(tmp_path / "out")]) == 1
+            assert f"unknown {key} entry" in capsys.readouterr().err
+
+    def test_delimiter_must_be_one_character(self, tmp_path, capsys):
+        config = write_config(tmp_path, dict(SMALL, delimiter=";;"))
         assert main(["synth", "--config", config, "--out", str(tmp_path / "out")]) == 1
-        assert "deal_columns" in capsys.readouterr().err
+        assert "bad value for 'delimiter'" in capsys.readouterr().err
+
+    def test_synth_writes_the_configured_format(self, tmp_path):
+        custom = dict(
+            SMALL,
+            delimiter=";",
+            deal_columns={"date": "when", "sector": "industry"},
+            price_columns={"index_name": "index", "value": "level"},
+        )
+        for name, settings in (("default", SMALL), ("custom", custom)):
+            out = tmp_path / name
+            config = write_config(tmp_path, settings, name=f"{name}.json")
+            assert main(["synth", "--config", config, "--out", str(out), "--scopes", ",".join(SMALL_SCOPES)]) == 0
+            for command, previous in (("features", "synth"), ("backtest", "features"), ("evaluate", "backtest")):
+                assert main([command, "--config", str(out / f"manifest_{previous}.json")]) == 0, command
+        custom_out = tmp_path / "custom"
+        assert (custom_out / "deals.csv").read_text().splitlines()[0] == (
+            "company_id;company_name;industry;when;investor;investor_aum;investor_performance"
+        )
+        assert (custom_out / "pe.csv").read_text().splitlines()[0] == "index;date;level"
+        prefixes = ("features_", "zscores_", "predictions_")
+        tables = sorted(p.name for p in custom_out.glob("*.csv") if p.name.startswith(prefixes))
+        assert len(tables) == 3 * len(SMALL_SCOPES)
+        for name in tables:
+            assert (custom_out / name).read_bytes() == (tmp_path / "default" / name).read_bytes(), name
 
 
 class TestConfigResolution:

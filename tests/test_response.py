@@ -85,10 +85,6 @@ class TestBroadLabel:
         assert broad_label(p, START).y is Label.DOWN
         assert broad_label(p, START + 1).y is Label.UP
 
-    def test_signs(self):
-        assert Label.DOWN.sign == -1
-        assert Label.UP.sign == 1
-
     def test_zero_return_is_down(self):
         assert broad_label(prices(50.0, 50.0), START).y is Label.DOWN
 
@@ -142,11 +138,6 @@ class TestBuildLabels:
         assert [lab.quarter for lab in labels] == [START + 1]
         with pytest.raises(DataError):
             build_labels(Scope("Finance"), market)
-
-    def test_quarter_bounds(self):
-        p = prices(*LEVELS, 80.0, 85.0)
-        labels = build_labels(BROAD_SCOPE, p, first=START + 1, last=START + 2)
-        assert [lab.quarter for lab in labels] == [START + 1, START + 2]
 
     def test_label_consistency_enforced(self):
         with pytest.raises(ValueError):
