@@ -12,11 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DataError, InsufficientHistoryError, NumericalError
 from .features import Scope
-from .logit import FitConfig, FitReport, LogitParams, TrainingSample, classify, fit_windows, prob_up
+from .logit import FitConfig, FitReport, classify, fit_windows, prob_up
 from .logit import fit  # noqa: F401  (bench/test_bench.py checks the tracer wraps it here)
-from .quarters import Quarter, quarter_count, quarter_range
+from .quarters import Quarter, quarter_count
 from .response import Label
 from .standardize import build_zscore_table
 
@@ -55,9 +57,6 @@ class ScheduleEntry:
     window_end: Quarter
     predicted: Quarter
 
-    def window(self) -> list:
-        return quarter_range(self.window_start, self.window_end)
-
 
 def schedule(first: Quarter, last: Quarter, std_window: int, est_window: int) -> list:
     """All one-ahead slides over the feature range [first, last].
@@ -90,8 +89,7 @@ class PredictionRecord:
     """One out-of-sample prediction.
 
     actual is None when the trailing price needed to score the quarter
-    does not exist. params and fit are None on records read back from
-    disk.
+    does not exist. fit is None on records read back from disk.
     """
 
     scope: Scope
@@ -99,7 +97,6 @@ class PredictionRecord:
     p_up: float
     predicted: Label
     actual: Label | None
-    params: LogitParams | None = None
     fit: FitReport | None = None
 
     def __post_init__(self):
@@ -139,50 +136,47 @@ def run(feature_rows, labels, config: BacktestConfig = BacktestConfig()) -> Back
         if lab.scope != scope:
             raise DataError(f"label scope {lab.scope.name} does not match {scope.name}")
     table = build_zscore_table(feature_rows, config.std_window)
-    z_by_quarter = {row.quarter: row for row in table.rows}
-    y_by_quarter = {lab.quarter: lab.y for lab in labels}
     entries = schedule(
         feature_rows[0].quarter, feature_rows[-1].quarter, config.std_window, config.est_window
     )
-    # each entry gets its skip reason or its training window; the
-    # runnable windows are then fitted in one batch
+    # table row k is quarter table.start + k; window k fits rows
+    # k .. k+ne-1 and predicts row k+ne
+    ne = config.est_window
+    label_at = {lab.quarter: lab.y for lab in labels}
+    actual = [label_at.get(table.start + k) for k in range(len(table.z))]
+    has_z = ~np.isnan(table.z).any(axis=1)
+    usable = has_z & np.array([y is not None for y in actual])
+    # each entry gets its skip reason, or None when it is fitted in the batch
     plan = []
-    for entry in entries:
-        if entry.predicted not in z_by_quarter:
+    for k, entry in enumerate(entries):
+        gap = k + int(np.argmin(usable[k : k + ne]))
+        if not has_z[k + ne]:
             plan.append(f"no z-score row at predicted quarter {entry.predicted}")
-            continue
-        samples = []
-        problem = None
-        for t in entry.window():
-            z_row = z_by_quarter.get(t)
-            if z_row is None:
-                problem = f"no z-score row at {t} inside the estimation window"
-                break
-            y = y_by_quarter.get(t)
-            if y is None:
-                problem = f"no label at {t} inside the estimation window"
-                break
-            samples.append((z_row.z, y))
-        plan.append(problem if problem is not None else [TrainingSample(z, y) for z, y in samples])
-    outcomes = iter(fit_windows([step for step in plan if isinstance(step, list)], config.fit_config()))
+        elif not usable[gap]:
+            missing = "label" if has_z[gap] else "z-score row"
+            plan.append(f"no {missing} at {table.start + gap} inside the estimation window")
+        else:
+            plan.append(None)
+    rows = np.flatnonzero([step is None for step in plan])[:, None] + np.arange(ne)
+    y = np.array([lab is Label.UP for lab in actual], dtype=float)
+    outcomes = iter(fit_windows(table.z[rows], y[rows], config.fit_config()))
     records = []
     skipped = []
-    for entry, step in zip(entries, plan):
-        outcome = next(outcomes) if isinstance(step, list) else step
+    for k, (entry, step) in enumerate(zip(entries, plan)):
+        outcome = next(outcomes) if step is None else step
         if isinstance(outcome, NumericalError):
             outcome = f"estimation failed: {outcome}"
         if isinstance(outcome, str):
             skipped.append(SkippedWindow(entry.predicted, outcome))
             continue
-        p = prob_up(z_by_quarter[entry.predicted].z, outcome.params)
+        p = prob_up(table.z[k + ne], outcome.params)
         records.append(
             PredictionRecord(
                 scope=scope,
                 quarter=entry.predicted,
                 p_up=p,
                 predicted=classify(p, config.threshold),
-                actual=y_by_quarter.get(entry.predicted),
-                params=outcome.params,
+                actual=actual[k + ne],
                 fit=outcome,
             )
         )
@@ -202,7 +196,7 @@ def write_predictions(records, stream):
 
 
 def read_predictions(stream) -> list:
-    """Parse a prediction table back; params and fit come back as None."""
+    """Parse a prediction table back; fit comes back as None."""
     header = stream.readline().rstrip("\n")
     expected = "scope,quarter_end,p_up,predicted,actual,correct"
     if header != expected:

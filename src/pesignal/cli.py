@@ -180,6 +180,8 @@ def _coerce(key: str, value):
         if key == "planted_w":
             return tuple(float(v) for v in value)
         if key in _COLUMN_KEYS:
+            if not isinstance(value, dict):
+                raise ValueError
             for column in value:
                 if column not in _COLUMN_KEYS[key]:
                     raise UsageError(f"unknown {key} entry {column!r}")
@@ -194,10 +196,13 @@ def _coerce(key: str, value):
 def load_config_file(path) -> dict:
     """JSON settings; a run manifest unwraps to its embedded config."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+        raw = Path(path).read_bytes()
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}") from None
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {path} is not UTF-8: byte {raw[exc.start]:#04x} at offset {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):

@@ -6,10 +6,12 @@ iteration cap bounds the separable case, where the unpenalized MLE
 diverges. All probability and likelihood arithmetic stays in log space
 so saturated scores never overflow.
 
-One kernel fits a whole stack of windows at once, and a single fit is
-the batch of one. Each window's result is bit-identical to fitting it
-alone with ``z @ w + b`` and ``z.T @ resid``, and that rests on the exact
-operations the kernel uses: scores are
+A training window is a (n, d) float array of z-scored features with a
+(n,) vector of 0/1 labels, 1 for UP. One kernel fits a whole stack of
+windows at once, z of shape (W, n, d) with y of shape (W, n), and a
+single fit is the batch of one. Each window's result is bit-identical
+to fitting it alone with ``z @ w + b`` and ``z.T @ resid``, and that
+rests on the exact operations the kernel uses: scores are
 ``np.matmul(z, w[:, :, None])[:, :, 0] + b[:, None]``, the weight
 gradient is ``np.matmul(z.transpose(0, 2, 1), resid[:, :, None])[:, :, 0]``
 on the transposed view, and the bias gradient is ``resid.sum(axis=1)``.
@@ -44,21 +46,6 @@ class LogitParams:
     @property
     def dim(self) -> int:
         return len(self.weights)
-
-    @classmethod
-    def zeros(cls, dim: int) -> "LogitParams":
-        return cls((0.0,) * dim, 0.0)
-
-
-@dataclass(frozen=True)
-class TrainingSample:
-    z: tuple
-    y: Label
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", tuple(float(v) for v in self.z))
-        if not all(math.isfinite(v) for v in self.z):
-            raise ValueError("training features must be finite")
 
 
 @dataclass(frozen=True)
@@ -98,18 +85,6 @@ def _softplus(s):
     return np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s)))
 
 
-def _design(samples):
-    if not samples:
-        raise ValueError("need at least one training sample")
-    dim = len(samples[0].z)
-    for sample in samples:
-        if len(sample.z) != dim:
-            raise ValueError(f"inconsistent feature dimension: {len(sample.z)} != {dim}")
-    z = np.array([sample.z for sample in samples], dtype=float)
-    y = np.array([1.0 if sample.y is Label.UP else 0.0 for sample in samples])
-    return z, y
-
-
 def prob_up(z, params: LogitParams) -> float:
     """P(UP | z): logistic of the linear score, stable at saturation."""
     if len(z) != params.dim:
@@ -135,44 +110,51 @@ def _grad(z, y, w, b):
         return z.T @ resid, float(resid.sum())
 
 
-def log_likelihood(samples, params: LogitParams) -> float:
-    """Exact log-likelihood of the labels under the model, always <= 0."""
-    z, y = _design(samples)
+def _window(z, y, params: LogitParams):
+    z, y = np.asarray(z, dtype=float), np.asarray(y, dtype=float)
+    if z.ndim != 2 or y.shape != z.shape[:1] or not len(y):
+        raise ValueError(f"need n >= 1 feature rows and n labels, got z {z.shape} and y {y.shape}")
     if z.shape[1] != params.dim:
         raise ValueError(f"feature dimension {z.shape[1]} != model dimension {params.dim}")
+    return z, y
+
+
+def log_likelihood(z, y, params: LogitParams) -> float:
+    """Exact log-likelihood of the 0/1 labels y of the rows of z under
+    the model, always <= 0."""
+    z, y = _window(z, y, params)
     return _loglik(z, y, np.array(params.weights), params.bias)
 
 
-def gradient(samples, params: LogitParams) -> tuple:
+def gradient(z, y, params: LogitParams) -> tuple:
     """Analytic gradient of log_likelihood: (dW, db).
 
-    dW_i = sum over samples of (1[y=UP] - P(UP|z)) z_i, and db is the
-    same sum without the feature factor.
+    dW_i = sum over rows of (y - P(UP|z)) z_i, and db is the same sum
+    without the feature factor.
     """
-    z, y = _design(samples)
-    if z.shape[1] != params.dim:
-        raise ValueError(f"feature dimension {z.shape[1]} != model dimension {params.dim}")
+    z, y = _window(z, y, params)
     dw, db = _grad(z, y, np.array(params.weights), params.bias)
-    return tuple(float(v) for v in dw), db
+    return tuple(dw.tolist()), db
 
 
-def fit(samples, config: FitConfig = FitConfig(), record_likelihood: bool = False) -> FitReport:
-    """Gradient ascent on one window: the batch-of-one case of fit_windows.
+def fit(z, y, config: FitConfig = FitConfig(), record_likelihood: bool = False) -> FitReport:
+    """Gradient ascent on one window, z (n, d) and 0/1 labels y (n,):
+    the batch-of-one case of fit_windows.
 
     Raises the window's NumericalError instead of returning it.
     """
-    (outcome,) = fit_windows([samples], config, record_likelihood)
+    (outcome,) = fit_windows([z], [y], config, record_likelihood)
     if isinstance(outcome, NumericalError):
         raise outcome
     return outcome
 
 
-def fit_windows(windows, config: FitConfig = FitConfig(), record_likelihood: bool = False) -> list:
+def fit_windows(z, y, config: FitConfig = FitConfig(), record_likelihood: bool = False) -> list:
     """Gradient ascent on every window at once, each from zero weights
     and bias.
 
-    windows is a sequence of training-sample lists that share their size
-    and feature dimension. Each window stops on its own when its gradient
+    z is a (W, n, d) stack of feature windows and y the (W, n) stack of
+    their 0/1 labels. Each window stops on its own when its gradient
     max-norm falls to config.tolerance or after config.max_iter updates.
     Non-finite likelihood or gradient marks data pathology, never a
     stopping state: that window's entry is a NumericalError while the
@@ -180,14 +162,15 @@ def fit_windows(windows, config: FitConfig = FitConfig(), record_likelihood: boo
     in order; each equals, bit for bit, what a fit of that window alone
     gives.
     """
-    if not windows:
-        return []
-    designs = [_design(samples) for samples in windows]
-    z = np.stack([z for z, _ in designs])  # ValueError unless all shapes agree
-    y = np.stack([y for _, y in designs])
-    w = np.zeros((len(windows), z.shape[2]))
-    b = np.zeros(len(windows))
-    return _ascend(z, y, w, b, config, record_likelihood)
+    # the kernel's op order pins its bits for C-ordered windows
+    z, y = np.ascontiguousarray(z, dtype=float), np.asarray(y, dtype=float)
+    if z.ndim != 3 or y.shape != z.shape[:2] or not z.shape[1]:
+        raise ValueError(f"need windows of n >= 1 feature rows and n labels, got z {z.shape} and y {y.shape}")
+    if not len(z):
+        return []  # _ascend never stops on zero windows
+    if not np.isfinite(z).all():
+        raise ValueError("training features must be finite")
+    return _ascend(z, y, np.zeros((len(z), z.shape[2])), np.zeros(len(z)), config, record_likelihood)
 
 
 def _ascend(z, y, w, b, config: FitConfig, record_likelihood: bool) -> list:

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+
+import numpy as np
 
 from .errors import InsufficientHistoryError
 from .features import feature_names, feature_series
-from .quarters import Quarter, QuarterlySeries, quarter_range
+from .quarters import Quarter, QuarterlySeries
 
 
 def _window_stats(window) -> tuple:
@@ -65,40 +66,28 @@ def zscore(x: QuarterlySeries, window: int) -> ZScoreSeries:
 
 
 @dataclass(frozen=True)
-class ZScoreRow:
-    """One quarter's standardized feature vector for one scope."""
-
-    quarter: Quarter
-    scope: object
-    z: tuple
-
-    def __post_init__(self):
-        for v in self.z:
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite z component at {self.quarter}: {v!r}")
-
-
-@dataclass(frozen=True)
 class ZScoreTable:
     """Standardized feature vectors plus row-level diagnostics.
 
-    dropped lists quarters excluded because some feature's window held a
-    missing raw value; zero_variance lists (quarter, feature) pairs where
-    sigma = 0 forced z = 0.
+    z holds one row per quarter from start on and one column per name.
+    A quarter whose window held a missing raw value for some feature is
+    a NaN row and is listed in dropped; zero_variance lists (quarter,
+    feature) pairs where sigma = 0 forced z = 0.
     """
 
     scope: object
     names: tuple
-    rows: tuple
+    start: Quarter
+    z: np.ndarray
     dropped: tuple
     zero_variance: tuple
 
-    @cached_property
-    def _by_quarter(self) -> dict:
-        return {row.quarter: row for row in self.rows}
-
     def row_at(self, quarter: Quarter):
-        return self._by_quarter.get(quarter)
+        """The quarter's z vector, or None when it is dropped or outside the table."""
+        k = quarter - self.start
+        if 0 <= k < len(self.z) and not np.isnan(self.z[k]).any():
+            return self.z[k]
+        return None
 
 
 def build_zscore_table(feature_rows, window: int) -> ZScoreTable:
@@ -111,22 +100,19 @@ def build_zscore_table(feature_rows, window: int) -> ZScoreTable:
         (quarter, name) for name in names for quarter in standardized[name].zero_variance
     )
     start = feature_rows[0].quarter + (window - 1)
-    end = feature_rows[-1].quarter
-    rows = []
-    dropped = []
-    for quarter in quarter_range(start, end):
-        zs = tuple(standardized[name].series.get(quarter) for name in names)
-        if any(z is None for z in zs):
-            dropped.append(quarter)
-        else:
-            rows.append(ZScoreRow(quarter, scope, zs))
-    return ZScoreTable(scope, names, tuple(rows), tuple(dropped), zero_variance)
+    # z series hold finite values or None, and None becomes NaN
+    z = np.array([standardized[name].series.values for name in names], dtype=float).T
+    missing = np.isnan(z).any(axis=1)
+    z[missing] = np.nan
+    dropped = tuple(start + int(k) for k in np.flatnonzero(missing))
+    return ZScoreTable(scope, names, start, z, dropped, zero_variance)
 
 
 def write_zscore_table(table: ZScoreTable, stream):
     """Emit the standardized table for audit, 6-decimal fixed."""
     stream.write(",".join(["scope", "quarter_end", *(f"z_{n}" for n in table.names)]) + "\n")
-    for row in table.rows:
-        cells = [table.scope.name, row.quarter.end_date().isoformat()]
-        cells += [f"{z:.6f}" for z in row.z]
-        stream.write(",".join(cells) + "\n")
+    for k, row in enumerate(table.z):
+        if not np.isnan(row).any():
+            cells = [table.scope.name, (table.start + k).end_date().isoformat()]
+            cells += [f"{z:.6f}" for z in row]
+            stream.write(",".join(cells) + "\n")

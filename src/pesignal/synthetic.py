@@ -22,7 +22,7 @@ import numpy as np
 
 from .features import BROAD_SCOPE, Scope, build_feature_table, deals_by_quarter
 from .ingest import AumBucket, DealRecord, SECTOR_NAMES
-from .logit import LogitParams, TrainingSample, prob_up
+from .logit import LogitParams, prob_up
 from .quarters import Quarter, QuarterlySeries
 from .response import Label, build_labels
 from .standardize import ZScoreTable, build_zscore_table
@@ -289,7 +289,7 @@ def generate_labels(
         u_label = rng.random()
         u_mag = rng.random()
         row = ztable.row_at(quarter)
-        p_up = prob_up(row.z, params) if row is not None else 0.5
+        p_up = prob_up(row, params) if row is not None else 0.5
         sign = 1.0 if u_label < p_up else -1.0
         drawn.append(Label.UP if sign > 0 else Label.DOWN)
         if scope.is_broad:
@@ -343,13 +343,11 @@ def generate_dataset(spec: SyntheticSpec) -> SyntheticDataset:
     return SyntheticDataset(spec, deals, prices, pe, features, ztables, labels, planted)
 
 
-def planted_samples(params: LogitParams, n: int, seed: int) -> list:
-    """n standard-normal feature draws labeled by the planted law."""
+def planted_samples(params: LogitParams, n: int, seed: int) -> tuple:
+    """n standard-normal feature draws z (n, d) and their 0/1 labels y
+    (n,), 1 for UP, drawn from the planted law."""
     rng = _stream(seed, _P_SAMPLES)
     z = rng.normal(size=(n, params.dim))
     u = rng.random(n)
-    samples = []
-    for row, coin in zip(z, u):
-        y = Label.UP if coin < prob_up(tuple(row), params) else Label.DOWN
-        samples.append(TrainingSample(tuple(row), y))
-    return samples
+    y = np.array([coin < prob_up(row, params) for row, coin in zip(z, u)], dtype=float)
+    return z, y

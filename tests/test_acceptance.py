@@ -15,7 +15,6 @@ from pesignal.features import BROAD_SCOPE, Scope
 from pesignal.logit import (
     FitConfig,
     LogitParams,
-    TrainingSample,
     fit,
     gradient,
     log_likelihood,
@@ -66,6 +65,15 @@ def _relative_error(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1.0)
 
 
+def _window(rng, m, n):
+    """n uniform feature rows in m dimensions with fair 0/1 labels."""
+    z, y = [], []
+    for _ in range(n):
+        z.append([rng.uniform(-2.0, 2.0) for _ in range(m)])
+        y.append(1.0 if rng.random() < 0.5 else 0.0)
+    return z, y
+
+
 def test_criterion_4_gradient_matches_finite_differences():
     started = time.perf_counter()
     step = 1e-6
@@ -73,19 +81,13 @@ def test_criterion_4_gradient_matches_finite_differences():
         rng = random.Random(100 + case)
         m = rng.randrange(1, 9)
         n = rng.randrange(2, 65)
-        samples = [
-            TrainingSample(
-                tuple(rng.uniform(-2.0, 2.0) for _ in range(m)),
-                Label.UP if rng.random() < 0.5 else Label.DOWN,
-            )
-            for _ in range(n)
-        ]
+        z, y = _window(rng, m, n)
         w = [rng.uniform(-1.0, 1.0) for _ in range(m)]
         b = rng.uniform(-1.0, 1.0)
-        dw, db = gradient(samples, LogitParams(tuple(w), b))
+        dw, db = gradient(z, y, LogitParams(tuple(w), b))
 
         def ll_at(weights, bias):
-            return log_likelihood(samples, LogitParams(tuple(weights), bias))
+            return log_likelihood(z, y, LogitParams(tuple(weights), bias))
 
         for i in range(m):
             hi = list(w)
@@ -103,19 +105,14 @@ def test_criterion_5_likelihood_ascends_on_non_separable_instances():
     for case in range(50):
         rng = random.Random(2000 + case)
         m = rng.randrange(1, 5)
-        samples = [
-            TrainingSample(
-                tuple(rng.uniform(-2.0, 2.0) for _ in range(m)),
-                Label.UP if rng.random() < 0.5 else Label.DOWN,
-            )
-            for _ in range(rng.randrange(4, 21))
-        ]
-        clash = tuple(rng.uniform(-2.0, 2.0) for _ in range(m))
-        samples += [TrainingSample(clash, Label.UP), TrainingSample(clash, Label.DOWN)]
-        report = fit(samples, FitConfig(learning_rate=1e-3, max_iter=1200), record_likelihood=True)
+        z, y = _window(rng, m, rng.randrange(4, 21))
+        clash = [rng.uniform(-2.0, 2.0) for _ in range(m)]
+        z += [clash, clash]
+        y += [1.0, 0.0]
+        report = fit(z, y, FitConfig(learning_rate=1e-3, max_iter=1200), record_likelihood=True)
         trace = report.likelihood_trace
         assert all(later - earlier >= -1e-10 for earlier, later in zip(trace, trace[1:])), f"case {case}"
-        initial_dw, initial_db = gradient(samples, LogitParams.zeros(m))
+        initial_dw, initial_db = gradient(z, y, LogitParams((0.0,) * m, 0.0))
         initial_norm = max(max(abs(g) for g in initial_dw), abs(initial_db))
         assert report.final_gradient_norm < initial_norm, f"case {case}"
 
@@ -172,8 +169,8 @@ def _pooled_auc(data, config, labels_by_scope) -> float:
 def test_criterion_7_planted_signal_recovery():
     started = time.perf_counter()
     strong = LogitParams((2.0, -1.5, 1.0, -1.0, 1.5), 0.25)
-    samples = planted_samples(strong, 2000, seed=41)
-    report = fit(samples, FitConfig(max_iter=3000))
+    z, y = planted_samples(strong, 2000, seed=41)
+    report = fit(z, y, FitConfig(max_iter=3000))
     recovered = report.params.weights
     dot = sum(a * b for a, b in zip(recovered, strong.weights))
     cosine = dot / (

@@ -1,9 +1,14 @@
 """Walk-forward scheduling and the standardize/estimate/predict loop."""
 
+import dataclasses
 import io
 import random
+from datetime import timedelta
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pesignal.backtest import (
     BacktestConfig,
@@ -14,10 +19,12 @@ from pesignal.backtest import (
     write_predictions,
 )
 from pesignal.errors import DataError, InsufficientHistoryError, NumericalError
-from pesignal.features import BROAD_SCOPE, RawFeatureRow, Scope
+from pesignal.features import BROAD_SCOPE, RawFeatureRow, Scope, build_feature_table, deals_by_quarter
+from pesignal.ingest import AumBucket, first_deals
 from pesignal.logit import fit_windows
-from pesignal.quarters import Quarter
-from pesignal.response import Label, ResponseLabel
+from pesignal.quarters import Quarter, QuarterlySeries
+from pesignal.response import Label, ResponseLabel, build_labels
+from pesignal.synthetic import SyntheticSpec, generate_dataset
 
 START = Quarter(2000, 1)
 
@@ -70,7 +77,7 @@ class TestSchedule:
             assert b.window_start == a.window_start + 1
             assert b.predicted == a.predicted + 1
         for e in entries:
-            assert len(e.window()) == 7
+            assert e.window_end - e.window_start + 1 == 7
             assert e.predicted == e.window_end + 1
 
     def test_minimal_history_single_prediction(self):
@@ -104,7 +111,7 @@ class TestRun:
         assert result.skipped == ()
         assert [r.quarter for r in result.records] == [START + k for k in range(6, 16)]
         assert all(r.actual is not None for r in result.records)
-        assert all(r.params is not None and r.fit is not None for r in result.records)
+        assert all(r.fit is not None for r in result.records)
 
     def test_deterministic(self):
         rows = broad_rows(16)
@@ -196,8 +203,8 @@ class TestRun:
         # labels missing at START+5 and START+11 skip the windows that
         # predict START+6..8 and START+12..14; of the runnable windows
         # (predicting START+9, 10, 11, 15) the kernel fails the second
-        def second_fails(windows, config):
-            outcomes = fit_windows(windows, config)
+        def second_fails(z, y, config):
+            outcomes = fit_windows(z, y, config)
             outcomes[1] = NumericalError("boom")
             return outcomes
 
@@ -214,6 +221,93 @@ class TestRun:
         assert all("no label at" in r for q, r in reasons.items() if q != START + 10)
         assert [r.quarter for r in result.records] == [START + k for k in (9, 11, 15)]
         assert result.records == tuple(r for r in clean.records if r.quarter != START + 10)
+
+
+LOOKAHEAD_SPEC = SyntheticSpec(seed=5, n_quarters=20, n_sectors=2, std_window=4)
+LOOKAHEAD_DATA = generate_dataset(LOOKAHEAD_SPEC)
+
+
+def pipeline(deals, prices, pe, scope, config):
+    """Raw deals, price levels and P/E series to one scope's walk."""
+    spec = LOOKAHEAD_SPEC
+    sector_pe = None if scope.is_broad else pe[scope.name]
+    buckets = deals_by_quarter(first_deals(deals))
+    rows = build_feature_table(buckets, scope, spec.start, spec.last, pe["Market"], sector_pe)
+    labels = build_labels(scope, prices["Market"], None if scope.is_broad else prices[scope.name])
+    return run(rows, labels, config)
+
+
+def after(series: dict, q, rng) -> dict:
+    """Each series with every value strictly after q rescaled."""
+    out = {}
+    for name, s in series.items():
+        scale = np.exp(rng.normal(0, 0.3, len(s)))
+        values = [v * float(f) if s.start + k > q else v for k, (v, f) in enumerate(zip(s.values, scale))]
+        out[name] = QuarterlySeries(s.start, tuple(values))
+    return out
+
+
+def deals_after(deals, q, rng) -> list:
+    """The deals dated after q changed, dropped, added or followed on."""
+    spec = LOOKAHEAD_SPEC
+    sectors = [scope.name for scope in spec.scopes()[1:]]
+    first_day = (q + 1).end_date() - timedelta(days=89)
+    span = (spec.last.end_date() - first_day).days
+
+    def later(day):
+        return day + timedelta(days=int(rng.integers(1, 120)))
+
+    out = []
+    for deal in deals:
+        if Quarter.of_date(deal.investment_date) <= q:
+            out.append(deal)
+        elif rng.random() < 0.8:
+            aum = [None, AumBucket.HIGH, float(rng.uniform(0.5, 20.0))][int(rng.integers(0, 3))]
+            out.append(dataclasses.replace(
+                deal,
+                sector=sectors[int(rng.integers(0, len(sectors)))],
+                investment_date=later(deal.investment_date) if rng.random() < 0.3 else deal.investment_date,
+                investor_aum=aum,
+                investor_rank=None if rng.random() < 0.2 else float(rng.uniform(1.0, 4.0)),
+            ))
+        # a follow-on round after q keeps the company's first deal
+        if rng.random() < 0.2:
+            out.append(dataclasses.replace(
+                deal, investment_date=max(later(deal.investment_date), first_day), investor_aum=50.0, investor="Fund 00"
+            ))
+    for j in range(int(rng.integers(0, 40))):
+        day = first_day + timedelta(days=int(rng.integers(0, span + 1)))
+        new = dataclasses.replace(deals[0], company_id=f"NEW-{j}", sector=sectors[j % len(sectors)], investment_date=day)
+        out.append(new)
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    offset=st.integers(0, LOOKAHEAD_SPEC.n_quarters - 2),
+    seed=st.integers(0, 2**32 - 1),
+    change_deals=st.booleans(),
+    change_prices=st.booleans(),
+    change_pe=st.booleans(),
+)
+def test_no_lookahead_through_the_pipeline(offset, seed, change_deals, change_prices, change_pe):
+    # predictions issued at or before q may use nothing dated after q;
+    # only the actual label at q reads a later price, P(q+1)
+    q = LOOKAHEAD_SPEC.start + offset
+    rng = np.random.default_rng(seed)
+    data = LOOKAHEAD_DATA
+    deals = deals_after(data.deals, q, rng) if change_deals else data.deals
+    prices = after(data.prices, q, rng) if change_prices else data.prices
+    pe = after(data.pe, q, rng) if change_pe else data.pe
+    config = BacktestConfig(std_window=4, est_window=3, max_iter=150)
+    for scope in LOOKAHEAD_SPEC.scopes():
+        full = pipeline(data.deals, data.prices, data.pe, scope, config)
+        changed = pipeline(deals, prices, pe, scope, config)
+        want = [(r.quarter, r.p_up, r.predicted, r.fit) for r in full.records if r.quarter <= q]
+        got = [(r.quarter, r.p_up, r.predicted, r.fit) for r in changed.records if r.quarter <= q]
+        assert got == want, scope.name
+        assert [r.actual for r in changed.records if r.quarter < q] == [r.actual for r in full.records if r.quarter < q]
+        assert [s for s in changed.skipped if s.predicted <= q] == [s for s in full.skipped if s.predicted <= q]
 
 
 class TestPredictionIO:
@@ -233,7 +327,7 @@ class TestPredictionIO:
             assert parsed.p_up == pytest.approx(rec.p_up, abs=5e-7)
             assert parsed.predicted is rec.predicted
             assert parsed.actual is rec.actual
-            assert parsed.params is None and parsed.fit is None
+            assert parsed.fit is None
 
     def test_correct_flag_formatting(self):
         records = [

@@ -198,6 +198,12 @@ class TestExitCodes:
         assert f"data error: {deals} is not UTF-8: byte 0xe9 at offset {offset}" in err
         assert not (out / "manifest_features.json").exists()
 
+    def test_config_that_is_not_utf8_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"seed": "caf\xe9"}')
+        assert main(["synth", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert f"usage error: config file {path} is not UTF-8: byte 0xe9 at offset 13" in capsys.readouterr().err
+
     def test_unknown_config_key(self, tmp_path, capsys):
         config = write_config(tmp_path, {"windows": 9})
         assert main(["synth", "--config", config, "--out", str(tmp_path / "out")]) == 1
@@ -296,6 +302,11 @@ class TestColumnMappings:
             config = write_config(tmp_path, dict(SMALL, **{key: columns}))
             assert main(["synth", "--config", config, "--out", str(tmp_path / "out")]) == 1
             assert f"unknown {key} entry" in capsys.readouterr().err
+        for key in ("deal_columns", "price_columns"):
+            for columns in ([], "date", 3):
+                config = write_config(tmp_path, dict(SMALL, **{key: columns}))
+                assert main(["synth", "--config", config, "--out", str(tmp_path / "out")]) == 1
+                assert f"usage error: bad value for {key!r}: {columns!r}" in capsys.readouterr().err
 
     def test_delimiter_must_be_one_character(self, tmp_path, capsys):
         config = write_config(tmp_path, dict(SMALL, delimiter=";;"))

@@ -2,7 +2,8 @@
 
 oracle_fit is that sequential gradient-ascent loop, kept here with the
 helpers it used and its start fixed at zero as the kernel's is, so the kernel is checked against the
-implementation whose outputs the CLI's byte-identical tables pin. Every
+implementation whose outputs the CLI's byte-identical tables pin. It
+takes one window as features z (n, d) and 0/1 labels y (n,). Every
 window the kernel fits must report exactly (==, not approx) what the
 oracle reports for that window alone.
 """
@@ -15,8 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pesignal.errors import NumericalError
-from pesignal.logit import FitConfig, FitReport, LogitParams, TrainingSample, fit, fit_windows
-from pesignal.response import Label
+from pesignal.logit import FitConfig, FitReport, LogitParams, fit, fit_windows
 
 
 def _sigmoid(s):
@@ -26,18 +26,6 @@ def _sigmoid(s):
 
 def _softplus(s):
     return np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s)))
-
-
-def _design(samples):
-    if not samples:
-        raise ValueError("need at least one training sample")
-    dim = len(samples[0].z)
-    for sample in samples:
-        if len(sample.z) != dim:
-            raise ValueError(f"inconsistent feature dimension: {len(sample.z)} != {dim}")
-    z = np.array([sample.z for sample in samples], dtype=float)
-    y = np.array([1.0 if sample.y is Label.UP else 0.0 for sample in samples])
-    return z, y
 
 
 def _loglik(z, y, w, b) -> float:
@@ -51,8 +39,7 @@ def _max_norm(dw, db) -> float:
     return max(head, abs(db))
 
 
-def oracle_fit(samples, config: FitConfig = FitConfig(), record_likelihood: bool = False) -> FitReport:
-    z, y = _design(samples)
+def oracle_fit(z, y, config: FitConfig = FitConfig(), record_likelihood: bool = False) -> FitReport:
     w = np.zeros(z.shape[1])
     b = 0.0
     eta = config.learning_rate
@@ -98,9 +85,9 @@ def oracle_fit(samples, config: FitConfig = FitConfig(), record_likelihood: bool
     )
 
 
-def oracle_outcome(samples, config, record_likelihood=False):
+def oracle_outcome(z, y, config, record_likelihood=False):
     try:
-        return oracle_fit(samples, config, record_likelihood)
+        return oracle_fit(z, y, config, record_likelihood)
     except NumericalError as exc:
         return exc
 
@@ -120,18 +107,15 @@ def assert_same(got, want):
 
 
 def draw_windows(rng, count, n, dim, coarse):
-    """count windows of n samples; coarse draws repeat points, which
-    leaves many windows non-separable so they converge at different
-    iterations instead of all running to the cap."""
+    """count windows of n points: z (count, n, dim) and 0/1 labels y
+    (count, n). Coarse draws repeat points, which leaves many windows
+    non-separable so they converge at different iterations instead of
+    all running to the cap."""
     if coarse:
         z = rng.integers(-2, 3, size=(count, n, dim)).astype(float)
     else:
         z = rng.normal(0.0, 1.5, size=(count, n, dim))
-    up = rng.random((count, n)) < 0.5
-    return [
-        [TrainingSample(tuple(z[k, i]), Label.UP if up[k, i] else Label.DOWN) for i in range(n)]
-        for k in range(count)
-    ]
+    return z, (rng.random((count, n)) < 0.5).astype(float)
 
 
 @settings(max_examples=60, deadline=None)
@@ -151,51 +135,61 @@ def test_every_window_matches_the_sequential_oracle(
     count, dim, n, seed, coarse, learning_rate, tolerance, max_iter, poison, record_likelihood
 ):
     rng = np.random.default_rng(seed)
-    windows = draw_windows(rng, count, n, dim, coarse)
+    z, y = draw_windows(rng, count, n, dim, coarse)
     if poison is not None:
         # huge features overflow the scores after one step (1e200) or the
         # gradient at once (1e300); only this window may fail
         k, scale = poison
-        k %= count
-        windows[k] = [TrainingSample(tuple(v * scale for v in s.z), s.y) for s in windows[k]]
+        z[k % count] *= scale
     config = FitConfig(learning_rate=learning_rate, tolerance=tolerance, max_iter=max_iter)
-    got = fit_windows(windows, config, record_likelihood)
+    got = fit_windows(z, y, config, record_likelihood)
     assert len(got) == count
-    for samples, outcome in zip(windows, got):
-        assert_same(outcome, oracle_outcome(samples, config, record_likelihood))
+    for k, outcome in enumerate(got):
+        assert_same(outcome, oracle_outcome(z[k], y[k], config, record_likelihood))
 
 
 def test_windows_stop_at_their_own_iterations():
     rng = np.random.default_rng(3)
-    windows = draw_windows(rng, 40, 12, 3, coarse=True)
+    z, y = draw_windows(rng, 40, 12, 3, coarse=True)
     config = FitConfig(learning_rate=0.5, tolerance=0.05, max_iter=200)
-    got = fit_windows(windows, config)
+    got = fit_windows(z, y, config)
     assert len({report.iterations for report in got}) > 3
-    for samples, outcome in zip(windows, got):
-        assert_same(outcome, oracle_fit(samples, config))
+    for k, outcome in enumerate(got):
+        assert_same(outcome, oracle_fit(z[k], y[k], config))
 
 
 def test_poisoned_window_fails_alone():
     rng = np.random.default_rng(5)
-    windows = draw_windows(rng, 8, 7, 5, coarse=False)
-    windows[2] = [TrainingSample(tuple(v * 1e200 for v in s.z), s.y) for s in windows[2]]
+    z, y = draw_windows(rng, 8, 7, 5, coarse=False)
+    z[2] *= 1e200
     config = FitConfig(max_iter=50)
-    got = fit_windows(windows, config)
+    got = fit_windows(z, y, config)
     assert [isinstance(outcome, NumericalError) for outcome in got] == [k == 2 for k in range(8)]
-    for samples, outcome in zip(windows, got):
-        assert_same(outcome, oracle_outcome(samples, config))
+    for k, outcome in enumerate(got):
+        assert_same(outcome, oracle_outcome(z[k], y[k], config))
 
 
 def test_single_fit_is_the_batch_of_one():
     rng = np.random.default_rng(13)
-    (samples,) = draw_windows(rng, 1, 7, 5, coarse=False)
+    z, y = draw_windows(rng, 1, 7, 5, coarse=False)
     config = FitConfig(max_iter=500)
-    assert fit(samples, config) == oracle_fit(samples, config)
+    assert fit(z[0], y[0], config) == oracle_fit(z[0], y[0], config)
 
 
 def test_empty_batch_and_mismatched_windows():
-    assert fit_windows([]) == []
+    assert fit_windows(np.empty((0, 7, 5)), np.empty((0, 7))) == []
     rng = np.random.default_rng(17)
-    short, long = draw_windows(rng, 1, 3, 2, False)[0], draw_windows(rng, 1, 4, 2, False)[0]
-    with pytest.raises(ValueError):
-        fit_windows([short, long])
+    z, y = draw_windows(rng, 3, 4, 2, False)
+    for bad_z, bad_y in ((z, y[:, :3]), (z, y[:2]), (z[0], y[0]), (z[:, :0], y[:, :0])):
+        with pytest.raises(ValueError):
+            fit_windows(bad_z, bad_y)
+
+
+def test_non_finite_features_rejected():
+    rng = np.random.default_rng(19)
+    z, y = draw_windows(rng, 3, 4, 2, False)
+    for poison in (np.nan, np.inf):
+        poisoned = z.copy()
+        poisoned[1, 2, 0] = poison
+        with pytest.raises(ValueError, match="finite"):
+            fit_windows(poisoned, y)

@@ -10,7 +10,6 @@ from pesignal.errors import NumericalError
 from pesignal.logit import (
     FitConfig,
     LogitParams,
-    TrainingSample,
     classify,
     fit,
     fit_report_line,
@@ -22,7 +21,16 @@ from pesignal.response import Label
 
 
 def sample(z, up):
-    return TrainingSample(tuple(z), Label.UP if up else Label.DOWN)
+    return tuple(float(v) for v in z), bool(up)
+
+
+def arrays(samples):
+    """A window's features z (n, d) and 0/1 labels y (n,)."""
+    return np.array([z for z, _ in samples], dtype=float), np.array([up for _, up in samples], dtype=float)
+
+
+def zeros(dim):
+    return LogitParams((0.0,) * dim, 0.0)
 
 
 def random_instance(rng, dim=None, n=None, forced_tie=False):
@@ -78,12 +86,12 @@ class TestProbUp:
 
 class TestLogLikelihood:
     def test_single_sample_at_zero(self):
-        ll = log_likelihood([sample((1.0, 2.0), True)], LogitParams.zeros(2))
+        ll = log_likelihood(*arrays([sample((1.0, 2.0), True)]), zeros(2))
         assert ll == pytest.approx(math.log(0.5), abs=1e-15)
 
     def test_additivity_at_zero(self):
         samples = [sample((float(k),), k % 2 == 0) for k in range(9)]
-        ll = log_likelihood(samples, LogitParams.zeros(1))
+        ll = log_likelihood(*arrays(samples), zeros(1))
         assert ll == pytest.approx(-9 * math.log(2.0), abs=1e-12)
 
     def test_matches_naive_summation(self):
@@ -99,10 +107,10 @@ class TestLogLikelihood:
                 tuple(rng.uniform(-0.6, 0.6) for _ in range(dim)), rng.uniform(-0.5, 0.5)
             )
             naive = 0.0
-            for s in samples:
-                p = prob_up(s.z, params)
-                naive += math.log(p) if s.y is Label.UP else math.log(1.0 - p)
-            assert log_likelihood(samples, params) == pytest.approx(naive, abs=1e-12)
+            for z, up in samples:
+                p = prob_up(z, params)
+                naive += math.log(p) if up else math.log(1.0 - p)
+            assert log_likelihood(*arrays(samples), params) == pytest.approx(naive, abs=1e-12)
 
     def test_matches_scalar_log_space_summation(self):
         # wild scores: compare against a per-sample scalar log-space form
@@ -110,27 +118,27 @@ class TestLogLikelihood:
         for _ in range(20):
             samples, params = random_instance(rng, n=10)
             total = 0.0
-            for s in samples:
-                score = math.fsum(w * v for w, v in zip(params.weights, s.z)) + params.bias
+            for z, up in samples:
+                score = math.fsum(w * v for w, v in zip(params.weights, z)) + params.bias
                 softplus = max(score, 0.0) + math.log1p(math.exp(-abs(score)))
-                total += (score if s.y is Label.UP else 0.0) - softplus
-            assert log_likelihood(samples, params) == pytest.approx(total, abs=1e-12)
+                total += (score if up else 0.0) - softplus
+            assert log_likelihood(*arrays(samples), params) == pytest.approx(total, abs=1e-12)
 
     def test_never_positive(self):
         rng = random.Random(53)
         for _ in range(50):
             samples, params = random_instance(rng)
-            assert log_likelihood(samples, params) <= 0.0
+            assert log_likelihood(*arrays(samples), params) <= 0.0
 
     def test_stable_at_saturation(self):
         samples = [sample((1.0,), False)]
-        ll = log_likelihood(samples, LogitParams((500.0,), 0.0))
+        ll = log_likelihood(*arrays(samples), LogitParams((500.0,), 0.0))
         assert math.isfinite(ll)
         assert ll == pytest.approx(-500.0, rel=1e-9)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            log_likelihood([], LogitParams.zeros(1))
+            log_likelihood(np.empty((0, 1)), np.empty(0), zeros(1))
 
 
 def finite_difference(samples, params, step=1e-6):
@@ -141,8 +149,8 @@ def finite_difference(samples, params, step=1e-6):
         lo = base.copy()
         hi[k] += step
         lo[k] -= step
-        ll_hi = log_likelihood(samples, LogitParams(tuple(hi[:-1]), hi[-1]))
-        ll_lo = log_likelihood(samples, LogitParams(tuple(lo[:-1]), lo[-1]))
+        ll_hi = log_likelihood(*arrays(samples), LogitParams(tuple(hi[:-1]), hi[-1]))
+        ll_lo = log_likelihood(*arrays(samples), LogitParams(tuple(lo[:-1]), lo[-1]))
         grads.append((ll_hi - ll_lo) / (2 * step))
     return grads[:-1], grads[-1]
 
@@ -157,12 +165,12 @@ class TestGradient:
         for z in ((1.0, 2.0), (-3.0, 0.5)):
             samples.append(sample(z, True))
             samples.append(sample(z, False))
-        dw, db = gradient(samples, LogitParams.zeros(2))
+        dw, db = gradient(*arrays(samples), zeros(2))
         assert dw == (0.0, 0.0)
         assert db == 0.0
 
     def test_single_sample_closed_form(self):
-        dw, db = gradient([sample((1.0, 0.0, 0.0), True)], LogitParams.zeros(3))
+        dw, db = gradient(*arrays([sample((1.0, 0.0, 0.0), True)]), zeros(3))
         assert dw == (0.5, 0.0, 0.0)
         assert db == 0.5
 
@@ -170,7 +178,7 @@ class TestGradient:
         rng = random.Random(59)
         for _ in range(25):
             samples, params = random_instance(rng)
-            dw, db = gradient(samples, params)
+            dw, db = gradient(*arrays(samples), params)
             fd_w, fd_b = finite_difference(samples, params)
             for a, f in zip(list(dw) + [db], fd_w + [fd_b]):
                 assert relative_error(a, f) < 1e-5
@@ -180,34 +188,34 @@ class TestFit:
     def test_repeated_point_matches_class_fraction(self):
         z = (0.5, -0.2)
         samples = [sample(z, True)] * 7 + [sample(z, False)] * 3
-        report = fit(samples)
+        report = fit(*arrays(samples))
         assert report.converged
         assert prob_up(z, report.params) == pytest.approx(0.7, abs=1e-3)
 
     def test_separable_hits_cap_with_full_accuracy(self):
         samples = [sample((1.0,), True)] * 3 + [sample((-1.0,), False)] * 3
-        report = fit(samples, FitConfig(max_iter=300))
+        report = fit(*arrays(samples), FitConfig(max_iter=300))
         assert not report.converged
         assert report.iterations == 300
-        for s in samples:
-            predicted = classify(prob_up(s.z, report.params), 0.5)
-            assert predicted is s.y
+        for z, up in samples:
+            predicted = classify(prob_up(z, report.params), 0.5)
+            assert predicted is (Label.UP if up else Label.DOWN)
 
     def test_monotone_ascent_non_separable(self):
         rng = random.Random(61)
         for _ in range(10):
             samples, _ = random_instance(rng, dim=rng.randint(1, 3), n=rng.randint(6, 20), forced_tie=True)
-            report = fit(samples, FitConfig(max_iter=400), record_likelihood=True)
+            report = fit(*arrays(samples), FitConfig(max_iter=400), record_likelihood=True)
             trace = report.likelihood_trace
             assert all(b - a >= -1e-10 for a, b in zip(trace, trace[1:]))
-            dw0, db0 = gradient(samples, LogitParams.zeros(len(samples[0].z)))
+            dw0, db0 = gradient(*arrays(samples), zeros(len(samples[0][0])))
             initial_norm = max(max(abs(v) for v in dw0), abs(db0))
             assert report.final_gradient_norm < initial_norm
 
     def test_zero_iterations_returns_zeros(self):
         samples = [sample((1.0, 2.0), True), sample((-1.0, 0.5), False)]
-        report = fit(samples, FitConfig(max_iter=0))
-        assert report.params == LogitParams.zeros(2)
+        report = fit(*arrays(samples), FitConfig(max_iter=0))
+        assert report.params == zeros(2)
         assert report.iterations == 0
         assert not report.converged
 
@@ -215,7 +223,7 @@ class TestFit:
         z = (1.0,)
         samples = [sample(z, True), sample(z, False)]
         config = FitConfig(tolerance=1e-8)
-        report = fit(samples, config)
+        report = fit(*arrays(samples), config)
         assert report.converged
         assert report.final_gradient_norm <= config.tolerance
 
@@ -225,8 +233,7 @@ class TestFit:
         z = rng.normal(size=(600, 3))
         p = 1.0 / (1.0 + np.exp(-(z @ planted_w + 0.3)))
         ups = rng.random(600) < p
-        samples = [sample(tuple(row), bool(up)) for row, up in zip(z, ups)]
-        report = fit(samples, FitConfig(max_iter=4000))
+        report = fit(z, ups.astype(float), FitConfig(max_iter=4000))
         w = np.array(report.params.weights)
         cosine = float(w @ planted_w / (np.linalg.norm(w) * np.linalg.norm(planted_w)))
         assert cosine > 0.9
@@ -234,11 +241,11 @@ class TestFit:
     def test_non_finite_raises_numerical_error(self):
         samples = [sample((1e200,), True), sample((-1e200,), False)]
         with pytest.raises(NumericalError):
-            fit(samples, FitConfig(max_iter=5))
+            fit(*arrays(samples), FitConfig(max_iter=5))
 
     def test_report_line(self):
         samples = [sample((0.5,), True), sample((0.5,), False)]
-        line = fit_report_line(fit(samples))
+        line = fit_report_line(fit(*arrays(samples)))
         assert line.startswith("converged=yes iterations=")
         assert "grad_norm=" in line and "weights=" in line
 

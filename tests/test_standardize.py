@@ -116,6 +116,11 @@ def broad_row(quarter, count, aum, wavg, rank, pe):
     )
 
 
+def kept(table):
+    """(quarter, z vector) for each row of the table that is not dropped."""
+    return [(table.start + k, row) for k, row in enumerate(table.z) if not np.isnan(row).any()]
+
+
 class TestZScoreTable:
     def make_rows(self, n=8, hole=None):
         rng = random.Random(31)
@@ -137,19 +142,21 @@ class TestZScoreTable:
     def test_complete_table(self):
         table = build_zscore_table(self.make_rows(), 3)
         assert table.names == ("deal_count", "avg_aum", "weighted_avg_aum", "avg_fund_ranking", "market_pe")
-        assert [row.quarter for row in table.rows] == [START + k for k in range(2, 8)]
+        assert table.start == START + 2
+        assert table.z.shape == (6, 5)
         assert table.dropped == ()
-        assert all(len(row.z) == 5 for row in table.rows)
+        assert len(kept(table)) == 6
 
     def test_hole_drops_overlapping_quarters(self):
         table = build_zscore_table(self.make_rows(hole=4), 3)
         assert table.dropped == (START + 4, START + 5, START + 6)
-        assert [row.quarter for row in table.rows] == [START + 2, START + 3, START + 7]
+        assert [quarter for quarter, _ in kept(table)] == [START + 2, START + 3, START + 7]
+        assert np.isnan(table.z[2:5]).all()
 
     def test_row_at_finds_kept_rows_only(self):
         table = build_zscore_table(self.make_rows(hole=4), 3)
-        for row in table.rows:
-            assert table.row_at(row.quarter) is row
+        for quarter, row in kept(table):
+            assert np.array_equal(table.row_at(quarter), row)
         assert table.row_at(START + 5) is None  # dropped for the hole
         assert table.row_at(START + 1) is None  # before the first full window
         assert table.row_at(START + 8) is None  # past the end
@@ -159,17 +166,17 @@ class TestZScoreTable:
         table = build_zscore_table(rows, 3)
         flagged_names = {name for _, name in table.zero_variance}
         assert flagged_names == {"deal_count", "avg_aum", "weighted_avg_aum", "avg_fund_ranking"}
-        for row in table.rows:
-            assert row.z[:4] == (0.0, 0.0, 0.0, 0.0)
-            assert row.z[4] != 0.0
+        for _, row in kept(table):
+            assert tuple(row[:4]) == (0.0, 0.0, 0.0, 0.0)
+            assert row[4] != 0.0
 
     def test_matches_scalar_zscore(self):
         rows = self.make_rows()
         table = build_zscore_table(rows, 4)
         pe = QuarterlySeries(START, tuple(r.market_pe for r in rows))
         scalar = zscore(pe, 4)
-        for row in table.rows:
-            assert row.z[4] == scalar.series.at(row.quarter)
+        for quarter, row in kept(table):
+            assert row[4] == scalar.series.at(quarter)
 
     def test_write_table(self):
         import io
@@ -179,5 +186,11 @@ class TestZScoreTable:
         write_zscore_table(table, out)
         lines = out.getvalue().splitlines()
         assert lines[0].startswith("scope,quarter_end,z_deal_count,")
-        assert len(lines) == 1 + len(table.rows)
+        assert len(lines) == 1 + len(table.z)
         assert lines[1].split(",")[0] == "Market"
+
+    def test_infinite_z_rejected(self, monkeypatch):
+        # a sigma this small overflows every z that is not exactly 0
+        monkeypatch.setattr("pesignal.standardize._window_stats", lambda window: (0.0, 5e-324))
+        with pytest.raises(ValueError, match="non-finite value at 2000Q3: inf"):
+            build_zscore_table(self.make_rows(), 3)

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from pesignal.backtest import BacktestConfig, run
@@ -185,7 +186,7 @@ def test_huge_bias_forces_up_on_z_quarters():
     )
     data = generate_dataset(spec)
     table = data.ztables[BROAD_SCOPE.name]
-    z_quarters = {row.quarter for row in table.rows}
+    z_quarters = {table.start + k for k in range(len(table.z))} - set(table.dropped)
     for lab in data.labels[BROAD_SCOPE.name]:
         if lab.quarter in z_quarters:
             assert lab.y is Label.UP
@@ -193,25 +194,26 @@ def test_huge_bias_forces_up_on_z_quarters():
 
 def test_zero_signal_up_fraction_near_half():
     params = LogitParams((0.0, 0.0, 0.0), 0.0)
-    samples = planted_samples(params, 2000, seed=21)
-    frac = sum(1 for s in samples if s.y is Label.UP) / len(samples)
-    assert abs(frac - 0.5) < 3 * 0.5 / math.sqrt(2000)
+    _, y = planted_samples(params, 2000, seed=21)
+    assert set(y) == {0.0, 1.0}
+    assert abs(y.mean() - 0.5) < 3 * 0.5 / math.sqrt(2000)
 
 
 def test_planted_samples_follow_the_law():
     params = LogitParams((1.5, -1.0), 0.3)
-    samples = planted_samples(params, 4000, seed=33)
-    hi = [s for s in samples if prob_up(s.z, params) > 0.8]
-    lo = [s for s in samples if prob_up(s.z, params) < 0.2]
+    z, y = planted_samples(params, 4000, seed=33)
+    p = np.array([prob_up(row, params) for row in z])
+    hi, lo = y[p > 0.8], y[p < 0.2]
     assert len(hi) > 100 and len(lo) > 100
-    assert sum(1 for s in hi if s.y is Label.UP) / len(hi) > 0.7
-    assert sum(1 for s in lo if s.y is Label.UP) / len(lo) < 0.3
+    assert hi.mean() > 0.7
+    assert lo.mean() < 0.3
 
 
 def test_planted_samples_deterministic():
     params = LogitParams((1.0, 2.0), -0.5)
-    assert planted_samples(params, 50, seed=4) == planted_samples(params, 50, seed=4)
-    assert planted_samples(params, 50, seed=4) != planted_samples(params, 50, seed=5)
+    first, again, other = (planted_samples(params, 50, seed=seed) for seed in (4, 4, 5))
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    assert not np.array_equal(first[0], other[0])
 
 
 def test_written_files_round_trip_exactly(tmp_path):

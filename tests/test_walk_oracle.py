@@ -1,0 +1,235 @@
+"""The array walk against the object walk it replaced.
+
+oracle_zscore_table and oracle_run are the z-table with one tuple row per
+kept quarter and the walk that planned each window from per-quarter dicts,
+as they stood before the z-table became one (quarters, d) array and
+windows became row slices of it. They are kept here with the row type
+they used, so the array walk is checked against the implementation whose
+outputs the CLI's byte-identical tables pin: every record field, every
+fit report field and every skip reason must be equal (==, not approx).
+Both walks share the fit kernel, which tests/test_fit_kernel.py checks
+against its own oracle.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pesignal.backtest import BacktestConfig, BacktestResult, PredictionRecord, SkippedWindow, run, schedule
+from pesignal.errors import NumericalError
+from pesignal.features import BROAD_SCOPE, RawFeatureRow, Scope, feature_names, feature_series
+from pesignal.logit import classify, fit_windows, prob_up
+from pesignal.quarters import Quarter, quarter_range
+from pesignal.response import Label, ResponseLabel
+from pesignal.standardize import build_zscore_table, zscore
+
+START = Quarter(2000, 1)
+
+
+@dataclass(frozen=True)
+class ZScoreRow:
+    """One quarter's standardized feature vector for one scope."""
+
+    quarter: Quarter
+    scope: object
+    z: tuple
+
+    def __post_init__(self):
+        for v in self.z:
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite z component at {self.quarter}: {v!r}")
+
+
+@dataclass(frozen=True)
+class OracleTable:
+    scope: object
+    names: tuple
+    rows: tuple
+    dropped: tuple
+    zero_variance: tuple
+
+
+def oracle_zscore_table(feature_rows, window: int) -> OracleTable:
+    series = feature_series(feature_rows)
+    scope = feature_rows[0].scope
+    names = feature_names(scope)
+    standardized = {name: zscore(series[name], window) for name in names}
+    zero_variance = tuple(
+        (quarter, name) for name in names for quarter in standardized[name].zero_variance
+    )
+    start = feature_rows[0].quarter + (window - 1)
+    end = feature_rows[-1].quarter
+    rows = []
+    dropped = []
+    for quarter in quarter_range(start, end):
+        zs = tuple(standardized[name].series.get(quarter) for name in names)
+        if any(z is None for z in zs):
+            dropped.append(quarter)
+        else:
+            rows.append(ZScoreRow(quarter, scope, zs))
+    return OracleTable(scope, names, tuple(rows), tuple(dropped), zero_variance)
+
+
+def oracle_run(feature_rows, labels, config: BacktestConfig) -> BacktestResult:
+    scope = feature_rows[0].scope
+    table = oracle_zscore_table(feature_rows, config.std_window)
+    z_by_quarter = {row.quarter: row for row in table.rows}
+    y_by_quarter = {lab.quarter: lab.y for lab in labels}
+    entries = schedule(
+        feature_rows[0].quarter, feature_rows[-1].quarter, config.std_window, config.est_window
+    )
+    plan = []
+    for entry in entries:
+        if entry.predicted not in z_by_quarter:
+            plan.append(f"no z-score row at predicted quarter {entry.predicted}")
+            continue
+        samples = []
+        problem = None
+        for t in quarter_range(entry.window_start, entry.window_end):
+            z_row = z_by_quarter.get(t)
+            if z_row is None:
+                problem = f"no z-score row at {t} inside the estimation window"
+                break
+            y = y_by_quarter.get(t)
+            if y is None:
+                problem = f"no label at {t} inside the estimation window"
+                break
+            samples.append((z_row.z, y))
+        plan.append(problem if problem is not None else samples)
+    # the windows stacked as the kernel takes them, one 0/1 label per row
+    batch = [step for step in plan if isinstance(step, list)]
+    shape = (len(batch), config.est_window)
+    z = np.array([[zs for zs, _ in samples] for samples in batch], dtype=float).reshape(*shape, len(table.names))
+    y = np.array([[1.0 if y is Label.UP else 0.0 for _, y in samples] for samples in batch]).reshape(shape)
+    outcomes = iter(fit_windows(z, y, config.fit_config()))
+    records = []
+    skipped = []
+    for entry, step in zip(entries, plan):
+        outcome = next(outcomes) if isinstance(step, list) else step
+        if isinstance(outcome, NumericalError):
+            outcome = f"estimation failed: {outcome}"
+        if isinstance(outcome, str):
+            skipped.append(SkippedWindow(entry.predicted, outcome))
+            continue
+        p = prob_up(z_by_quarter[entry.predicted].z, outcome.params)
+        records.append(
+            PredictionRecord(
+                scope=scope,
+                quarter=entry.predicted,
+                p_up=p,
+                predicted=classify(p, config.threshold),
+                actual=y_by_quarter.get(entry.predicted),
+                fit=outcome,
+            )
+        )
+    return BacktestResult(scope, tuple(records), tuple(skipped))
+
+
+def draw_rows(rng, scope, n, hole_rate, coarse):
+    """n quarters of raw features; any column but deal_count may be missing.
+
+    Coarse draws repeat values, so some windows have zero variance and
+    some estimation windows are not separable."""
+    def value(low, high):
+        if rng.random() < hole_rate:
+            return None
+        return float(rng.integers(low, high)) if coarse else float(rng.uniform(low, high))
+
+    rows = []
+    for k in range(n):
+        common = dict(
+            quarter=START + k,
+            scope=scope,
+            deal_count=int(rng.integers(0, 4)) if coarse else int(rng.integers(0, 400)),
+            avg_aum=value(1, 4),
+            weighted_avg_aum=value(1, 4),
+            market_pe=value(10, 13),
+        )
+        if scope.is_broad:
+            rows.append(RawFeatureRow(**common, avg_fund_ranking=value(1, 4)))
+        else:
+            rows.append(RawFeatureRow(**common, sector_count_pct=value(0, 100), sector_pe=value(10, 13)))
+    return rows
+
+
+def draw_labels(rng, scope, quarters, missing_rate):
+    labels = []
+    for quarter in quarters:
+        if rng.random() < missing_rate:
+            continue
+        ret = 8.0 if rng.random() < 0.5 else -8.0
+        y = Label.UP if ret > 0 else Label.DOWN
+        labels.append(ResponseLabel(quarter, scope, ret, y, None if scope.is_broad else ret))
+    return labels
+
+
+scopes = st.sampled_from([BROAD_SCOPE, Scope("Finance")])
+rates = st.sampled_from([0.0, 0.03, 0.1, 0.25])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    scope=scopes,
+    std_window=st.integers(2, 6),
+    est_window=st.sampled_from([2, 3, 5, 7]),
+    extra=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+    coarse=st.booleans(),
+    hole_rate=rates,
+    missing_rate=rates,
+    last_unlabelled=st.booleans(),
+    learning_rate=st.sampled_from([1e-3, 0.05, 0.5]),
+    tolerance=st.sampled_from([0.0, 1e-6, 0.05, 0.3, 1.0]),
+    max_iter=st.integers(0, 120),
+    threshold=st.sampled_from([0.5, 0.3]),
+)
+def test_run_matches_the_object_walk(
+    scope, std_window, est_window, extra, seed, coarse, hole_rate, missing_rate, last_unlabelled,
+    learning_rate, tolerance, max_iter, threshold,
+):
+    rng = np.random.default_rng(seed)
+    rows = draw_rows(rng, scope, std_window + est_window + extra, hole_rate, coarse)
+    quarters = [row.quarter for row in rows]
+    # a missing label at the last quarter leaves its prediction unscored
+    labels = draw_labels(rng, scope, quarters[:-1] if last_unlabelled else quarters, missing_rate)
+    config = BacktestConfig(
+        std_window=std_window,
+        est_window=est_window,
+        learning_rate=learning_rate,
+        tolerance=tolerance,
+        max_iter=max_iter,
+        threshold=threshold,
+    )
+    got = run(rows, labels, config)
+    want = oracle_run(rows, labels, config)
+    assert got.scope == want.scope
+    assert got.skipped == want.skipped
+    # record equality compares every field, the whole FitReport included
+    assert got.records == want.records
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    scope=scopes,
+    window=st.integers(2, 6),
+    extra=st.integers(0, 14),
+    seed=st.integers(0, 2**32 - 1),
+    coarse=st.booleans(),
+    hole_rate=rates,
+)
+def test_zscore_table_matches_the_tuple_rows(scope, window, extra, seed, coarse, hole_rate):
+    rows = draw_rows(np.random.default_rng(seed), scope, window + extra, hole_rate, coarse)
+    table = build_zscore_table(rows, window)
+    want = oracle_zscore_table(rows, window)
+    kept = [(table.start + k, tuple(z)) for k, z in enumerate(table.z) if not np.isnan(z).any()]
+    assert kept == [(row.quarter, row.z) for row in want.rows]
+    assert np.isnan(table.z[[quarter - table.start for quarter in table.dropped]]).all()
+    assert table.start + len(table.z) - 1 == rows[-1].quarter
+    assert (table.names, table.dropped, table.zero_variance) == (want.names, want.dropped, want.zero_variance)
+    for quarter, z in kept:
+        assert tuple(table.row_at(quarter)) == z
+    for quarter in table.dropped:
+        assert table.row_at(quarter) is None
