@@ -18,7 +18,7 @@ from .errors import DataError, InsufficientHistoryError, NumericalError
 from .features import Scope
 from .logit import FitConfig, FitReport, classify, fit_windows, prob_up
 from .logit import fit  # noqa: F401  (bench/test_bench.py checks the tracer wraps it here)
-from .quarters import Quarter, quarter_count
+from .quarters import Quarter
 from .response import Label
 from .standardize import build_zscore_table
 
@@ -47,41 +47,6 @@ class BacktestConfig:
             tolerance=self.tolerance,
             max_iter=self.max_iter,
         )
-
-
-@dataclass(frozen=True)
-class ScheduleEntry:
-    """One slide: estimate on [window_start, window_end], predict the next."""
-
-    window_start: Quarter
-    window_end: Quarter
-    predicted: Quarter
-
-
-def schedule(first: Quarter, last: Quarter, std_window: int, est_window: int) -> list:
-    """All one-ahead slides over the feature range [first, last].
-
-    The first std_window - 1 quarters only feed standardization, the
-    next est_window feed the first estimation window, and the quarter
-    after that is the first predicted one. The count works out to
-    quarter_count - std_window - est_window + 1.
-    """
-    if std_window < 2 or est_window < 2:
-        raise ValueError("std_window and est_window must both be at least 2")
-    n = quarter_count(first, last)
-    needed = std_window + est_window
-    if n < needed:
-        raise InsufficientHistoryError(
-            f"walk-forward needs at least {needed} quarters"
-            f" ({std_window} to standardize, {est_window} to estimate,"
-            f" predicting the one after), got {n}"
-        )
-    entries = []
-    for k in range(n - needed + 1):
-        window_start = first + (std_window - 1 + k)
-        window_end = window_start + (est_window - 1)
-        entries.append(ScheduleEntry(window_start, window_end, window_end + 1))
-    return entries
 
 
 @dataclass(frozen=True)
@@ -122,36 +87,36 @@ class BacktestResult:
 
 
 def run(feature_rows, labels, config: BacktestConfig = BacktestConfig()) -> BacktestResult:
-    """Walk the schedule over a single-scope feature table.
+    """Walk one-ahead windows over a single-scope feature table.
 
-    labels are ResponseLabels for the same scope; estimation windows
+    labels maps quarters to the scope's Labels; estimation windows
     missing a z row or a label are skipped with a diagnostic, never
     imputed. The predicted quarter's own label may be absent, which
     leaves that record unscored.
+
+    The first std_window - 1 quarters only feed standardization, so
+    z-table row k is quarter table.start + k. Window k fits rows
+    k .. k+ne-1 and predicts row k+ne, which makes
+    quarter_count - std_window - est_window + 1 windows.
     """
-    if not feature_rows:
-        raise DataError("empty feature table")
-    scope = feature_rows[0].scope
-    for lab in labels:
-        if lab.scope != scope:
-            raise DataError(f"label scope {lab.scope.name} does not match {scope.name}")
     table = build_zscore_table(feature_rows, config.std_window)
-    entries = schedule(
-        feature_rows[0].quarter, feature_rows[-1].quarter, config.std_window, config.est_window
-    )
-    # table row k is quarter table.start + k; window k fits rows
-    # k .. k+ne-1 and predicts row k+ne
     ne = config.est_window
-    label_at = {lab.quarter: lab.y for lab in labels}
-    actual = [label_at.get(table.start + k) for k in range(len(table.z))]
+    windows = len(table.z) - ne
+    if windows <= 0:
+        raise InsufficientHistoryError(
+            f"walk-forward needs at least {config.std_window + ne} quarters"
+            f" ({config.std_window} to standardize, {ne} to estimate,"
+            f" predicting the one after), got {len(feature_rows)}"
+        )
+    actual = [labels.get(table.start + k) for k in range(len(table.z))]
     has_z = ~np.isnan(table.z).any(axis=1)
     usable = has_z & np.array([y is not None for y in actual])
-    # each entry gets its skip reason, or None when it is fitted in the batch
+    # each window gets its skip reason, or None when it is fitted in the batch
     plan = []
-    for k, entry in enumerate(entries):
+    for k in range(windows):
         gap = k + int(np.argmin(usable[k : k + ne]))
         if not has_z[k + ne]:
-            plan.append(f"no z-score row at predicted quarter {entry.predicted}")
+            plan.append(f"no z-score row at predicted quarter {table.start + k + ne}")
         elif not usable[gap]:
             missing = "label" if has_z[gap] else "z-score row"
             plan.append(f"no {missing} at {table.start + gap} inside the estimation window")
@@ -162,25 +127,26 @@ def run(feature_rows, labels, config: BacktestConfig = BacktestConfig()) -> Back
     outcomes = iter(fit_windows(table.z[rows], y[rows], config.fit_config()))
     records = []
     skipped = []
-    for k, (entry, step) in enumerate(zip(entries, plan)):
+    for k, step in enumerate(plan):
+        quarter = table.start + k + ne
         outcome = next(outcomes) if step is None else step
         if isinstance(outcome, NumericalError):
             outcome = f"estimation failed: {outcome}"
         if isinstance(outcome, str):
-            skipped.append(SkippedWindow(entry.predicted, outcome))
+            skipped.append(SkippedWindow(quarter, outcome))
             continue
         p = prob_up(table.z[k + ne], outcome.params)
         records.append(
             PredictionRecord(
-                scope=scope,
-                quarter=entry.predicted,
+                scope=table.scope,
+                quarter=quarter,
                 p_up=p,
                 predicted=classify(p, config.threshold),
                 actual=actual[k + ne],
                 fit=outcome,
             )
         )
-    return BacktestResult(scope, tuple(records), tuple(skipped))
+    return BacktestResult(table.scope, tuple(records), tuple(skipped))
 
 
 def write_predictions(records, stream):

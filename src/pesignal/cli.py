@@ -186,10 +186,12 @@ def _coerce(key: str, value):
                 if column not in _COLUMN_KEYS[key]:
                     raise UsageError(f"unknown {key} entry {column!r}")
             return tuple(sorted((str(k), str(v)) for k, v in value.items()))
+        if isinstance(value, str) and key in ("first", "last", "start"):
+            Quarter.parse(value)
         if value is None or isinstance(value, str):
             return value
         raise ValueError
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, DataError):
         raise UsageError(f"bad value for {key!r}: {value!r}") from None
 
 
@@ -209,6 +211,8 @@ def load_config_file(path) -> dict:
         raise UsageError(f"config file {path} must hold a JSON object")
     if "command" in data and "config" in data:
         data = data["config"]
+        if not isinstance(data, dict):
+            raise UsageError(f"config file {path}: a manifest's \"config\" must be a JSON object")
     return data
 
 

@@ -88,18 +88,6 @@ def confusion(pairs, threshold: float) -> tuple:
     return tp, fp, tn, fn
 
 
-def f1(pairs, threshold: float) -> float:
-    """2PR/(P+R); 0 whenever precision or recall is undefined or both are 0."""
-    tp, fp, _, fn = confusion(pairs, threshold)
-    if tp + fp == 0 or tp + fn == 0:
-        return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
-
-
 @dataclass(frozen=True)
 class ScoreReport:
     """Scored-record summary for one scope (or the pooled 'ALL').
@@ -146,9 +134,11 @@ def report(records, threshold: float, scope_name: str | None = None) -> ScoreRep
         flags.append("single_class_auc")
     precision = tp / (tp + fp) if tp + fp > 0 else None
     recall = tp / (tp + fn) if tp + fn > 0 else None
-    score = f1(pairs, threshold)
     if precision is None or recall is None or precision + recall == 0.0:
+        score = 0.0
         flags.append("degenerate_f1")
+    else:
+        score = 2.0 * precision * recall / (precision + recall)
     return ScoreReport(
         scope_name=scope_name,
         n=len(pairs),

@@ -243,6 +243,8 @@ def read_feature_table(stream) -> list:
                     values[name] = int(cell)
                 else:
                     values[name] = float(cell)
+                    if not math.isfinite(values[name]):
+                        raise ValueError(f"{name} is not finite: {cell!r}")
             rows.append(RawFeatureRow(quarter=Quarter.parse(parts[1]), scope=scope, **values))
         except ValueError as exc:
             raise DataError(f"feature table line {line_no}: {exc}") from None

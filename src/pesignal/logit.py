@@ -73,7 +73,6 @@ class FitReport:
     final_gradient_norm: float
     final_log_likelihood: float
     converged: bool
-    likelihood_trace: tuple | None = None
 
 
 def _sigmoid(s):
@@ -137,19 +136,19 @@ def gradient(z, y, params: LogitParams) -> tuple:
     return tuple(dw.tolist()), db
 
 
-def fit(z, y, config: FitConfig = FitConfig(), record_likelihood: bool = False) -> FitReport:
+def fit(z, y, config: FitConfig = FitConfig()) -> FitReport:
     """Gradient ascent on one window, z (n, d) and 0/1 labels y (n,):
     the batch-of-one case of fit_windows.
 
     Raises the window's NumericalError instead of returning it.
     """
-    (outcome,) = fit_windows([z], [y], config, record_likelihood)
+    (outcome,) = fit_windows([z], [y], config)
     if isinstance(outcome, NumericalError):
         raise outcome
     return outcome
 
 
-def fit_windows(z, y, config: FitConfig = FitConfig(), record_likelihood: bool = False) -> list:
+def fit_windows(z, y, config: FitConfig = FitConfig()) -> list:
     """Gradient ascent on every window at once, each from zero weights
     and bias.
 
@@ -170,10 +169,10 @@ def fit_windows(z, y, config: FitConfig = FitConfig(), record_likelihood: bool =
         return []  # _ascend never stops on zero windows
     if not np.isfinite(z).all():
         raise ValueError("training features must be finite")
-    return _ascend(z, y, np.zeros((len(z), z.shape[2])), np.zeros(len(z)), config, record_likelihood)
+    return _ascend(z, y, np.zeros((len(z), z.shape[2])), np.zeros(len(z)), config)
 
 
-def _ascend(z, y, w, b, config: FitConfig, record_likelihood: bool) -> list:
+def _ascend(z, y, w, b, config: FitConfig) -> list:
     """The fit kernel on stacked windows: z (W, n, d), y (W, n), w (W, d),
     b (W,).
 
@@ -183,14 +182,13 @@ def _ascend(z, y, w, b, config: FitConfig, record_likelihood: bool) -> list:
     """
     eta = config.learning_rate
     outcomes = [None] * len(b)
-    traces = [[] for _ in outcomes] if record_likelihood else None
     active = np.arange(len(b))
     zt = z.transpose(0, 2, 1)
     iterations = 0
     # the errstate wraps the whole loop because non-finite values are
-    # detected explicitly below; the likelihood is only computed when it
-    # is recorded (score finiteness covers the same failure otherwise,
-    # since the stable softplus cannot overflow on finite scores)
+    # detected explicitly below; score finiteness stands in for the
+    # likelihood's, since the stable softplus cannot overflow on finite
+    # scores, so the likelihood is computed only for stopped windows
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             s = np.matmul(z, w[:, :, None])[:, :, 0] + b[:, None]
@@ -200,12 +198,6 @@ def _ascend(z, y, w, b, config: FitConfig, record_likelihood: bool) -> list:
             # NaN propagates through max, so a finite norm means a finite gradient
             norm = np.maximum(np.abs(dw).max(axis=1, initial=0.0), np.abs(db))
             healthy = np.isfinite(s).all(axis=1) & np.isfinite(norm)
-            if traces is not None:
-                ll = (y * s).sum(axis=1) - _softplus(s).sum(axis=1)
-                healthy &= np.isfinite(ll)
-                for k, value, ok in zip(active, ll, healthy):
-                    if ok:
-                        traces[k].append(float(value))
             converged = norm <= config.tolerance
             stop = ~healthy | converged
             if iterations >= config.max_iter:
@@ -224,7 +216,6 @@ def _ascend(z, y, w, b, config: FitConfig, record_likelihood: bool) -> list:
                         final_gradient_norm=float(norm[row]),
                         final_log_likelihood=_loglik(z[row], y[row], w[row], b[row]),
                         converged=bool(converged[row]),
-                        likelihood_trace=None if traces is None else tuple(traces[k]),
                     )
                 keep = ~stop
                 if not keep.any():

@@ -9,10 +9,9 @@ strictly positive forward movement, and ties must land deterministically.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .errors import DataError
-from .features import BROAD_SCOPE, Scope
+from .features import Scope
 from .quarters import Quarter, QuarterlySeries
 
 
@@ -39,40 +38,6 @@ def sector_spread(sector_prices: QuarterlySeries, market_prices: QuarterlySeries
     return ann_forward_return(sector_prices, t) - ann_forward_return(market_prices, t)
 
 
-@dataclass(frozen=True)
-class ResponseLabel:
-    """Label for quarter t, decided by prices through the end of t+1."""
-
-    quarter: Quarter
-    scope: Scope
-    ann_forward_return: float
-    y: Label
-    spread: float | None = None
-
-    def __post_init__(self):
-        decided_by = self.ann_forward_return if self.scope.is_broad else self.spread
-        if decided_by is None:
-            raise ValueError("sector labels need a spread")
-        if self.y is not label_of(decided_by):
-            raise ValueError(f"label {self.y} contradicts its return {decided_by!r}")
-
-
-def broad_label(prices: QuarterlySeries, t: Quarter) -> ResponseLabel:
-    ret = ann_forward_return(prices, t)
-    return ResponseLabel(t, BROAD_SCOPE, ret, label_of(ret))
-
-
-def sector_label(
-    sector_prices: QuarterlySeries,
-    market_prices: QuarterlySeries,
-    t: Quarter,
-    scope: Scope,
-) -> ResponseLabel:
-    spread = sector_spread(sector_prices, market_prices, t)
-    ret = ann_forward_return(sector_prices, t)
-    return ResponseLabel(t, scope, ret, label_of(spread), spread=spread)
-
-
 def _labelable(t: Quarter, series_list) -> bool:
     return all(s.get(t) is not None and s.get(t + 1) is not None for s in series_list)
 
@@ -81,8 +46,8 @@ def build_labels(
     scope: Scope,
     market_prices: QuarterlySeries,
     sector_prices: QuarterlySeries | None = None,
-) -> list:
-    """Labels for every quarter where the needed prices exist.
+) -> dict:
+    """The Label of every quarter where the needed prices exist, by quarter.
 
     The label at t consumes P(t+1), so the final covered quarter of the
     price history is never labeled; callers wanting the last feature
@@ -93,13 +58,13 @@ def build_labels(
     needed = [market_prices] if scope.is_broad else [market_prices, sector_prices]
     lo = max(s.start for s in needed)
     hi = min(s.end for s in needed) - 1
-    labels = []
+    labels = {}
     t = lo
     while t <= hi:
         if _labelable(t, needed):
             if scope.is_broad:
-                labels.append(broad_label(market_prices, t))
+                labels[t] = label_of(ann_forward_return(market_prices, t))
             else:
-                labels.append(sector_label(sector_prices, market_prices, t, scope))
+                labels[t] = label_of(sector_spread(sector_prices, market_prices, t))
         t = t + 1
     return labels

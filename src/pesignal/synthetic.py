@@ -301,7 +301,7 @@ def generate_labels(
         values.append(values[-1] * (1.0 + ann / 100.0) ** 0.25)
     prices = QuarterlySeries(spec.start, tuple(values))
     labels = build_labels(scope, market_prices or prices, None if scope.is_broad else prices)
-    if [lab.y for lab in labels] != drawn:
+    if list(labels.values()) != drawn:
         raise AssertionError("synthesized prices failed to reproduce the drawn labels")
     return labels, prices
 

@@ -6,9 +6,10 @@ import random
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pesignal.backtest import BacktestConfig, run, schedule
+from pesignal.backtest import BacktestConfig, run
 from pesignal.cli import main
 from pesignal.evaluation import roc, scored_pairs
 from pesignal.features import BROAD_SCOPE, Scope
@@ -20,8 +21,9 @@ from pesignal.logit import (
     log_likelihood,
 )
 from pesignal.quarters import Quarter, QuarterlySeries
-from pesignal.response import Label, ResponseLabel, build_labels, sector_spread, ann_forward_return
+from pesignal.response import Label, build_labels, sector_spread, ann_forward_return
 from pesignal.synthetic import SyntheticSpec, generate_dataset, planted_samples
+from test_fit_kernel import oracle_fit
 
 
 def prices_from_ann(*anns):
@@ -41,7 +43,7 @@ def test_criterion_1_forward_returns_and_labels():
     assert ann_forward_return(prices, first) == pytest.approx(-11.60, abs=0.005)
     assert ann_forward_return(prices, second) == pytest.approx(79.97, abs=0.005)
     labels = build_labels(BROAD_SCOPE, prices)
-    assert [lab.y for lab in labels] == [Label.DOWN, Label.UP]
+    assert labels == {first: Label.DOWN, second: Label.UP}
 
 
 def test_criterion_2_sector_spreads_and_labels():
@@ -51,14 +53,18 @@ def test_criterion_2_sector_spreads_and_labels():
     assert sector_spread(sector, market, first) == pytest.approx(-6.30, abs=0.005)
     assert sector_spread(sector, market, second) == pytest.approx(44.70, abs=0.005)
     labels = build_labels(Scope("Finance"), market, sector)
-    assert [lab.y for lab in labels] == [Label.DOWN, Label.UP]
+    assert labels == {first: Label.DOWN, second: Label.UP}
 
 
 def test_criterion_3_schedule_yields_50_predictions():
-    entries = schedule(Quarter(2000, 1), Quarter(2016, 4), std_window=12, est_window=7)
-    assert len(entries) == 50
-    assert entries[0].predicted.end_date().isoformat() == "2004-09-30"
-    assert entries[-1].predicted.end_date().isoformat() == "2016-12-31"
+    data = generate_dataset(SyntheticSpec(seed=3, n_quarters=68, n_sectors=1, std_window=12))
+    rows = data.features["Market"]
+    assert (rows[0].quarter, rows[-1].quarter) == (Quarter(2000, 1), Quarter(2016, 4))
+    result = run(rows, data.labels["Market"], BacktestConfig(std_window=12, est_window=7, max_iter=20))
+    predicted = sorted([r.quarter for r in result.records] + [s.predicted for s in result.skipped])
+    assert len(predicted) == 50
+    assert predicted[0].end_date().isoformat() == "2004-09-30"
+    assert predicted[-1].end_date().isoformat() == "2016-12-31"
 
 
 def _relative_error(a: float, b: float) -> float:
@@ -109,8 +115,10 @@ def test_criterion_5_likelihood_ascends_on_non_separable_instances():
         clash = [rng.uniform(-2.0, 2.0) for _ in range(m)]
         z += [clash, clash]
         y += [1.0, 0.0]
-        report = fit(z, y, FitConfig(learning_rate=1e-3, max_iter=1200), record_likelihood=True)
-        trace = report.likelihood_trace
+        config = FitConfig(learning_rate=1e-3, max_iter=1200)
+        trace = []
+        report = fit(z, y, config)
+        assert report == oracle_fit(np.array(z), np.array(y), config, trace), f"case {case}"
         assert all(later - earlier >= -1e-10 for earlier, later in zip(trace, trace[1:])), f"case {case}"
         initial_dw, initial_db = gradient(z, y, LogitParams((0.0,) * m, 0.0))
         initial_norm = max(max(abs(g) for g in initial_dw), abs(initial_db))
@@ -146,13 +154,10 @@ def test_criterion_6_auc_equals_pairwise_concordance():
         assert roc(pairs).auc == pytest.approx(_concordance(pairs), abs=1e-9), f"case {case}"
 
 
-def _shuffled_labels(labels, seed: int) -> list:
-    rows = [(lab.ann_forward_return, lab.y, lab.spread) for lab in labels]
-    random.Random(seed).shuffle(rows)
-    return [
-        ResponseLabel(lab.quarter, lab.scope, ann, y, spread)
-        for lab, (ann, y, spread) in zip(labels, rows)
-    ]
+def _shuffled_labels(labels, seed: int) -> dict:
+    ys = list(labels.values())
+    random.Random(seed).shuffle(ys)
+    return dict(zip(labels, ys))
 
 
 def _pooled_auc(data, config, labels_by_scope) -> float:

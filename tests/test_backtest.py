@@ -15,15 +15,15 @@ from pesignal.backtest import (
     PredictionRecord,
     read_predictions,
     run,
-    schedule,
     write_predictions,
 )
 from pesignal.errors import DataError, InsufficientHistoryError, NumericalError
-from pesignal.features import BROAD_SCOPE, RawFeatureRow, Scope, build_feature_table, deals_by_quarter
+from pesignal.features import BROAD_SCOPE, RawFeatureRow, build_feature_table, deals_by_quarter
 from pesignal.ingest import AumBucket, first_deals
-from pesignal.logit import fit_windows
-from pesignal.quarters import Quarter, QuarterlySeries
-from pesignal.response import Label, ResponseLabel, build_labels
+from pesignal.logit import fit, fit_windows
+from pesignal.quarters import Quarter, QuarterlySeries, quarter_range
+from pesignal.response import Label, build_labels
+from pesignal.standardize import build_zscore_table
 from pesignal.synthetic import SyntheticSpec, generate_dataset
 
 START = Quarter(2000, 1)
@@ -50,40 +50,46 @@ def broad_rows(n, seed=101, hole=None):
 
 def broad_labels(quarters, seed=202, force=None):
     rng = random.Random(seed)
-    labels = []
+    labels = {}
     for q in quarters:
         up = rng.random() < 0.5 if force is None else force is Label.UP
-        ret = 8.0 if up else -8.0
-        labels.append(ResponseLabel(q, BROAD_SCOPE, ret, Label.UP if up else Label.DOWN))
+        labels[q] = Label.UP if up else Label.DOWN
     return labels
 
 
 FAST = BacktestConfig(std_window=4, est_window=3, max_iter=300)
 
 
+def walk(rows, config):
+    """Every predicted quarter of the walk, recorded or skipped, in order."""
+    result = run(rows, broad_labels([r.quarter for r in rows]), config)
+    return sorted([r.quarter for r in result.records] + [s.predicted for s in result.skipped])
+
+
 class TestSchedule:
     def test_study_shape(self):
-        entries = schedule(Quarter(2000, 1), Quarter(2016, 4), 12, 7)
-        assert len(entries) == 50
-        assert entries[0].predicted == Quarter(2004, 3)
-        assert entries[0].predicted.end_date().isoformat() == "2004-09-30"
-        assert entries[0].window_start == Quarter(2002, 4)
-        assert entries[0].window_end == Quarter(2004, 2)
-        assert entries[-1].predicted == Quarter(2016, 4)
+        rows = broad_rows(68)
+        predicted = walk(rows, BacktestConfig(std_window=12, est_window=7, max_iter=20))
+        assert len(predicted) == 50
+        assert predicted[0] == Quarter(2004, 3)
+        assert predicted[0].end_date().isoformat() == "2004-09-30"
+        assert predicted[-1] == Quarter(2016, 4)
 
     def test_windows_slide_by_one(self):
-        entries = schedule(Quarter(2000, 1), Quarter(2016, 4), 12, 7)
-        for a, b in zip(entries, entries[1:]):
-            assert b.window_start == a.window_start + 1
-            assert b.predicted == a.predicted + 1
-        for e in entries:
-            assert e.window_end - e.window_start + 1 == 7
-            assert e.predicted == e.window_end + 1
+        rows = broad_rows(68)
+        labels = broad_labels([r.quarter for r in rows])
+        config = BacktestConfig(std_window=12, est_window=7, max_iter=20)
+        table = build_zscore_table(rows, 12)
+        result = run(rows, labels, config)
+        assert [r.quarter for r in result.records] == [Quarter(2004, 3) + k for k in range(50)]
+        for k, r in enumerate(result.records):
+            # window k fits z rows k .. k+6, the 7 quarters just before the predicted one
+            assert table.start + k == r.quarter - 7
+            y = np.array([labels[q] is Label.UP for q in quarter_range(r.quarter - 7, r.quarter - 1)], dtype=float)
+            assert r.fit == fit(table.z[k : k + 7], y, config.fit_config())
 
     def test_minimal_history_single_prediction(self):
-        entries = schedule(Quarter(2000, 1), Quarter(2004, 3), 12, 7)
-        assert len(entries) == 1
-        assert entries[0].predicted == Quarter(2004, 3)
+        assert walk(broad_rows(19), BacktestConfig(std_window=12, est_window=7, max_iter=20)) == [Quarter(2004, 3)]
 
     def test_count_formula(self):
         rng = random.Random(7)
@@ -91,16 +97,19 @@ class TestSchedule:
             t = rng.randint(2, 14)
             ne = rng.randint(2, 9)
             n = rng.randint(t + ne, t + ne + 30)
-            entries = schedule(START, START + (n - 1), t, ne)
-            assert len(entries) == n - t - ne + 1
+            predicted = walk(broad_rows(n), BacktestConfig(std_window=t, est_window=ne, max_iter=0))
+            assert predicted == [START + k for k in range(t + ne - 1, n)]
+            assert len(predicted) == n - t - ne + 1
 
     def test_insufficient_history(self):
         with pytest.raises(InsufficientHistoryError, match="19 quarters"):
-            schedule(Quarter(2000, 1), Quarter(2004, 2), 12, 7)
+            walk(broad_rows(18), BacktestConfig(std_window=12, est_window=7))
 
     def test_bad_windows(self):
         with pytest.raises(ValueError):
-            schedule(START, START + 30, 1, 7)
+            BacktestConfig(std_window=1, est_window=7)
+        with pytest.raises(ValueError):
+            BacktestConfig(std_window=12, est_window=1)
 
 
 class TestRun:
@@ -145,8 +154,7 @@ class TestRun:
         rows = broad_rows(16, hole=8)
         labels = broad_labels([r.quarter for r in rows])
         result = run(rows, labels, FAST)
-        entries = schedule(START, START + 15, 4, 3)
-        assert len(result.records) + len(result.skipped) == len(entries)
+        assert len(result.records) + len(result.skipped) == 16 - 4 - 3 + 1
         assert result.skipped
         for skip in result.skipped:
             assert "z-score row" in skip.reason
@@ -155,7 +163,8 @@ class TestRun:
         rows = broad_rows(16)
         quarters = [r.quarter for r in rows]
         missing = START + 9
-        labels = [lab for lab in broad_labels(quarters) if lab.quarter != missing]
+        labels = broad_labels(quarters)
+        del labels[missing]
         result = run(rows, labels, FAST)
         reasons = [s.reason for s in result.skipped]
         assert any("no label at 2002Q2" in r for r in reasons)
@@ -165,7 +174,8 @@ class TestRun:
     def test_unscored_final_quarter(self):
         rows = broad_rows(16)
         quarters = [r.quarter for r in rows]
-        labels = [lab for lab in broad_labels(quarters) if lab.quarter != quarters[-1]]
+        labels = broad_labels(quarters)
+        del labels[quarters[-1]]
         result = run(rows, labels, FAST)
         last = result.records[-1]
         assert last.quarter == quarters[-1]
@@ -181,7 +191,7 @@ class TestRun:
             q = START + horizon
             truncated = run(
                 [r for r in rows if r.quarter <= q],
-                [lab for lab in labels if lab.quarter < q],
+                {quarter: y for quarter, y in labels.items() if quarter < q},
                 FAST,
             )
             want = {r.quarter: r for r in full.records if r.quarter <= q}
@@ -190,14 +200,6 @@ class TestRun:
             for quarter, rec in got.items():
                 assert rec.p_up == want[quarter].p_up
                 assert rec.predicted is want[quarter].predicted
-
-    def test_scope_mismatch_rejected(self):
-        rows = broad_rows(16)
-        labels = [
-            ResponseLabel(START, Scope("Finance"), 5.0, Label.UP, spread=5.0),
-        ]
-        with pytest.raises(DataError, match="scope"):
-            run(rows, labels, FAST)
 
     def test_estimation_failure_skips(self, monkeypatch):
         # labels missing at START+5 and START+11 skip the windows that
@@ -209,9 +211,8 @@ class TestRun:
             return outcomes
 
         rows = broad_rows(16)
-        labels = [
-            lab for lab in broad_labels([r.quarter for r in rows]) if lab.quarter not in (START + 5, START + 11)
-        ]
+        labels = broad_labels([r.quarter for r in rows])
+        del labels[START + 5], labels[START + 11]
         clean = run(rows, labels, FAST)
         monkeypatch.setattr("pesignal.backtest.fit_windows", second_fails)
         result = run(rows, labels, FAST)
@@ -313,7 +314,8 @@ def test_no_lookahead_through_the_pipeline(offset, seed, change_deals, change_pr
 class TestPredictionIO:
     def test_round_trip(self):
         rows = broad_rows(16)
-        labels = [lab for lab in broad_labels([r.quarter for r in rows])][:-1]
+        labels = broad_labels([r.quarter for r in rows])
+        del labels[rows[-1].quarter]
         records = run(rows, labels, FAST).records
         out = io.StringIO()
         write_predictions(records, out)

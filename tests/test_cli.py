@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from pesignal.backtest import read_predictions
+from pesignal.backtest import read_predictions, run
 from pesignal.cli import main, resolve_config
 from pesignal.errors import NumericalError, UsageError
 from pesignal.evaluation import roc, scored_pairs
+from pesignal.synthetic import generate_dataset
 
 SMALL = {
     "n_quarters": 24,
@@ -204,6 +205,37 @@ class TestExitCodes:
         assert main(["synth", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert f"usage error: config file {path} is not UTF-8: byte 0xe9 at offset 13" in capsys.readouterr().err
 
+    def test_manifest_whose_config_is_not_an_object_is_a_usage_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"command": "synth", "config": [1]})
+        assert main(["synth", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f'usage error: config file {config}: a manifest\'s "config" must be a JSON object' in err
+
+    @pytest.mark.parametrize("key", ["first", "last", "start"])
+    @pytest.mark.parametrize("value", ["2001Q5", "garbage", 2001])
+    def test_quarter_that_does_not_parse_is_a_usage_error(self, tmp_path, capsys, key, value):
+        config = write_config(tmp_path, dict(SMALL, **{key: value}))
+        for command in ("synth", "features"):
+            assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 1
+            assert f"usage error: bad value for {key!r}: {value!r}" in capsys.readouterr().err
+
+    def test_non_finite_feature_cell_is_a_data_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, SMALL)
+        out = tmp_path / "out"
+        assert main(["synth", "--config", config, "--out", str(out)]) == 0
+        assert main(["features", "--config", config, "--out", str(out)]) == 0
+        path = out / "features_market.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        for cell in ("nan", "inf", "-inf"):
+            parts = lines[3].split(",")
+            parts[3] = cell  # avg_aum
+            path.write_text("".join(lines[:3] + [",".join(parts)] + lines[4:]), encoding="utf-8")
+            capsys.readouterr()
+            assert main(["backtest", "--config", config, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"data error: feature table line 4: avg_aum is not finite: {cell!r}" in err
+            assert "Traceback" not in err
+
     def test_unknown_config_key(self, tmp_path, capsys):
         config = write_config(tmp_path, {"windows": 9})
         assert main(["synth", "--config", config, "--out", str(tmp_path / "out")]) == 1
@@ -380,6 +412,35 @@ class TestPaperShapedRun:
             assert len(rows) == 50
             assert rows[0].split(",")[1] == "2004-09-30"
             assert rows[-1].split(",")[1] == "2016-12-31"
+
+
+class TestCliMatchesLibrary:
+    def test_six_decimal_features_give_the_library_predictions(self, tmp_path):
+        # the CLI backtests on feature tables and prices read back at 6
+        # decimals, the library on the generator's full floats; at this
+        # seed the two agree on every predicted label and p_up moves by
+        # well under 1e-5 (2 of 200 cells differ, by at most 5.3e-7)
+        settings = {"seed": 7, "n_sectors": 3, "max_iter": 2000}
+        config = write_config(tmp_path, settings)
+        out = tmp_path / "out"
+        resolved = resolve_config(settings, {})
+        spec = resolved.synthetic_spec()
+        scopes = ",".join(scope.name for scope in spec.scopes())
+        for command in ("synth", "features", "backtest"):
+            assert main([command, "--config", config, "--out", str(out), "--scopes", scopes]) == 0, command
+        data = generate_dataset(spec)
+        compared = 0
+        for scope in spec.scopes():
+            slug = scope.name.lower().replace(" ", "_")
+            with open(out / f"predictions_{slug}.csv", encoding="utf-8") as handle:
+                cli_records = read_predictions(handle)
+            lib_records = run(data.features[scope.name], data.labels[scope.name], resolved.backtest_config()).records
+            assert [r.quarter for r in cli_records] == [r.quarter for r in lib_records], scope.name
+            for got, want in zip(cli_records, lib_records):
+                assert got.predicted is want.predicted, (scope.name, want.quarter)
+                assert abs(got.p_up - want.p_up) <= 1e-5, (scope.name, want.quarter)
+                compared += 1
+        assert compared == 200
 
 
 class TestDefaultIterationCap:

@@ -15,7 +15,6 @@ from pesignal.evaluation import (
     RocCurve,
     _trapezoid,
     confusion,
-    f1,
     report,
     roc,
     score_report_json,
@@ -160,6 +159,15 @@ class TestPooledRoc:
         assert 0.0 < pooled.auc < 1.0
 
 
+def f1(pairs, threshold):
+    """The F1 that report gives for records carrying these (p_up, actual) pairs."""
+    records = [
+        PredictionRecord(BROAD_SCOPE, Quarter(2004, 3) + k, p, UP if p >= threshold else DOWN, actual)
+        for k, (p, actual) in enumerate(pairs)
+    ]
+    return report(records, threshold, scope_name="Market").f1
+
+
 class TestF1:
     def test_perfect(self):
         pairs = [(0.9, UP), (0.8, UP), (0.1, DOWN)]
@@ -187,6 +195,8 @@ class TestF1:
             value = f1(pairs, 0.5)
             assert 0.0 <= value <= 1.0
             assert (value == 1.0) == (fp == 0 and fn == 0 and tp > 0)
+            # the harmonic mean of precision and recall is 2tp / (2tp + fp + fn)
+            assert value == pytest.approx(2 * tp / (2 * tp + fp + fn) if tp else 0.0, abs=1e-12)
 
     def test_threshold_boundary_counts_up(self):
         assert confusion([(0.5, UP)], 0.5) == (1, 0, 0, 0)

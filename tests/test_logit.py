@@ -18,6 +18,7 @@ from pesignal.logit import (
     prob_up,
 )
 from pesignal.response import Label
+from test_fit_kernel import oracle_fit
 
 
 def sample(z, up):
@@ -205,8 +206,10 @@ class TestFit:
         rng = random.Random(61)
         for _ in range(10):
             samples, _ = random_instance(rng, dim=rng.randint(1, 3), n=rng.randint(6, 20), forced_tie=True)
-            report = fit(*arrays(samples), FitConfig(max_iter=400), record_likelihood=True)
-            trace = report.likelihood_trace
+            config = FitConfig(max_iter=400)
+            trace = []
+            report = fit(*arrays(samples), config)
+            assert report == oracle_fit(*arrays(samples), config, trace)
             assert all(b - a >= -1e-10 for a, b in zip(trace, trace[1:]))
             dw0, db0 = gradient(*arrays(samples), zeros(len(samples[0][0])))
             initial_norm = max(max(abs(v) for v in dw0), abs(db0))

@@ -6,16 +6,8 @@ import pytest
 
 from pesignal.errors import DataError
 from pesignal.features import BROAD_SCOPE, Scope
-from pesignal.quarters import Quarter, QuarterlySeries
-from pesignal.response import (
-    Label,
-    ann_forward_return,
-    broad_label,
-    build_labels,
-    label_of,
-    sector_label,
-    sector_spread,
-)
+from pesignal.quarters import Quarter, QuarterlySeries, quarter_range
+from pesignal.response import Label, ann_forward_return, build_labels, label_of, sector_spread
 
 START = Quarter(2002, 4)
 
@@ -82,11 +74,12 @@ class TestForwardReturns:
 class TestBroadLabel:
     def test_down_then_up(self):
         p = prices(*LEVELS)
-        assert broad_label(p, START).y is Label.DOWN
-        assert broad_label(p, START + 1).y is Label.UP
+        labels = build_labels(BROAD_SCOPE, p)
+        assert labels[START] is Label.DOWN
+        assert labels[START + 1] is Label.UP
 
     def test_zero_return_is_down(self):
-        assert broad_label(prices(50.0, 50.0), START).y is Label.DOWN
+        assert build_labels(BROAD_SCOPE, prices(50.0, 50.0)) == {START: Label.DOWN}
 
 
 class TestSectorSpread:
@@ -101,21 +94,20 @@ class TestSectorSpread:
 
     def test_spread_labels(self):
         scope = Scope("Communications")
-        lab = sector_label(
-            prices_with_ann_return(-17.90), prices_with_ann_return(-11.60), START, scope
-        )
-        assert lab.y is Label.DOWN
-        assert lab.spread == pytest.approx(-6.30, abs=0.005)
-        lab = sector_label(
-            prices_with_ann_return(124.67), prices_with_ann_return(79.97), START, scope
-        )
-        assert lab.y is Label.UP
+        # the sector falls less than the market's gain: its own return
+        # is positive, its spread negative, and the spread decides
+        sector, market = prices_with_ann_return(12.0), prices_with_ann_return(30.0)
+        assert ann_forward_return(sector, START) > 0.0
+        assert build_labels(scope, market, sector) == {START: Label.DOWN}
+        down = build_labels(scope, prices_with_ann_return(-11.60), prices_with_ann_return(-17.90))
+        assert down == {START: Label.DOWN}
+        up = build_labels(scope, prices_with_ann_return(79.97), prices_with_ann_return(124.67))
+        assert up == {START: Label.UP}
 
     def test_equal_returns_down(self):
         p = prices(*LEVELS)
-        lab = sector_label(p, p, START, Scope("Finance"))
-        assert lab.spread == 0.0
-        assert lab.y is Label.DOWN
+        assert sector_spread(p, p, START) == 0.0
+        assert build_labels(Scope("Finance"), p, p) == {START: Label.DOWN, START + 1: Label.DOWN}
 
     def test_antisymmetry(self):
         rng = random.Random(31)
@@ -128,19 +120,27 @@ class TestBuildLabels:
     def test_broad_coverage(self):
         p = prices(*LEVELS)
         labels = build_labels(BROAD_SCOPE, p)
-        assert [lab.quarter for lab in labels] == [START, START + 1]
-        assert [lab.y for lab in labels] == [Label.DOWN, Label.UP]
+        assert list(labels) == [START, START + 1]
+        assert list(labels.values()) == [Label.DOWN, Label.UP]
 
     def test_sector_needs_both_series(self):
         market = prices(*LEVELS)
         sector = prices(100.0, 90.0, start=START + 1)
         labels = build_labels(Scope("Finance"), market, sector)
-        assert [lab.quarter for lab in labels] == [START + 1]
+        assert list(labels) == [START + 1]
         with pytest.raises(DataError):
             build_labels(Scope("Finance"), market)
 
     def test_label_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            from pesignal.response import ResponseLabel
-
-            ResponseLabel(START, BROAD_SCOPE, -5.0, Label.UP)
+        # each label is the sign of the return that decides it: the
+        # market's own forward return, or a sector's spread over it
+        rng = random.Random(37)
+        market = prices(*(rng.uniform(50, 150) for _ in range(12)))
+        sector = prices(*(rng.uniform(50, 150) for _ in range(10)), start=START + 1)
+        broad = build_labels(BROAD_SCOPE, market)
+        assert broad == {t: label_of(ann_forward_return(market, t)) for t in quarter_range(START, START + 10)}
+        spread = build_labels(Scope("Finance"), market, sector)
+        assert spread == {
+            t: label_of(sector_spread(sector, market, t)) for t in quarter_range(START + 1, START + 9)
+        }
+        assert set(broad.values()) == set(spread.values()) == {Label.UP, Label.DOWN}

@@ -167,7 +167,7 @@ def test_labels_round_trip_through_prices():
 def test_labels_cover_every_generated_quarter():
     data = generate_dataset(SMALL)
     for labels in data.labels.values():
-        assert [lab.quarter for lab in labels] == list(
+        assert list(labels) == list(
             SMALL.start + k for k in range(SMALL.n_quarters)
         )
 
@@ -187,9 +187,9 @@ def test_huge_bias_forces_up_on_z_quarters():
     data = generate_dataset(spec)
     table = data.ztables[BROAD_SCOPE.name]
     z_quarters = {table.start + k for k in range(len(table.z))} - set(table.dropped)
-    for lab in data.labels[BROAD_SCOPE.name]:
-        if lab.quarter in z_quarters:
-            assert lab.y is Label.UP
+    for quarter, y in data.labels[BROAD_SCOPE.name].items():
+        if quarter in z_quarters:
+            assert y is Label.UP
 
 
 def test_zero_signal_up_fraction_near_half():

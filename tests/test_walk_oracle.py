@@ -3,27 +3,31 @@
 oracle_zscore_table and oracle_run are the z-table with one tuple row per
 kept quarter and the walk that planned each window from per-quarter dicts,
 as they stood before the z-table became one (quarters, d) array and
-windows became row slices of it. They are kept here with the row type
-they used, so the array walk is checked against the implementation whose
-outputs the CLI's byte-identical tables pin: every record field, every
-fit report field and every skip reason must be equal (==, not approx).
-Both walks share the fit kernel, which tests/test_fit_kernel.py checks
-against its own oracle.
+windows became row slices of it. They are kept here with the types they
+used: the row type, the schedule of ScheduleEntry quarter objects the
+walk followed, and the ResponseLabel objects it read labels from, built
+by oracle_labels. So the array walk is checked against the
+implementation whose outputs the CLI's byte-identical tables pin: every
+record field, every fit report field and every skip reason must be
+equal (==, not approx), and build_labels' quarter-to-Label map must hold
+exactly the oracle's labels. Both walks share the fit kernel, which
+tests/test_fit_kernel.py checks against its own oracle.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pesignal.backtest import BacktestConfig, BacktestResult, PredictionRecord, SkippedWindow, run, schedule
-from pesignal.errors import NumericalError
+from pesignal.backtest import BacktestConfig, BacktestResult, PredictionRecord, SkippedWindow, run
+from pesignal.errors import DataError, InsufficientHistoryError, NumericalError
 from pesignal.features import BROAD_SCOPE, RawFeatureRow, Scope, feature_names, feature_series
 from pesignal.logit import classify, fit_windows, prob_up
-from pesignal.quarters import Quarter, quarter_range
-from pesignal.response import Label, ResponseLabel
+from pesignal.quarters import Quarter, QuarterlySeries, quarter_count, quarter_range
+from pesignal.response import Label, ann_forward_return, build_labels, label_of, sector_spread
 from pesignal.standardize import build_zscore_table, zscore
 
 START = Quarter(2000, 1)
@@ -71,6 +75,89 @@ def oracle_zscore_table(feature_rows, window: int) -> OracleTable:
         else:
             rows.append(ZScoreRow(quarter, scope, zs))
     return OracleTable(scope, names, tuple(rows), tuple(dropped), zero_variance)
+
+
+@dataclass(frozen=True)
+class ScheduleEntry:
+    """One slide: estimate on [window_start, window_end], predict the next."""
+
+    window_start: Quarter
+    window_end: Quarter
+    predicted: Quarter
+
+
+def schedule(first: Quarter, last: Quarter, std_window: int, est_window: int) -> list:
+    """All one-ahead slides over the feature range [first, last].
+
+    The first std_window - 1 quarters only feed standardization, the
+    next est_window feed the first estimation window, and the quarter
+    after that is the first predicted one. The count works out to
+    quarter_count - std_window - est_window + 1.
+    """
+    if std_window < 2 or est_window < 2:
+        raise ValueError("std_window and est_window must both be at least 2")
+    n = quarter_count(first, last)
+    needed = std_window + est_window
+    if n < needed:
+        raise InsufficientHistoryError(
+            f"walk-forward needs at least {needed} quarters"
+            f" ({std_window} to standardize, {est_window} to estimate,"
+            f" predicting the one after), got {n}"
+        )
+    entries = []
+    for k in range(n - needed + 1):
+        window_start = first + (std_window - 1 + k)
+        window_end = window_start + (est_window - 1)
+        entries.append(ScheduleEntry(window_start, window_end, window_end + 1))
+    return entries
+
+
+@dataclass(frozen=True)
+class ResponseLabel:
+    """Label for quarter t, decided by prices through the end of t+1."""
+
+    quarter: Quarter
+    scope: Scope
+    ann_forward_return: float
+    y: Label
+    spread: float | None = None
+
+    def __post_init__(self):
+        decided_by = self.ann_forward_return if self.scope.is_broad else self.spread
+        if decided_by is None:
+            raise ValueError("sector labels need a spread")
+        if self.y is not label_of(decided_by):
+            raise ValueError(f"label {self.y} contradicts its return {decided_by!r}")
+
+
+def broad_label(prices: QuarterlySeries, t: Quarter) -> ResponseLabel:
+    ret = ann_forward_return(prices, t)
+    return ResponseLabel(t, BROAD_SCOPE, ret, label_of(ret))
+
+
+def sector_label(sector_prices, market_prices, t: Quarter, scope: Scope) -> ResponseLabel:
+    spread = sector_spread(sector_prices, market_prices, t)
+    ret = ann_forward_return(sector_prices, t)
+    return ResponseLabel(t, scope, ret, label_of(spread), spread=spread)
+
+
+def oracle_labels(scope: Scope, market_prices, sector_prices=None) -> list:
+    """build_labels as it stood, one ResponseLabel per labelable quarter."""
+    if not scope.is_broad and sector_prices is None:
+        raise DataError(f"sector scope {scope.name} needs sector prices")
+    needed = [market_prices] if scope.is_broad else [market_prices, sector_prices]
+    lo = max(s.start for s in needed)
+    hi = min(s.end for s in needed) - 1
+    labels = []
+    t = lo
+    while t <= hi:
+        if all(s.get(t) is not None and s.get(t + 1) is not None for s in needed):
+            if scope.is_broad:
+                labels.append(broad_label(market_prices, t))
+            else:
+                labels.append(sector_label(sector_prices, market_prices, t, scope))
+        t = t + 1
+    return labels
 
 
 def oracle_run(feature_rows, labels, config: BacktestConfig) -> BacktestResult:
@@ -203,7 +290,7 @@ def test_run_matches_the_object_walk(
         max_iter=max_iter,
         threshold=threshold,
     )
-    got = run(rows, labels, config)
+    got = run(rows, {lab.quarter: lab.y for lab in labels}, config)
     want = oracle_run(rows, labels, config)
     assert got.scope == want.scope
     assert got.skipped == want.skipped
@@ -233,3 +320,42 @@ def test_zscore_table_matches_the_tuple_rows(scope, window, extra, seed, coarse,
         assert tuple(table.row_at(quarter)) == z
     for quarter in table.dropped:
         assert table.row_at(quarter) is None
+
+
+def draw_prices(rng, start, n, hole_rate):
+    """n quarter-end levels from start; a level may be missing, and some
+    steps are flat, so some forward returns and spreads are exactly 0."""
+    values = []
+    for _ in range(n):
+        level = float(rng.choice([50.0, 60.0, rng.uniform(40, 80)]))
+        values.append(None if rng.random() < hole_rate else level)
+    return QuarterlySeries(start, tuple(values))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    scope=scopes,
+    seed=st.integers(0, 2**32 - 1),
+    n_market=st.integers(1, 16),
+    n_sector=st.integers(1, 16),
+    offset=st.integers(-4, 4),
+    hole_rate=rates,
+)
+def test_label_map_matches_the_label_objects(scope, seed, n_market, n_sector, offset, hole_rate):
+    rng = np.random.default_rng(seed)
+    market = draw_prices(rng, START, n_market, hole_rate)
+    sector = None if scope.is_broad else draw_prices(rng, START + offset, n_sector, hole_rate)
+    want = oracle_labels(scope, market, sector)
+    assert build_labels(scope, market, sector) == {lab.quarter: lab.y for lab in want}
+
+
+def test_run_raises_the_schedule_history_error():
+    # the array walk counts its windows without a schedule, and refuses
+    # too short a history with the schedule's own words
+    for n, t, ne in ((18, 12, 7), (9, 4, 6), (4, 2, 3)):
+        rows = draw_rows(np.random.default_rng(n), BROAD_SCOPE, n, 0.0, False)
+        with pytest.raises(InsufficientHistoryError) as want:
+            schedule(rows[0].quarter, rows[-1].quarter, t, ne)
+        with pytest.raises(InsufficientHistoryError) as got:
+            run(rows, {}, BacktestConfig(std_window=t, est_window=ne))
+        assert str(got.value) == str(want.value)
