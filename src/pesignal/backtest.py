@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DataError, InsufficientHistoryError, NumericalError
 from .features import Scope
 from .logit import FitConfig, FitReport, classify, fit_windows, prob_up

@@ -191,7 +191,7 @@ def _coerce(key: str, value):
         if value is None or isinstance(value, str):
             return value
         raise ValueError
-    except (TypeError, ValueError, DataError):
+    except (TypeError, ValueError, OverflowError, DataError):
         raise UsageError(f"bad value for {key!r}: {value!r}") from None
 
 
@@ -338,12 +338,12 @@ def cmd_features(config: RunConfig) -> int:
 
 
 def cmd_backtest(config: RunConfig) -> int:
+    bt_config = config.backtest_config()
     files = _Files(config)
     prices_path = config.prices_path()
     price_map = parse_prices(files.read(prices_path), config.price_format())
     market_prices = _series_for(price_map, BROAD_INDEX_NAME, prices_path)
     out = config.out_dir()
-    bt_config = config.backtest_config()
     for scope in config.scope_list():
         rows = read_feature_table(files.read(out / f"features_{_slug(scope.name)}.csv"))
         sector_prices = None if scope.is_broad else _series_for(price_map, scope.name, prices_path)

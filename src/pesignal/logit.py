@@ -26,8 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import NumericalError
 from .response import Label
 
@@ -55,10 +54,10 @@ class FitConfig:
     max_iter: int = 100_000
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be >= 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
+        if not 0 <= self.tolerance < math.inf:
+            raise ValueError("tolerance must be finite and >= 0")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
 

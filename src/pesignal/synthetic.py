@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from datetime import timedelta
+from datetime import MAXYEAR, MINYEAR, timedelta
 
-import numpy as np
-
+from ._numpy import np
 from .features import BROAD_SCOPE, Scope, build_feature_table, deals_by_quarter
 from .ingest import AumBucket, DealRecord, SECTOR_NAMES
 from .logit import LogitParams, prob_up
@@ -67,10 +66,15 @@ class SyntheticSpec:
             raise ValueError(f"n_sectors must lie in 1..{len(SECTOR_NAMES)}")
         if len(self.planted_w) != 5:
             raise ValueError("planted_w carries one weight per broad feature (5)")
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be >= 0")
-        if self.base_deal_intensity <= 0:
-            raise ValueError("base_deal_intensity must be > 0")
+        if not all(math.isfinite(v) for v in (*self.planted_w, self.planted_b)):
+            raise ValueError("planted_w and planted_b must be finite")
+        if not 0 <= self.noise_scale < math.inf:
+            raise ValueError("noise_scale must be finite and >= 0")
+        if not 0 < self.base_deal_intensity < math.inf:
+            raise ValueError("base_deal_intensity must be finite and > 0")
+        # every quarter's deals are dated
+        if not MINYEAR <= self.start.year <= self.last.year <= MAXYEAR:
+            raise ValueError(f"quarters {self.start} to {self.last} must lie in years {MINYEAR} to {MAXYEAR}")
 
     @property
     def last(self) -> Quarter:

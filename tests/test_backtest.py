@@ -364,3 +364,10 @@ class TestConfigValidation:
             BacktestConfig(threshold=1.5)
         with pytest.raises(ValueError):
             BacktestConfig(learning_rate=-1.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                BacktestConfig(learning_rate=bad)
+            with pytest.raises(ValueError, match="finite"):
+                BacktestConfig(tolerance=bad)
+            with pytest.raises(ValueError):
+                BacktestConfig(threshold=bad)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -146,11 +147,6 @@ class TestSynth:
         deals_b = (tmp_path / "b" / "deals.csv").read_bytes()
         assert deals_a != deals_b
 
-    def test_bad_synth_settings_are_usage_errors(self, tmp_path, capsys):
-        config = write_config(tmp_path, dict(SMALL, n_quarters=4))
-        assert main(["synth", "--config", config, "--out", str(tmp_path / "out")]) == 1
-        assert "usage error" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "scopes, message",
         [
@@ -235,6 +231,33 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert f"data error: feature table line 4: avg_aum is not finite: {cell!r}" in err
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, key, value, message",
+        [
+            pytest.param("synth", "n_quarters", 4, "need at least std_window + 2 = 8 quarters", id="n_quarters-4"),
+            pytest.param("synth", "n_quarters", 1e30, "quarters 2000Q1 to 2500000", id="n_quarters-1e30"),
+            pytest.param("synth", "seed", math.inf, "bad value for 'seed': inf", id="seed-inf"),
+            pytest.param("synth", "noise_scale", math.nan, "noise_scale must be finite", id="noise_scale-nan"),
+            pytest.param(
+                "synth", "base_deal_intensity", math.nan, "base_deal_intensity must be finite",
+                id="base_deal_intensity-nan",
+            ),
+            pytest.param(
+                "synth", "planted_w", [math.inf, 0, 0, 0, 0], "planted_w and planted_b must be finite",
+                id="planted_w-inf",
+            ),
+            pytest.param("synth", "planted_b", math.nan, "planted_w and planted_b must be finite", id="planted_b-nan"),
+            pytest.param("backtest", "eta", math.nan, "learning_rate must be finite", id="eta-nan"),
+            pytest.param("backtest", "tolerance", math.inf, "tolerance must be finite", id="tolerance-inf"),
+        ],
+    )
+    def test_bad_setting_is_a_usage_error(self, tmp_path, capsys, command, key, value, message):
+        config = write_config(tmp_path, dict(SMALL, **{key: value}))
+        out = tmp_path / "out"
+        assert main([command, "--config", config, "--out", str(out)]) == 1
+        assert f"usage error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         config = write_config(tmp_path, {"windows": 9})
@@ -509,6 +532,36 @@ class TestPinnedFeatureBytes:
         assert written == set(digests)
         for name, digest in digests.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_evaluate_help_and_usage_errors_never_load_numpy(tmp_path):
+    # each command is its own process, so numpy's import would dominate
+    # one that computes nothing; the features step shows the check can fail
+    out = run_pipeline(tmp_path, SMALL)
+    script = """
+import sys
+from pesignal.cli import main
+
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("numpy."))
+
+study = sys.argv[1:]
+assert main(["evaluate", *study]) == 0
+assert not loaded(), loaded()
+try:
+    main(["--help"])
+except SystemExit as exc:
+    assert exc.code == 0
+assert not loaded(), loaded()
+assert main(["synth", *study, "--seed", "-1"]) == 1
+assert not loaded(), loaded()
+assert main(["features", *study]) == 0
+assert loaded()
+"""
+    study = ["--config", str(tmp_path / "config.json"), "--out", str(out), "--scopes", ",".join(SMALL_SCOPES)]
+    result = subprocess.run([sys.executable, "-c", script, *study], capture_output=True, text=True, check=False)
+    assert result.returncode == 0, result.stderr
+    assert "usage error: seed must be >= 0" in result.stderr
 
 
 def test_module_entry_point_runs(tmp_path):

@@ -48,6 +48,16 @@ def test_spec_validation():
         SyntheticSpec(noise_scale=-0.1)
     with pytest.raises(ValueError):
         SyntheticSpec(base_deal_intensity=0.0)
+    for bad in (float("nan"), float("inf")):
+        for field in ("noise_scale", "base_deal_intensity", "planted_b"):
+            with pytest.raises(ValueError, match="finite"):
+                SyntheticSpec(**{field: bad})
+        with pytest.raises(ValueError, match="finite"):
+            SyntheticSpec(planted_w=(1.0, 1.0, bad, 1.0, 1.0))
+    # date() covers years 1 to 9999, and every quarter's deals are dated
+    for start, n_quarters in ((Quarter(0, 1), 68), (Quarter(2000, 1), 10**30), (Quarter(9990, 1), 68)):
+        with pytest.raises(ValueError, match="years 1 to 9999"):
+            SyntheticSpec(start=start, n_quarters=n_quarters)
 
 
 def test_same_seed_same_dataset():
