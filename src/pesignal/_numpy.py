@@ -1,8 +1,8 @@
 """numpy, bound lazily: it loads on the first attribute access.
 
-Each CLI command is its own process, and evaluate, --help and usage
-errors never touch an array, so they never pay numpy's import. Modules
-that compute bind ``from ._numpy import np``.
+Each CLI command is its own process, and features, evaluate, --help
+and usage errors never touch an array, so they never pay numpy's
+import. Modules that compute bind ``from ._numpy import np``.
 """
 
 import importlib.util

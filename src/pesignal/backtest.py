@@ -99,6 +99,7 @@ def run(feature_rows, labels, config: BacktestConfig = BacktestConfig()) -> Back
     quarter_count - std_window - est_window + 1 windows.
     """
     table = build_zscore_table(feature_rows, config.std_window)
+    z = np.array(table.z, dtype=float)  # a dropped row's None reads as NaN
     ne = config.est_window
     windows = len(table.z) - ne
     if windows <= 0:
@@ -108,7 +109,7 @@ def run(feature_rows, labels, config: BacktestConfig = BacktestConfig()) -> Back
             f" predicting the one after), got {len(feature_rows)}"
         )
     actual = [labels.get(table.start + k) for k in range(len(table.z))]
-    has_z = ~np.isnan(table.z).any(axis=1)
+    has_z = ~np.isnan(z).any(axis=1)
     usable = has_z & np.array([y is not None for y in actual])
     # each window gets its skip reason, or None when it is fitted in the batch
     plan = []
@@ -123,7 +124,7 @@ def run(feature_rows, labels, config: BacktestConfig = BacktestConfig()) -> Back
             plan.append(None)
     rows = np.flatnonzero([step is None for step in plan])[:, None] + np.arange(ne)
     y = np.array([lab is Label.UP for lab in actual], dtype=float)
-    outcomes = iter(fit_windows(table.z[rows], y[rows], config.fit_config()))
+    outcomes = iter(fit_windows(z[rows], y[rows], config.fit_config()))
     records = []
     skipped = []
     for k, step in enumerate(plan):
@@ -134,7 +135,7 @@ def run(feature_rows, labels, config: BacktestConfig = BacktestConfig()) -> Back
         if isinstance(outcome, str):
             skipped.append(SkippedWindow(quarter, outcome))
             continue
-        p = prob_up(table.z[k + ne], outcome.params)
+        p = prob_up(z[k + ne], outcome.params)
         records.append(
             PredictionRecord(
                 scope=table.scope,

@@ -359,6 +359,8 @@ def cmd_backtest(config: RunConfig) -> int:
 
 
 def cmd_evaluate(config: RunConfig) -> int:
+    # the threshold is the one fit setting evaluate reads; check it as backtest does
+    RunConfig(threshold=config.threshold).backtest_config()
     files = _Files(config)
     out = config.out_dir()
     reports = []

@@ -12,7 +12,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from datetime import date
+from datetime import MAXYEAR, MINYEAR, date
 
 from .errors import DataError
 
@@ -60,10 +60,10 @@ class Quarter:
 
     @classmethod
     def parse(cls, text: str) -> "Quarter":
-        """Accepts '2004Q3' or an ISO date inside the quarter ('2004-09-30')."""
+        """Accepts '2004Q3' in a year end_date can hold, or an ISO date inside the quarter."""
         text = text.strip()
         m = _QUARTER_RE.match(text)
-        if m:
+        if m and MINYEAR <= int(m.group(1)) <= MAXYEAR:
             return cls(int(m.group(1)), int(m.group(2)))
         try:
             return cls.of_date(date.fromisoformat(text))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._numpy import np
 from .errors import InsufficientHistoryError
 from .features import feature_names, feature_series
 from .quarters import Quarter, QuarterlySeries
@@ -68,23 +67,23 @@ def zscore(x: QuarterlySeries, window: int) -> ZScoreSeries:
 class ZScoreTable:
     """Standardized feature vectors plus row-level diagnostics.
 
-    z holds one row per quarter from start on and one column per name.
+    z holds one tuple of floats per quarter from start on, one per name.
     A quarter whose window held a missing raw value for some feature is
-    a NaN row and is listed in dropped; zero_variance lists (quarter,
-    feature) pairs where sigma = 0 forced z = 0.
+    dropped: its row is all None and it is listed in dropped.
+    zero_variance lists (quarter, feature) pairs where sigma = 0 forced z = 0.
     """
 
     scope: object
     names: tuple
     start: Quarter
-    z: np.ndarray
+    z: tuple
     dropped: tuple
     zero_variance: tuple
 
     def row_at(self, quarter: Quarter):
         """The quarter's z vector, or None when it is dropped or outside the table."""
         k = quarter - self.start
-        if 0 <= k < len(self.z) and not np.isnan(self.z[k]).any():
+        if 0 <= k < len(self.z) and self.z[k][0] is not None:
             return self.z[k]
         return None
 
@@ -99,11 +98,9 @@ def build_zscore_table(feature_rows, window: int) -> ZScoreTable:
         (quarter, name) for name in names for quarter in standardized[name].zero_variance
     )
     start = feature_rows[0].quarter + (window - 1)
-    # z series hold finite values or None, and None becomes NaN
-    z = np.array([standardized[name].series.values for name in names], dtype=float).T
-    missing = np.isnan(z).any(axis=1)
-    z[missing] = np.nan
-    dropped = tuple(start + int(k) for k in np.flatnonzero(missing))
+    rows = zip(*(standardized[name].series.values for name in names))
+    z = tuple((None,) * len(names) if None in row else row for row in rows)
+    dropped = tuple(start + k for k, row in enumerate(z) if row[0] is None)
     return ZScoreTable(scope, names, start, z, dropped, zero_variance)
 
 
@@ -111,7 +108,7 @@ def write_zscore_table(table: ZScoreTable, stream):
     """Emit the standardized table for audit, 6-decimal fixed."""
     stream.write(",".join(["scope", "quarter_end", *(f"z_{n}" for n in table.names)]) + "\n")
     for k, row in enumerate(table.z):
-        if not np.isnan(row).any():
+        if row[0] is not None:
             cells = [table.scope.name, (table.start + k).end_date().isoformat()]
             cells += [f"{z:.6f}" for z in row]
             stream.write(",".join(cells) + "\n")

@@ -208,7 +208,8 @@ class TestExitCodes:
         assert f'usage error: config file {config}: a manifest\'s "config" must be a JSON object' in err
 
     @pytest.mark.parametrize("key", ["first", "last", "start"])
-    @pytest.mark.parametrize("value", ["2001Q5", "garbage", 2001])
+    # year 0 matches the quarter pattern but has no end date
+    @pytest.mark.parametrize("value", ["2001Q5", "garbage", 2001, "0000Q1"])
     def test_quarter_that_does_not_parse_is_a_usage_error(self, tmp_path, capsys, key, value):
         config = write_config(tmp_path, dict(SMALL, **{key: value}))
         for command in ("synth", "features"):
@@ -250,6 +251,8 @@ class TestExitCodes:
             pytest.param("synth", "planted_b", math.nan, "planted_w and planted_b must be finite", id="planted_b-nan"),
             pytest.param("backtest", "eta", math.nan, "learning_rate must be finite", id="eta-nan"),
             pytest.param("backtest", "tolerance", math.inf, "tolerance must be finite", id="tolerance-inf"),
+            pytest.param("evaluate", "threshold", math.nan, "threshold must lie in [0, 1]", id="threshold-nan"),
+            pytest.param("evaluate", "threshold", 7, "threshold must lie in [0, 1]", id="threshold-7"),
         ],
     )
     def test_bad_setting_is_a_usage_error(self, tmp_path, capsys, command, key, value, message):
@@ -536,7 +539,8 @@ class TestPinnedFeatureBytes:
 
 def test_evaluate_help_and_usage_errors_never_load_numpy(tmp_path):
     # each command is its own process, so numpy's import would dominate
-    # one that computes nothing; the features step shows the check can fail
+    # one that computes nothing or only standardizes; the backtest step,
+    # which fits, shows the check can fail
     out = run_pipeline(tmp_path, SMALL)
     script = """
 import sys
@@ -556,6 +560,8 @@ assert not loaded(), loaded()
 assert main(["synth", *study, "--seed", "-1"]) == 1
 assert not loaded(), loaded()
 assert main(["features", *study]) == 0
+assert not loaded(), loaded()
+assert main(["backtest", *study]) == 0
 assert loaded()
 """
     study = ["--config", str(tmp_path / "config.json"), "--out", str(out), "--scopes", ",".join(SMALL_SCOPES)]

@@ -118,7 +118,7 @@ def broad_row(quarter, count, aum, wavg, rank, pe):
 
 def kept(table):
     """(quarter, z vector) for each row of the table that is not dropped."""
-    return [(table.start + k, row) for k, row in enumerate(table.z) if not np.isnan(row).any()]
+    return [(table.start + k, row) for k, row in enumerate(table.z) if None not in row]
 
 
 class TestZScoreTable:
@@ -143,7 +143,8 @@ class TestZScoreTable:
         table = build_zscore_table(self.make_rows(), 3)
         assert table.names == ("deal_count", "avg_aum", "weighted_avg_aum", "avg_fund_ranking", "market_pe")
         assert table.start == START + 2
-        assert table.z.shape == (6, 5)
+        assert len(table.z) == 6
+        assert all(len(row) == 5 and all(type(z) is float for z in row) for row in table.z)
         assert table.dropped == ()
         assert len(kept(table)) == 6
 
@@ -151,12 +152,12 @@ class TestZScoreTable:
         table = build_zscore_table(self.make_rows(hole=4), 3)
         assert table.dropped == (START + 4, START + 5, START + 6)
         assert [quarter for quarter, _ in kept(table)] == [START + 2, START + 3, START + 7]
-        assert np.isnan(table.z[2:5]).all()
+        assert table.z[2:5] == ((None,) * 5,) * 3
 
     def test_row_at_finds_kept_rows_only(self):
         table = build_zscore_table(self.make_rows(hole=4), 3)
         for quarter, row in kept(table):
-            assert np.array_equal(table.row_at(quarter), row)
+            assert table.row_at(quarter) == row
         assert table.row_at(START + 5) is None  # dropped for the hole
         assert table.row_at(START + 1) is None  # before the first full window
         assert table.row_at(START + 8) is None  # past the end

@@ -2,7 +2,7 @@
 
 oracle_zscore_table and oracle_run are the z-table with one tuple row per
 kept quarter and the walk that planned each window from per-quarter dicts,
-as they stood before the z-table became one (quarters, d) array and
+as they stood before the walk planned on one (quarters, d) z array and
 windows became row slices of it. They are kept here with the types they
 used: the row type, the schedule of ScheduleEntry quarter objects the
 walk followed, and the ResponseLabel objects it read labels from, built
@@ -311,13 +311,13 @@ def test_zscore_table_matches_the_tuple_rows(scope, window, extra, seed, coarse,
     rows = draw_rows(np.random.default_rng(seed), scope, window + extra, hole_rate, coarse)
     table = build_zscore_table(rows, window)
     want = oracle_zscore_table(rows, window)
-    kept = [(table.start + k, tuple(z)) for k, z in enumerate(table.z) if not np.isnan(z).any()]
+    kept = [(table.start + k, z) for k, z in enumerate(table.z) if None not in z]
     assert kept == [(row.quarter, row.z) for row in want.rows]
-    assert np.isnan(table.z[[quarter - table.start for quarter in table.dropped]]).all()
+    assert all(table.z[quarter - table.start] == (None,) * len(table.names) for quarter in table.dropped)
     assert table.start + len(table.z) - 1 == rows[-1].quarter
     assert (table.names, table.dropped, table.zero_variance) == (want.names, want.dropped, want.zero_variance)
     for quarter, z in kept:
-        assert tuple(table.row_at(quarter)) == z
+        assert table.row_at(quarter) == z
     for quarter in table.dropped:
         assert table.row_at(quarter) is None
 
