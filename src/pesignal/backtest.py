@@ -23,12 +23,12 @@ from .standardize import build_zscore_table
 
 
 @dataclass(frozen=True)
-class BacktestConfig:
+class BacktestConfig(FitConfig):
+    """Walk-forward settings. It extends FitConfig, so it carries the fit
+    settings too and is passed to the fit as is; build it by keyword."""
+
     std_window: int = 12
     est_window: int = 7
-    learning_rate: float = 1e-3
-    tolerance: float = 1e-6
-    max_iter: int = 100_000
     threshold: float = 0.5
 
     def __post_init__(self):
@@ -38,14 +38,7 @@ class BacktestConfig:
             raise ValueError("est_window must be at least 2 quarters")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
-        self.fit_config()
-
-    def fit_config(self) -> FitConfig:
-        return FitConfig(
-            learning_rate=self.learning_rate,
-            tolerance=self.tolerance,
-            max_iter=self.max_iter,
-        )
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -124,7 +117,7 @@ def run(feature_rows, labels, config: BacktestConfig = BacktestConfig()) -> Back
             plan.append(None)
     rows = np.flatnonzero([step is None for step in plan])[:, None] + np.arange(ne)
     y = np.array([lab is Label.UP for lab in actual], dtype=float)
-    outcomes = iter(fit_windows(z[rows], y[rows], config.fit_config()))
+    outcomes = iter(fit_windows(z[rows], y[rows], config))
     records = []
     skipped = []
     for k, step in enumerate(plan):

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .backtest import BacktestConfig, run, write_predictions, read_predictions
 from .errors import DataError, InsufficientHistoryError, NumericalError, UsageError
-from .evaluation import report, roc, scored_pairs, write_roc_points, write_scatter, write_score_reports
+from .evaluation import report, write_roc_points, write_scatter, write_score_reports
 from .features import Scope, build_feature_table, deals_by_quarter, read_feature_table, write_feature_table
 from .ingest import (
     BROAD_INDEX_NAME,
@@ -144,8 +144,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
-        out["scopes"] = list(self.scopes)
-        out["planted_w"] = list(self.planted_w)
         out["deal_columns"] = dict(self.deal_columns)
         out["price_columns"] = dict(self.price_columns)
         return out
@@ -311,6 +309,8 @@ def cmd_synth(config: RunConfig) -> int:
 
 
 def cmd_features(config: RunConfig) -> int:
+    # t is the one fit setting features reads; check it as backtest does
+    RunConfig(t=config.t).backtest_config()
     files = _Files(config)
     deals_path = config.deals_path()
     pe_path = config.pe_path()
@@ -377,12 +377,10 @@ def cmd_evaluate(config: RunConfig) -> int:
         reports.append(scope_report)
         for flag in scope_report.flags:
             log.warning("%s: %s", name, flag)
-        try:
-            curve = roc(scored_pairs(records))
-        except DataError as exc:
-            log.warning("%s: no ROC curve, %s", name, exc)
+        if scope_report.curve is None:
+            log.warning("%s: no ROC curve, AUC undefined: need at least one UP and one DOWN outcome", name)
         else:
-            files.write(out / f"roc_{_slug(name)}.csv", write_roc_points, curve)
+            files.write(out / f"roc_{_slug(name)}.csv", write_roc_points, scope_report.curve)
         if name != "ALL":
             files.write(out / f"scatter_{_slug(name)}.csv", write_scatter, records)
     files.write(out / "scores.jsonl", write_score_reports, reports)

@@ -10,7 +10,7 @@ half), which the tests exploit as an independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DataError
 from .response import Label
@@ -92,9 +92,9 @@ def confusion(pairs, threshold: float) -> tuple:
 class ScoreReport:
     """Scored-record summary for one scope (or the pooled 'ALL').
 
-    auc is None when only one outcome class appears; degenerate F1 and
-    missing AUC are named in flags so sweeps over many sectors stay
-    total.
+    auc and curve, the ROC curve auc is the area under, are None unless
+    both outcome classes appear; degenerate F1 and missing AUC are named
+    in flags so sweeps over many sectors stay total.
     """
 
     scope_name: str
@@ -109,6 +109,7 @@ class ScoreReport:
     tn: int
     fn: int
     flags: tuple = ()
+    curve: RocCurve | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.tp + self.fp + self.tn + self.fn != self.n:
@@ -126,12 +127,10 @@ def report(records, threshold: float, scope_name: str | None = None) -> ScoreRep
     tp, fp, tn, fn = confusion(pairs, threshold)
     flags = []
     try:
-        auc = roc(pairs).auc if pairs else None
-        if auc is None:
-            flags.append("no_scored_records")
+        curve = roc(pairs)
     except DataError:
-        auc = None
-        flags.append("single_class_auc")
+        curve = None
+        flags.append("single_class_auc" if pairs else "no_scored_records")
     precision = tp / (tp + fp) if tp + fp > 0 else None
     recall = tp / (tp + fn) if tp + fn > 0 else None
     if precision is None or recall is None or precision + recall == 0.0:
@@ -143,7 +142,7 @@ def report(records, threshold: float, scope_name: str | None = None) -> ScoreRep
         scope_name=scope_name,
         n=len(pairs),
         unscored=unscored,
-        auc=auc,
+        auc=None if curve is None else curve.auc,
         f1=score,
         precision=precision,
         recall=recall,
@@ -152,6 +151,7 @@ def report(records, threshold: float, scope_name: str | None = None) -> ScoreRep
         tn=tn,
         fn=fn,
         flags=tuple(flags),
+        curve=curve,
     )
 
 

@@ -12,7 +12,7 @@ import statistics
 from dataclasses import dataclass
 
 from .errors import DataError
-from .ingest import BROAD_INDEX_NAME, SECTOR_NAMES
+from .ingest import BROAD_INDEX_NAME, SECTOR_NAMES, AumBucket
 from .quarters import Quarter, QuarterlySeries, quarter_range
 
 BROAD_FEATURES = ("deal_count", "avg_aum", "weighted_avg_aum", "avg_fund_ranking", "market_pe")
@@ -88,13 +88,12 @@ def feature_names(scope: Scope) -> tuple:
     return BROAD_FEATURES if scope.is_broad else SECTOR_FEATURES
 
 
+_AUM_WEIGHTS = {AumBucket.LOW: 0.1, AumBucket.MID: 0.5, AumBucket.HIGH: 1.5}
+
+
 def aum_weight(aum: float) -> float:
     """Deal weight by investor size: 0.1 below $2B, 0.5 through $10B, 1.5 above."""
-    if aum < 2.0:
-        return 0.1
-    if aum <= 10.0:
-        return 0.5
-    return 1.5
+    return _AUM_WEIGHTS[AumBucket.of(aum)]
 
 
 def deals_by_quarter(deals) -> dict:
@@ -190,12 +189,12 @@ def feature_series(rows) -> dict:
     return series
 
 
-def format_value(value, decimals: int = 6) -> str:
+def format_value(value) -> str:
     if value is None:
         return "NA"
     if isinstance(value, int):
         return str(value)
-    return f"{value:.{decimals}f}"
+    return f"{value:.6f}"
 
 
 def write_feature_table(rows, stream):

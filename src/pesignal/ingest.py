@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from datetime import date
 
 from .errors import DataError
-from .quarters import Quarter, QuarterlySeries
+from .quarters import Quarter, QuarterlySeries, iso_date
 
 SECTOR_NAMES = (
     "Commercial Services",
@@ -60,6 +60,15 @@ class AumBucket(enum.Enum):
     LOW = 1.0
     MID = 6.0
     HIGH = 15.0
+
+    @classmethod
+    def of(cls, level: float) -> "AumBucket":
+        """The bucket of a level in $B: below 2 LOW, 2 through 10 MID, above 10 HIGH."""
+        if level < 2.0:
+            return cls.LOW
+        if level <= 10.0:
+            return cls.MID
+        return cls.HIGH
 
 
 _BUCKET_TAGS = {
@@ -161,7 +170,7 @@ def parse_date(text: str) -> date:
     """Accepts ISO 'YYYY-MM-DD' and 'MMM-DD-YY' ('Feb-12-08')."""
     raw = text.strip()
     try:
-        return date.fromisoformat(raw)
+        return iso_date(raw)
     except ValueError:
         pass
     parts = raw.split("-")

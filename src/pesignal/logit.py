@@ -102,39 +102,6 @@ def _loglik(z, y, w, b) -> float:
         return float(np.sum(y * s) - np.sum(_softplus(s)))
 
 
-def _grad(z, y, w, b):
-    with np.errstate(over="ignore", invalid="ignore"):
-        resid = y - _sigmoid(z @ w + b)
-        return z.T @ resid, float(resid.sum())
-
-
-def _window(z, y, params: LogitParams):
-    z, y = np.asarray(z, dtype=float), np.asarray(y, dtype=float)
-    if z.ndim != 2 or y.shape != z.shape[:1] or not len(y):
-        raise ValueError(f"need n >= 1 feature rows and n labels, got z {z.shape} and y {y.shape}")
-    if z.shape[1] != params.dim:
-        raise ValueError(f"feature dimension {z.shape[1]} != model dimension {params.dim}")
-    return z, y
-
-
-def log_likelihood(z, y, params: LogitParams) -> float:
-    """Exact log-likelihood of the 0/1 labels y of the rows of z under
-    the model, always <= 0."""
-    z, y = _window(z, y, params)
-    return _loglik(z, y, np.array(params.weights), params.bias)
-
-
-def gradient(z, y, params: LogitParams) -> tuple:
-    """Analytic gradient of log_likelihood: (dW, db).
-
-    dW_i = sum over rows of (y - P(UP|z)) z_i, and db is the same sum
-    without the feature factor.
-    """
-    z, y = _window(z, y, params)
-    dw, db = _grad(z, y, np.array(params.weights), params.bias)
-    return tuple(dw.tolist()), db
-
-
 def fit(z, y, config: FitConfig = FitConfig()) -> FitReport:
     """Gradient ascent on one window, z (n, d) and 0/1 labels y (n,):
     the batch-of-one case of fit_windows.

@@ -8,7 +8,6 @@ sentinel numbers.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -20,9 +19,18 @@ _QUARTER_END = {1: (3, 31), 2: (6, 30), 3: (9, 30), 4: (12, 31)}
 
 _QUARTER_RE = re.compile(r"^(\d{4})\s*[Qq]\s*([1-4])$")
 
+_ISO_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
-@functools.total_ordering
-@dataclass(frozen=True)
+
+def iso_date(text: str) -> date:
+    """The date written 'YYYY-MM-DD'. date.fromisoformat alone also takes
+    'YYYYMMDD' and week dates from Python 3.11 on; this takes neither."""
+    if not _ISO_DATE_RE.fullmatch(text):
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return date.fromisoformat(text)
+
+
+@dataclass(frozen=True, order=True)
 class Quarter:
     """One calendar quarter, e.g. Quarter(2004, 3) ending 2004-09-30."""
 
@@ -32,9 +40,6 @@ class Quarter:
     def __post_init__(self):
         if self.index not in (1, 2, 3, 4):
             raise ValueError(f"quarter index must be 1..4, got {self.index}")
-
-    def __lt__(self, other: "Quarter") -> bool:
-        return (self.year, self.index) < (other.year, other.index)
 
     def __add__(self, quarters: int) -> "Quarter":
         if not isinstance(quarters, int):
@@ -66,7 +71,7 @@ class Quarter:
         if m and MINYEAR <= int(m.group(1)) <= MAXYEAR:
             return cls(int(m.group(1)), int(m.group(2)))
         try:
-            return cls.of_date(date.fromisoformat(text))
+            return cls.of_date(iso_date(text))
         except ValueError:
             raise DataError(f"cannot parse quarter from {text!r}") from None
 
@@ -132,7 +137,7 @@ class QuarterlySeries:
     @classmethod
     def from_items(cls, items) -> "QuarterlySeries":
         """Build from (quarter, value) pairs; quarters must be consecutive."""
-        items = sorted(items, key=lambda kv: (kv[0].year, kv[0].index))
+        items = sorted(items, key=lambda kv: kv[0])
         if not items:
             raise DataError("cannot build a series from no observations")
         start = items[0][0]

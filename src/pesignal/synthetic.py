@@ -19,20 +19,19 @@ from dataclasses import dataclass, field
 from datetime import MAXYEAR, MINYEAR, timedelta
 
 from ._numpy import np
-from .features import BROAD_SCOPE, Scope, build_feature_table, deals_by_quarter
+from .features import BROAD_FEATURES, BROAD_SCOPE, Scope, build_feature_table, deals_by_quarter, feature_names
 from .ingest import AumBucket, DealRecord, SECTOR_NAMES
 from .logit import LogitParams, prob_up
 from .quarters import Quarter, QuarterlySeries
 from .response import Label, build_labels
 from .standardize import ZScoreTable, build_zscore_table
 
-# stream purposes; the broad market uses index _BROAD_STREAM
+# stream purposes (tests/oracles.py keys its samples with 6); the market uses index _BROAD_STREAM
 _P_INTENSITY = 1
 _P_AUM = 2
 _P_PE = 3
 _P_DEALS = 4
 _P_LABELS = 5
-_P_SAMPLES = 6
 _P_COUNTS = 7
 _BROAD_STREAM = 0xFFFFFFFF
 
@@ -87,54 +86,43 @@ class SyntheticSpec:
 def planted_params(spec: SyntheticSpec, scope: Scope) -> LogitParams:
     """Planted coefficients for a scope.
 
-    Sectors reuse the broad weights by shared feature name; the
-    sector-only columns inherit the leftover broad weights
-    (sector_count_pct takes the ranking weight, sector_pe the market
-    P/E weight).
+    planted_w holds one weight per broad feature, and sectors reuse them
+    by feature name; the sector-only columns inherit the leftover broad
+    weights (sector_count_pct takes the ranking weight, sector_pe the
+    market P/E weight).
     """
-    w = spec.planted_w
-    if scope.is_broad:
-        return LogitParams(tuple(w), spec.planted_b)
-    by_name = dict(zip(("deal_count", "avg_aum", "weighted_avg_aum", "avg_fund_ranking", "market_pe"), w))
-    sector_w = (
-        by_name["deal_count"],
-        by_name["avg_fund_ranking"],
-        by_name["avg_aum"],
-        by_name["weighted_avg_aum"],
-        by_name["market_pe"],
-        by_name["market_pe"],
-    )
-    return LogitParams(sector_w, spec.planted_b)
+    by_name = dict(zip(BROAD_FEATURES, spec.planted_w))
+    by_name.update(sector_count_pct=by_name["avg_fund_ranking"], sector_pe=by_name["market_pe"])
+    return LogitParams(tuple(by_name[name] for name in feature_names(scope)), spec.planted_b)
 
 
-def _ar1(rng: np.random.Generator, n: int, rho: float = 0.8, scale: float = 0.6) -> np.ndarray:
-    eps = rng.normal(size=n)
-    out = np.empty(n)
+def _roughen(spec: SyntheticSpec, base: np.ndarray, purpose: int, index: int, scale: float) -> np.ndarray:
+    """base, and when noise_scale > 0 base times exp(scale * noise_scale * x)
+    for the AR(1) path x_k = 0.8 x_(k-1) + 0.6 e_k, e standard normal from
+    the (purpose, index) stream."""
+    if spec.noise_scale == 0:
+        return base
+    eps = _stream(spec.seed, purpose, index).normal(size=spec.n_quarters)
+    ar = np.empty(spec.n_quarters)
     level = 0.0
-    for k in range(n):
-        level = rho * level + scale * eps[k]
-        out[k] = level
-    return out
+    for k in range(spec.n_quarters):
+        level = 0.8 * level + 0.6 * eps[k]
+        ar[k] = level
+    return base * np.exp(scale * spec.noise_scale * ar)
 
 
 def deal_intensity_path(spec: SyntheticSpec, sector_idx: int) -> np.ndarray:
     """Expected deals per quarter for one sector; positive and smooth."""
     k = np.arange(spec.n_quarters)
     base = spec.base_deal_intensity * (1.0 + 0.4 * np.sin(2 * np.pi * (k + 2 * sector_idx) / 12))
-    if spec.noise_scale == 0:
-        return base
-    ar = _ar1(_stream(spec.seed, _P_INTENSITY, sector_idx), spec.n_quarters)
-    return base * np.exp(0.25 * spec.noise_scale * ar)
+    return _roughen(spec, base, _P_INTENSITY, sector_idx, 0.25)
 
 
 def aum_level_path(spec: SyntheticSpec, sector_idx: int) -> np.ndarray:
     """Per-sector AUM level in $B around which deal AUMs scatter."""
     k = np.arange(spec.n_quarters)
     base = 4.0 * (1.0 + 0.5 * np.sin(2 * np.pi * (k + 3 * sector_idx) / 10))
-    if spec.noise_scale == 0:
-        return base
-    ar = _ar1(_stream(spec.seed, _P_AUM, sector_idx), spec.n_quarters)
-    return base * np.exp(0.25 * spec.noise_scale * ar)
+    return _roughen(spec, base, _P_AUM, sector_idx, 0.25)
 
 
 def rank_level_path(spec: SyntheticSpec, sector_idx: int) -> np.ndarray:
@@ -145,10 +133,7 @@ def rank_level_path(spec: SyntheticSpec, sector_idx: int) -> np.ndarray:
 def pe_path(spec: SyntheticSpec, stream_idx: int, phase: int) -> np.ndarray:
     k = np.arange(spec.n_quarters)
     base = 17.0 + 6.0 * np.sin(2 * np.pi * (k + 2 * phase) / 16)
-    if spec.noise_scale == 0:
-        return base
-    ar = _ar1(_stream(spec.seed, _P_PE, stream_idx), spec.n_quarters)
-    return base * np.exp(0.15 * spec.noise_scale * ar)
+    return _roughen(spec, base, _P_PE, stream_idx, 0.15)
 
 
 def quarter_deal_counts(spec: SyntheticSpec, sector_idx: int) -> list:
@@ -164,17 +149,17 @@ def quarter_deal_counts(spec: SyntheticSpec, sector_idx: int) -> list:
     return [int(rng.poisson(float(lam))) for lam in intensity]
 
 
+def _stream_index(scope: Scope) -> int:
+    return _BROAD_STREAM if scope.is_broad else SECTOR_NAMES.index(scope.sector)
+
+
 def generate_pe(spec: SyntheticSpec) -> dict:
     """One positive quarterly P/E series per scope name."""
-    series = {
-        BROAD_SCOPE.name: QuarterlySeries(
-            spec.start, tuple(float(v) for v in pe_path(spec, _BROAD_STREAM, 7))
-        )
-    }
-    for s, name in enumerate(SECTOR_NAMES[: spec.n_sectors]):
-        series[name] = QuarterlySeries(
-            spec.start, tuple(float(v) for v in pe_path(spec, s, s))
-        )
+    series = {}
+    for scope in spec.scopes():
+        index = _stream_index(scope)
+        path = pe_path(spec, index, 7 if scope.is_broad else index)
+        series[scope.name] = QuarterlySeries(spec.start, tuple(float(v) for v in path))
     return series
 
 
@@ -214,12 +199,7 @@ def generate_deals(spec: SyntheticSpec) -> list:
                     if j > 0 and u_missing < 0.05:
                         aum = None
                     elif u_bucket < 0.25:
-                        if value < 2.0:
-                            aum = AumBucket.LOW
-                        elif value <= 10.0:
-                            aum = AumBucket.MID
-                        else:
-                            aum = AumBucket.HIGH
+                        aum = AumBucket.of(value)
                     else:
                         aum = value
                     if j > 0 and u_rank < 0.2:
@@ -263,10 +243,6 @@ def generate_features(spec: SyntheticSpec, deals=None, pe=None) -> tuple:
     return features, ztables
 
 
-def _label_stream_index(scope: Scope) -> int:
-    return _BROAD_STREAM if scope.is_broad else SECTOR_NAMES.index(scope.sector)
-
-
 def generate_labels(
     ztable: ZScoreTable,
     params: LogitParams,
@@ -285,7 +261,7 @@ def generate_labels(
     """
     if not scope.is_broad and market_prices is None:
         raise ValueError("sector label generation needs the market price series")
-    rng = _stream(spec.seed, _P_LABELS, _label_stream_index(scope))
+    rng = _stream(spec.seed, _P_LABELS, _stream_index(scope))
     values = [100.0]
     drawn = []
     for k in range(spec.n_quarters):
@@ -329,29 +305,10 @@ def generate_dataset(spec: SyntheticSpec) -> SyntheticDataset:
     prices = {}
     labels = {}
     planted = {}
-    broad_params = planted_params(spec, BROAD_SCOPE)
-    planted[BROAD_SCOPE.name] = broad_params
-    market_labels, market_prices = generate_labels(
-        ztables[BROAD_SCOPE.name], broad_params, spec, BROAD_SCOPE
-    )
-    prices[BROAD_SCOPE.name] = market_prices
-    labels[BROAD_SCOPE.name] = market_labels
-    for scope in spec.scopes()[1:]:
-        params = planted_params(spec, scope)
-        planted[scope.name] = params
-        sector_labels, sector_prices = generate_labels(
-            ztables[scope.name], params, spec, scope, market_prices=market_prices
+    # spec.scopes() puts the market first, so every sector finds its prices
+    for scope in spec.scopes():
+        planted[scope.name] = planted_params(spec, scope)
+        labels[scope.name], prices[scope.name] = generate_labels(
+            ztables[scope.name], planted[scope.name], spec, scope, prices.get(BROAD_SCOPE.name)
         )
-        prices[scope.name] = sector_prices
-        labels[scope.name] = sector_labels
     return SyntheticDataset(spec, deals, prices, pe, features, ztables, labels, planted)
-
-
-def planted_samples(params: LogitParams, n: int, seed: int) -> tuple:
-    """n standard-normal feature draws z (n, d) and their 0/1 labels y
-    (n,), 1 for UP, drawn from the planted law."""
-    rng = _stream(seed, _P_SAMPLES)
-    z = rng.normal(size=(n, params.dim))
-    u = rng.random(n)
-    y = np.array([coin < prob_up(row, params) for row, coin in zip(z, u)], dtype=float)
-    return z, y

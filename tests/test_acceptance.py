@@ -13,16 +13,11 @@ from pesignal.backtest import BacktestConfig, run
 from pesignal.cli import main
 from pesignal.evaluation import roc, scored_pairs
 from pesignal.features import BROAD_SCOPE, Scope
-from pesignal.logit import (
-    FitConfig,
-    LogitParams,
-    fit,
-    gradient,
-    log_likelihood,
-)
+from pesignal.logit import FitConfig, LogitParams, fit
 from pesignal.quarters import Quarter, QuarterlySeries
 from pesignal.response import Label, build_labels, sector_spread, ann_forward_return
-from pesignal.synthetic import SyntheticSpec, generate_dataset, planted_samples
+from pesignal.synthetic import SyntheticSpec, generate_dataset
+from oracles import gradient, log_likelihood, planted_samples
 from test_fit_kernel import oracle_fit
 
 

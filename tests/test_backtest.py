@@ -86,7 +86,7 @@ class TestSchedule:
             # window k fits z rows k .. k+6, the 7 quarters just before the predicted one
             assert table.start + k == r.quarter - 7
             y = np.array([labels[q] is Label.UP for q in quarter_range(r.quarter - 7, r.quarter - 1)], dtype=float)
-            assert r.fit == fit(table.z[k : k + 7], y, config.fit_config())
+            assert r.fit == fit(table.z[k : k + 7], y, config)
 
     def test_minimal_history_single_prediction(self):
         assert walk(broad_rows(19), BacktestConfig(std_window=12, est_window=7, max_iter=20)) == [Quarter(2004, 3)]

@@ -249,6 +249,7 @@ class TestExitCodes:
                 id="planted_w-inf",
             ),
             pytest.param("synth", "planted_b", math.nan, "planted_w and planted_b must be finite", id="planted_b-nan"),
+            pytest.param("features", "t", 1, "std_window must be at least 2 quarters", id="t-1"),
             pytest.param("backtest", "eta", math.nan, "learning_rate must be finite", id="eta-nan"),
             pytest.param("backtest", "tolerance", math.inf, "tolerance must be finite", id="tolerance-inf"),
             pytest.param("evaluate", "threshold", math.nan, "threshold must lie in [0, 1]", id="threshold-nan"),
@@ -491,6 +492,9 @@ PINNED_FEATURE_DIGESTS = {
     "dense": (
         {"seed": 3},
         {
+            "deals.csv": "60a4f49f6f44c924b3b866bb6b30c6cb470b18941b3513ffa2b9f8ee380a9cac",
+            "prices.csv": "4662b7c77376e11efa09c6d001fb402d6e93a2a4b50933a0b0255c2edec81509",
+            "pe.csv": "65395ce0ed77783925008b4be8e65d8be98abee4225e7c7fb42a1a8ca82d4405",
             "features_market.csv": "109241890fadb8bb048c0bb3eba63bc1b99659db4fe5c8828517467341df32a8",
             "features_commercial_services.csv": "fb65ff45deae2de9fddbbca54a38369f5f4b2fd9a9516fbd44b0a420abf07ecc",
             "features_communications.csv": "048cc88d6495d187c5dac7e4525da38b6d84b4c77fda84339d86c5f645e7ee1b",
@@ -506,6 +510,9 @@ PINNED_FEATURE_DIGESTS = {
     "sparse": (
         {"seed": 3, "base_deal_intensity": 4.0},
         {
+            "deals.csv": "85f6b26f9d077cdfcea42484832b66351270afd09784328c9eb2bdd9796cd5b1",
+            "prices.csv": "933176d6fd98a68942a804871be62bf810258c65e6349755502b2a6ab85162af",
+            "pe.csv": "65395ce0ed77783925008b4be8e65d8be98abee4225e7c7fb42a1a8ca82d4405",
             "features_market.csv": "a29a121db8a7f9d8f75eb6e58e578b606851d49a1d0f826c137902c7c9af17aa",
             "features_commercial_services.csv": "1c1f73a511957ed4516910640de8f3c3aecf2f3115edb34b91478c2b79c72c6a",
             "features_communications.csv": "3fe38ad342d91a362f669793027a608544d623ff39892c0c029d53fc845b7441",
@@ -522,17 +529,17 @@ PINNED_FEATURE_DIGESTS = {
 class TestPinnedFeatureBytes:
     @pytest.mark.parametrize("case", sorted(PINNED_FEATURE_DIGESTS))
     def test_features_for_all_scopes_match_pinned_digests(self, tmp_path, case):
-        # 68 quarters and 3 sectors. The digests were pinned from the
-        # per-quarter scan over all deals; aggregating from deals grouped
-        # by quarter must reproduce them byte for byte.
+        # 68 quarters and 3 sectors. The feature and z-score digests were
+        # pinned from the per-quarter scan over all deals; aggregating from
+        # deals grouped by quarter must reproduce them byte for byte. The
+        # synth files' digests pin the generator itself.
         settings, digests = PINNED_FEATURE_DIGESTS[case]
         config = write_config(tmp_path, settings)
         out = tmp_path / "out"
         scopes = "Market,Commercial Services,Communications,Consumer Durables"
         for command in ("synth", "features"):
             assert main([command, "--config", config, "--out", str(out), "--scopes", scopes]) == 0, command
-        written = {p.name for p in out.glob("*.csv") if p.name.startswith(("features_", "zscores_"))}
-        assert written == set(digests)
+        assert {p.name for p in out.glob("*.csv")} == set(digests)
         for name, digest in digests.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 

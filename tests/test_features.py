@@ -141,6 +141,12 @@ class TestAumWeight:
         assert aum_weight(10.0) == 0.5
         assert aum_weight(10.01) == 1.5
 
+    def test_buckets_share_the_boundaries(self):
+        assert AumBucket.of(1.99) is AumBucket.LOW
+        assert AumBucket.of(2.0) is AumBucket.MID
+        assert AumBucket.of(10.0) is AumBucket.MID
+        assert AumBucket.of(10.01) is AumBucket.HIGH
+
 
 class TestCounts:
     def test_scope_and_quarter_filters(self):

@@ -48,6 +48,22 @@ class TestFieldParsers:
             with pytest.raises(DataError):
                 parse_date(bad)
 
+    @pytest.mark.parametrize("text", ["20040930", "2004-W39-4"])
+    def test_date_rejects_other_iso_forms(self, text):
+        # date.fromisoformat takes both from Python 3.11 on and neither
+        # before, so a deal file would keep or drop rows by interpreter
+        with pytest.raises(DataError, match=f"cannot parse date '{text}'"):
+            parse_date(text)
+        parsed = parse_deals(deals_io(f"C1,Co,Finance,{text},3.5,1.0"))
+        assert parsed.records == [] and len(parsed.issues) == 1
+
+    def test_bad_date_messages(self):
+        # the benchmark's malformed deal rows carry these two dates
+        for bad in ("2004-13-45", "sometime in 2003"):
+            with pytest.raises(DataError) as caught:
+                parse_date(bad)
+            assert str(caught.value) == f"cannot parse date {bad!r}"
+
     def test_aum_buckets(self):
         assert parse_aum("AUM>10") is AumBucket.HIGH
         assert parse_aum("2<AUM<10") is AumBucket.MID

@@ -13,11 +13,10 @@ from pesignal.logit import (
     classify,
     fit,
     fit_report_line,
-    gradient,
-    log_likelihood,
     prob_up,
 )
 from pesignal.response import Label
+from oracles import gradient, log_likelihood
 from test_fit_kernel import oracle_fit
 
 

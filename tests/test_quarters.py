@@ -55,6 +55,10 @@ class TestQuarter:
             Quarter.parse("2004Q5")
         with pytest.raises(DataError):
             Quarter.parse("nonsense")
+        # forms date.fromisoformat takes from Python 3.11 on
+        for text in ("20040930", "2004-W39-4"):
+            with pytest.raises(DataError, match="cannot parse quarter"):
+                Quarter.parse(text)
 
     def test_str(self):
         assert str(Quarter(2004, 3)) == "2004Q3"

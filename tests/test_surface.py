@@ -7,8 +7,8 @@ it: another src/pesignal module, the rest of its own module, bench/
 the README's "Library use" example. Methods are matched by attribute
 name, except that an attribute of a module bound by ``import`` (``np.zeros``,
 ``math.fsum``) belongs to that module and refers to nothing here. A name
-that only tests reach is dead weight in the library; it goes, unless it
-is a test oracle listed in ORACLES with its reason.
+that only tests reach is dead weight in the library; it goes, and a test
+oracle lives in tests/.
 """
 
 import ast
@@ -16,12 +16,6 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-
-ORACLES = {
-    "logit.gradient": "analytic gradient checked against finite differences (acceptance criteria 4, 5)",
-    "logit.log_likelihood": "the likelihood differentiated by finite differences (acceptance criterion 4)",
-    "synthetic.planted_samples": "draws from a planted logit law for weight recovery (acceptance criterion 7)",
-}
 
 
 def _imported_modules(tree) -> set:
@@ -87,9 +81,5 @@ def unreached() -> list:
     return sorted(found)
 
 
-def test_every_public_name_is_reached_or_an_oracle():
-    found = unreached()
-    helpers = [name for name in found if name not in ORACLES]
-    assert helpers == [], "public names only tests reach: delete them or list them in ORACLES"
-    stale = sorted(set(ORACLES) - set(found))
-    assert stale == [], "ORACLES entries that are gone or now reached: drop them"
+def test_every_public_name_is_reached():
+    assert unreached() == [], "public names only tests reach: delete them or move them to tests/"

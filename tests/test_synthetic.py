@@ -26,9 +26,9 @@ from pesignal.synthetic import (
     generate_pe,
     pe_path,
     planted_params,
-    planted_samples,
     quarter_deal_counts,
 )
+from oracles import planted_samples
 
 SMALL = SyntheticSpec(seed=7, n_quarters=20, n_sectors=2, std_window=6)
 

@@ -191,7 +191,7 @@ def oracle_run(feature_rows, labels, config: BacktestConfig) -> BacktestResult:
     shape = (len(batch), config.est_window)
     z = np.array([[zs for zs, _ in samples] for samples in batch], dtype=float).reshape(*shape, len(table.names))
     y = np.array([[1.0 if y is Label.UP else 0.0 for _, y in samples] for samples in batch]).reshape(shape)
-    outcomes = iter(fit_windows(z, y, config.fit_config()))
+    outcomes = iter(fit_windows(z, y, config))
     records = []
     skipped = []
     for entry, step in zip(entries, plan):
