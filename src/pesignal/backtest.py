@@ -10,9 +10,9 @@ zero; windows share no state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._numpy import np
+from ._record import NamedTuple, checked
 from .errors import DataError, InsufficientHistoryError, NumericalError
 from .features import Scope
 from .logit import FitConfig, FitReport, classify, fit_windows, prob_up
@@ -22,27 +22,29 @@ from .response import Label
 from .standardize import build_zscore_table
 
 
-@dataclass(frozen=True)
-class BacktestConfig(FitConfig):
-    """Walk-forward settings. It extends FitConfig, so it carries the fit
-    settings too and is passed to the fit as is; build it by keyword."""
+@checked
+class BacktestConfig(NamedTuple):
+    """FitConfig's fields and checks, then walk-forward settings, so the fit takes it as is; build by keyword."""
 
+    learning_rate: float = FitConfig._field_defaults["learning_rate"]
+    tolerance: float = FitConfig._field_defaults["tolerance"]
+    max_iter: int = FitConfig._field_defaults["max_iter"]
     std_window: int = 12
     est_window: int = 7
     threshold: float = 0.5
 
-    def __post_init__(self):
+    def _check(self):
         if self.std_window < 2:
             raise ValueError("std_window must be at least 2 quarters")
         if self.est_window < 2:
             raise ValueError("est_window must be at least 2 quarters")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
-        super().__post_init__()
+        FitConfig._check(self)
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
+@checked
+class PredictionRecord(NamedTuple):
     """One out-of-sample prediction.
 
     actual is None when the trailing price needed to score the quarter
@@ -56,7 +58,7 @@ class PredictionRecord:
     actual: Label | None
     fit: FitReport | None = None
 
-    def __post_init__(self):
+    def _check(self):
         if not (math.isfinite(self.p_up) and 0.0 <= self.p_up <= 1.0):
             raise ValueError(f"p_up must lie in [0, 1], got {self.p_up!r}")
 
@@ -65,14 +67,12 @@ class PredictionRecord:
         return None if self.actual is None else self.predicted is self.actual
 
 
-@dataclass(frozen=True)
-class SkippedWindow:
+class SkippedWindow(NamedTuple):
     predicted: Quarter
     reason: str
 
 
-@dataclass(frozen=True)
-class BacktestResult:
+class BacktestResult(NamedTuple):
     scope: Scope
     records: tuple
     skipped: tuple
@@ -134,7 +134,8 @@ def run(feature_rows, labels, config: BacktestConfig = BacktestConfig()) -> Back
                 scope=table.scope,
                 quarter=quarter,
                 p_up=p,
-                predicted=classify(p, config.threshold),
+                # classify what write_predictions writes, as evaluate reads it back
+                predicted=classify(float(f"{p:.6f}"), config.threshold),
                 actual=actual[k + ne],
                 fit=outcome,
             )

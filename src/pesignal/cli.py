@@ -12,16 +12,14 @@ accepted as --config for reruns.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import io
 import json
-import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
+from ._record import NamedTuple
 from .backtest import BacktestConfig, run, write_predictions, read_predictions
 from .errors import DataError, InsufficientHistoryError, NumericalError, UsageError
 from .evaluation import report, write_roc_points, write_scatter, write_score_reports
@@ -43,17 +41,19 @@ from .response import build_labels
 from .standardize import build_zscore_table, write_zscore_table
 from .synthetic import SyntheticSpec, generate_dataset
 
-log = logging.getLogger("pesignal")
+
+def _log(message: str, *args):
+    print(message % args, file=sys.stderr)
+
 
 # the column names a config may remap: each file format's fields but the delimiter
 _COLUMN_KEYS = {
-    key: {f.name for f in dataclasses.fields(fmt)} - {"delimiter"}
+    key: set(fmt._fields) - {"delimiter"}
     for key, fmt in (("deal_columns", DealFileFormat), ("price_columns", PriceFileFormat))
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Fully resolved settings for one command invocation."""
 
     deals: str | None = None
@@ -143,23 +143,20 @@ class RunConfig:
             raise UsageError(str(exc)) from None
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
+        out = self._asdict()
         out["deal_columns"] = dict(self.deal_columns)
         out["price_columns"] = dict(self.price_columns)
         return out
 
 
-_INT_KEYS = {"t", "ne", "max_iter", "seed", "n_quarters", "n_sectors"}
-_FLOAT_KEYS = {"eta", "tolerance", "threshold", "noise_scale", "base_deal_intensity", "planted_b"}
-
-
 def _coerce(key: str, value):
+    kind = type(RunConfig._field_defaults[key])
     try:
-        if key in _INT_KEYS:
+        if kind is int:
             if isinstance(value, bool) or value != int(value):
                 raise ValueError
             return int(value)
-        if key in _FLOAT_KEYS:
+        if kind is float:
             if isinstance(value, bool):
                 raise ValueError
             return float(value)
@@ -167,7 +164,7 @@ def _coerce(key: str, value):
             if not isinstance(value, str) or len(value) != 1:
                 raise ValueError
             return value
-        if key == "strict":
+        if kind is bool:
             if not isinstance(value, bool):
                 raise ValueError
             return value
@@ -216,11 +213,10 @@ def load_config_file(path) -> dict:
 
 def resolve_config(file_settings: dict, overrides: dict) -> RunConfig:
     """Defaults, then the config file, then flags; flags win."""
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
     merged = {}
     for source in (file_settings, overrides):
         for key, value in source.items():
-            if key not in fields:
+            if key not in RunConfig._fields:
                 raise UsageError(f"unknown config key {key!r}")
             merged[key] = _coerce(key, value)
     return RunConfig(**merged)
@@ -292,8 +288,7 @@ def cmd_synth(config: RunConfig) -> int:
         if scope not in made:
             raise UsageError(f"scope {scope.name!r} is not synthesized with n_sectors = {spec.n_sectors}")
     data = generate_dataset(spec)
-    config = dataclasses.replace(
-        config,
+    config = config._replace(
         scopes=tuple(s.name for s in made),
         deals=str(config.deals_path()),
         prices=str(config.prices_path()),
@@ -303,7 +298,7 @@ def cmd_synth(config: RunConfig) -> int:
     files.write(config.deals_path(), write_deals, data.deals, fmt=config.deal_format())
     files.write(config.prices_path(), write_prices, data.prices, fmt=config.price_format())
     files.write(config.pe_path(), write_prices, data.pe, fmt=config.price_format())
-    log.info("synth: %d deals, %d scopes, %d quarters", len(data.deals), len(made), spec.n_quarters)
+    _log("synth: %d deals, %d scopes, %d quarters", len(data.deals), len(made), spec.n_quarters)
     files.manifest("synth")
     return 0
 
@@ -316,7 +311,7 @@ def cmd_features(config: RunConfig) -> int:
     pe_path = config.pe_path()
     parsed = parse_deals(files.read(deals_path), config.deal_format(), strict=config.strict)
     for issue in parsed.issues:
-        log.warning("%s %s", deals_path, issue)
+        _log("%s %s", deals_path, issue)
     buckets = deals_by_quarter(first_deals(parsed.records))
     pe_map = parse_prices(files.read(pe_path), config.price_format())
     market_pe = _series_for(pe_map, BROAD_INDEX_NAME, pe_path)
@@ -328,9 +323,9 @@ def cmd_features(config: RunConfig) -> int:
         rows = build_feature_table(buckets, scope, first, last, market_pe, sector_pe)
         table = build_zscore_table(rows, config.t)
         if table.dropped:
-            log.warning("%s: %d quarters dropped for missing features", scope.name, len(table.dropped))
+            _log("%s: %d quarters dropped for missing features", scope.name, len(table.dropped))
         if table.zero_variance:
-            log.warning("%s: %d zero-variance windows pinned to z=0", scope.name, len(table.zero_variance))
+            _log("%s: %d zero-variance windows pinned to z=0", scope.name, len(table.zero_variance))
         files.write(out / f"features_{_slug(scope.name)}.csv", write_feature_table, rows)
         files.write(out / f"zscores_{_slug(scope.name)}.csv", write_zscore_table, table)
     files.manifest("features")
@@ -350,9 +345,9 @@ def cmd_backtest(config: RunConfig) -> int:
         labels = build_labels(scope, market_prices, sector_prices)
         result = run(rows, labels, bt_config)
         for skip in result.skipped:
-            log.warning("%s %s: skipped, %s", scope.name, skip.predicted, skip.reason)
+            _log("%s %s: skipped, %s", scope.name, skip.predicted, skip.reason)
         for record in result.records:
-            log.info("%s %s %s", scope.name, record.quarter, fit_report_line(record.fit))
+            _log("%s %s %s", scope.name, record.quarter, fit_report_line(record.fit))
         files.write(out / f"predictions_{_slug(scope.name)}.csv", write_predictions, result.records)
     files.manifest("backtest")
     return 0
@@ -376,9 +371,9 @@ def cmd_evaluate(config: RunConfig) -> int:
         scope_report = report(records, config.threshold, scope_name=name)
         reports.append(scope_report)
         for flag in scope_report.flags:
-            log.warning("%s: %s", name, flag)
+            _log("%s: %s", name, flag)
         if scope_report.curve is None:
-            log.warning("%s: no ROC curve, AUC undefined: need at least one UP and one DOWN outcome", name)
+            _log("%s: no ROC curve, AUC undefined: need at least one UP and one DOWN outcome", name)
         else:
             files.write(out / f"roc_{_slug(name)}.csv", write_roc_points, scope_report.curve)
         if name != "ALL":
@@ -425,7 +420,6 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     try:
         args = _build_parser().parse_args(argv)
         file_settings = load_config_file(args.config) if args.config else {}

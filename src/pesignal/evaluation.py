@@ -10,8 +10,8 @@ half), which the tests exploit as an independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from ._record import NamedTuple, checked
 from .errors import DataError
 from .response import Label
 
@@ -27,14 +27,14 @@ def _trapezoid(points) -> float:
     )
 
 
-@dataclass(frozen=True)
-class RocCurve:
+@checked
+class RocCurve(NamedTuple):
     """Threshold-sweep curve from (0,0) to (1,1), fpr non-decreasing."""
 
     points: tuple
     auc: float
 
-    def __post_init__(self):
+    def _check(self):
         if not self.points or self.points[0] != (0.0, 0.0) or self.points[-1] != (1.0, 1.0):
             raise ValueError("ROC must run from (0,0) to (1,1)")
         for (x0, _), (x1, _) in zip(self.points, self.points[1:]):
@@ -88,8 +88,8 @@ def confusion(pairs, threshold: float) -> tuple:
     return tp, fp, tn, fn
 
 
-@dataclass(frozen=True)
-class ScoreReport:
+@checked
+class ScoreReport(NamedTuple):
     """Scored-record summary for one scope (or the pooled 'ALL').
 
     auc and curve, the ROC curve auc is the area under, are None unless
@@ -109,9 +109,9 @@ class ScoreReport:
     tn: int
     fn: int
     flags: tuple = ()
-    curve: RocCurve | None = field(default=None, repr=False)
+    curve: RocCurve | None = None
 
-    def __post_init__(self):
+    def _check(self):
         if self.tp + self.fp + self.tn + self.fn != self.n:
             raise ValueError("confusion counts must sum to the scored count")
 

@@ -8,9 +8,8 @@ per scope so downstream weights stay interpretable.
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass
 
+from ._record import NamedTuple, checked
 from .errors import DataError
 from .ingest import BROAD_INDEX_NAME, SECTOR_NAMES, AumBucket
 from .quarters import Quarter, QuarterlySeries, quarter_range
@@ -26,13 +25,13 @@ SECTOR_FEATURES = (
 )
 
 
-@dataclass(frozen=True)
-class Scope:
+@checked
+class Scope(NamedTuple):
     """Aggregation scope: a sector name, or None for the broad market."""
 
     sector: str | None = None
 
-    def __post_init__(self):
+    def _check(self):
         if self.sector is not None and self.sector not in SECTOR_NAMES:
             raise ValueError(f"unknown sector {self.sector!r}")
 
@@ -58,8 +57,8 @@ class Scope:
 BROAD_SCOPE = Scope()
 
 
-@dataclass(frozen=True)
-class RawFeatureRow:
+@checked
+class RawFeatureRow(NamedTuple):
     """One quarter of raw (unstandardized) features for one scope.
 
     avg_aum and weighted_avg_aum are None exactly when no deal in the
@@ -77,7 +76,7 @@ class RawFeatureRow:
     sector_count_pct: float | None = None
     sector_pe: float | None = None
 
-    def __post_init__(self):
+    def _check(self):
         if self.deal_count < 0:
             raise ValueError("deal_count must be >= 0")
         if self.sector_count_pct is not None and not 0.0 <= self.sector_count_pct <= 100.0:
@@ -109,9 +108,12 @@ def matching_deals(bucket, scope: Scope) -> list:
 
 
 def _mean(values) -> float | None:
-    # statistics.mean is exact on rationals, so an all-equal input
-    # returns its value bit for bit.
-    return statistics.mean(values) if values else None
+    """statistics.mean of floats, bit for bit: one int / int over a common power-of-two denominator."""
+    if not values:
+        return None
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    return sum(n * (den // d) for n, d in ratios) / (den * len(ratios))
 
 
 def _weighted_mean(aums) -> float | None:

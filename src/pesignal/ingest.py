@@ -10,9 +10,9 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, field
 from datetime import date
 
+from ._record import NamedTuple, checked
 from .errors import DataError
 from .quarters import Quarter, QuarterlySeries, iso_date
 
@@ -87,8 +87,8 @@ _CANONICAL_BUCKET_TAG = {
 }
 
 
-@dataclass(frozen=True)
-class DealRecord:
+@checked
+class DealRecord(NamedTuple):
     """One investment round into a portfolio company.
 
     investor_aum is a numeric level in $B, an AumBucket, or None when
@@ -105,7 +105,7 @@ class DealRecord:
     investor_rank: float | None = None
     investor: str = ""
 
-    def __post_init__(self):
+    def _check(self):
         if not self.company_id:
             raise ValueError("company_id must be nonempty")
         if self.sector not in _VALID_SECTORS:
@@ -126,8 +126,7 @@ class DealRecord:
         return float(self.investor_aum)
 
 
-@dataclass(frozen=True)
-class DealFileFormat:
+class DealFileFormat(NamedTuple):
     """Column names and delimiter of a deal export."""
 
     delimiter: str = ","
@@ -140,16 +139,14 @@ class DealFileFormat:
     investor: str = "investor"
 
 
-@dataclass(frozen=True)
-class PriceFileFormat:
+class PriceFileFormat(NamedTuple):
     delimiter: str = ","
     index_name: str = "index_name"
     date: str = "date"
     value: str = "value"
 
 
-@dataclass(frozen=True)
-class RowIssue:
+class RowIssue(NamedTuple):
     """Diagnostic for one rejected input row."""
 
     line: int
@@ -160,10 +157,9 @@ class RowIssue:
         return f"line {self.line}, column {self.column}: {self.message}"
 
 
-@dataclass
-class ParsedDeals:
-    records: list = field(default_factory=list)
-    issues: list = field(default_factory=list)
+class ParsedDeals(NamedTuple):
+    records: list
+    issues: list
 
 
 def parse_date(text: str) -> date:
@@ -174,16 +170,15 @@ def parse_date(text: str) -> date:
     except ValueError:
         pass
     parts = raw.split("-")
-    if len(parts) == 3 and parts[0].lower() in _MONTHS:
+    if len(parts) == 3 and parts[0].lower() in _MONTHS and len(parts[2]) == 2 and parts[2].isdigit():
         month = _MONTHS[parts[0].lower()]
         try:
             day = int(parts[1])
             year = int(parts[2])
         except ValueError:
             raise DataError(f"cannot parse date {text!r}") from None
-        if len(parts[2]) == 2:
-            # Two-digit years pivot at 69: 00-68 -> 2000s, 69-99 -> 1900s.
-            year += 2000 if year < 69 else 1900
+        # Two-digit years pivot at 69: 00-68 -> 2000s, 69-99 -> 1900s.
+        year += 2000 if year < 69 else 1900
         try:
             return date(year, month, day)
         except ValueError:
@@ -249,7 +244,7 @@ def parse_deals(stream, fmt: DealFileFormat = DealFileFormat(), strict: bool = F
         "deal file",
     )
     has_investor = fmt.investor in reader.fieldnames
-    result = ParsedDeals()
+    result = ParsedDeals([], [])
 
     def reject(column: str, message: str):
         issue = RowIssue(reader.line_num, column, message)

@@ -24,36 +24,36 @@ transpose all do. ``np.matvec``/``np.vecmat`` would match but need numpy
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._numpy import np
+from ._record import NamedTuple, checked
 from .errors import NumericalError
 from .response import Label
 
 
-@dataclass(frozen=True)
-class LogitParams:
+@checked
+class LogitParams(NamedTuple):
     weights: tuple
     bias: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        object.__setattr__(self, "bias", float(self.bias))
-        if not all(math.isfinite(w) for w in self.weights) or not math.isfinite(self.bias):
+    def _check(self):
+        weights, bias = tuple(float(w) for w in self.weights), float(self.bias)
+        if not all(math.isfinite(w) for w in weights) or not math.isfinite(bias):
             raise ValueError("logit parameters must be finite")
+        return weights, bias
 
     @property
     def dim(self) -> int:
         return len(self.weights)
 
 
-@dataclass(frozen=True)
-class FitConfig:
+@checked
+class FitConfig(NamedTuple):
     learning_rate: float = 1e-3
     tolerance: float = 1e-6
     max_iter: int = 100_000
 
-    def __post_init__(self):
+    def _check(self):
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be finite and > 0")
         if not 0 <= self.tolerance < math.inf:
@@ -62,8 +62,7 @@ class FitConfig:
             raise ValueError("max_iter must be >= 0")
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(NamedTuple):
     """Estimation outcome; converged means the gradient max-norm reached
     tolerance before the iteration cap."""
 

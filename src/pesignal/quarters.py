@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from datetime import MAXYEAR, MINYEAR, date
 
+from ._record import NamedTuple, checked
 from .errors import DataError
 
 _QUARTER_END = {1: (3, 31), 2: (6, 30), 3: (9, 30), 4: (12, 31)}
@@ -30,14 +30,14 @@ def iso_date(text: str) -> date:
     return date.fromisoformat(text)
 
 
-@dataclass(frozen=True, order=True)
-class Quarter:
+@checked
+class Quarter(NamedTuple):
     """One calendar quarter, e.g. Quarter(2004, 3) ending 2004-09-30."""
 
     year: int
     index: int
 
-    def __post_init__(self):
+    def _check(self):
         if self.index not in (1, 2, 3, 4):
             raise ValueError(f"quarter index must be 1..4, got {self.index}")
 
@@ -90,8 +90,8 @@ def quarter_range(first: Quarter, last: Quarter) -> list[Quarter]:
     return [first + k for k in range(quarter_count(first, last))]
 
 
-@dataclass(frozen=True)
-class QuarterlySeries:
+@checked
+class QuarterlySeries(NamedTuple):
     """Gap-free quarterly observations; values[k] belongs to start + k.
 
     A value may be None (missing); present values must be finite.
@@ -100,13 +100,14 @@ class QuarterlySeries:
     start: Quarter
     values: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        for k, v in enumerate(self.values):
+    def _check(self):
+        values = tuple(self.values)
+        for k, v in enumerate(values):
             if v is None:
                 continue
             if not math.isfinite(v):
                 raise ValueError(f"non-finite value at {self.start + k}: {v!r}")
+        return self.start, values
 
     def __len__(self) -> int:
         return len(self.values)

@@ -9,8 +9,8 @@ is therefore T-1 quarters after the series start.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import NamedTuple
 from .errors import InsufficientHistoryError
 from .features import feature_names, feature_series
 from .quarters import Quarter, QuarterlySeries
@@ -22,8 +22,7 @@ def _window_stats(window) -> tuple:
     return mu, math.sqrt(var)
 
 
-@dataclass(frozen=True)
-class ZScoreSeries:
+class ZScoreSeries(NamedTuple):
     """Standardized series plus the quarters where sigma was 0.
 
     Missing z values mark quarters whose trailing window holds a missing
@@ -63,8 +62,7 @@ def zscore(x: QuarterlySeries, window: int) -> ZScoreSeries:
     return ZScoreSeries(QuarterlySeries(x.start + (window - 1), tuple(out)), tuple(flagged))
 
 
-@dataclass(frozen=True)
-class ZScoreTable:
+class ZScoreTable(NamedTuple):
     """Standardized feature vectors plus row-level diagnostics.
 
     z holds one tuple of floats per quarter from start on, one per name.

@@ -15,10 +15,10 @@ of the larger dataset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from datetime import MAXYEAR, MINYEAR, timedelta
 
 from ._numpy import np
+from ._record import NamedTuple, checked
 from .features import BROAD_FEATURES, BROAD_SCOPE, Scope, build_feature_table, deals_by_quarter, feature_names
 from .ingest import AumBucket, DealRecord, SECTOR_NAMES
 from .logit import LogitParams, prob_up
@@ -40,8 +40,8 @@ def _stream(seed: int, purpose: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, (purpose << 32) | index]))
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
+@checked
+class SyntheticSpec(NamedTuple):
     seed: int = 1
     n_quarters: int = 68
     n_sectors: int = 3
@@ -52,7 +52,7 @@ class SyntheticSpec:
     noise_scale: float = 1.0
     base_deal_intensity: float = 18.0
 
-    def __post_init__(self):
+    def _check(self):
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.std_window < 2:
@@ -220,12 +220,8 @@ def generate_deals(spec: SyntheticSpec) -> list:
     return deals
 
 
-def generate_features(spec: SyntheticSpec, deals=None, pe=None) -> tuple:
+def generate_features(spec: SyntheticSpec, deals, pe) -> tuple:
     """Feature tables and z-score tables per scope name."""
-    if deals is None:
-        deals = generate_deals(spec)
-    if pe is None:
-        pe = generate_pe(spec)
     buckets = deals_by_quarter(deals)
     features = {}
     ztables = {}
@@ -286,8 +282,7 @@ def generate_labels(
     return labels, prices
 
 
-@dataclass
-class SyntheticDataset:
+class SyntheticDataset(NamedTuple):
     spec: SyntheticSpec
     deals: list
     prices: dict
@@ -295,7 +290,7 @@ class SyntheticDataset:
     features: dict
     ztables: dict
     labels: dict
-    planted: dict = field(default_factory=dict)
+    planted: dict
 
 
 def generate_dataset(spec: SyntheticSpec) -> SyntheticDataset:

@@ -1,6 +1,5 @@
 """Walk-forward scheduling and the standardize/estimate/predict loop."""
 
-import dataclasses
 import io
 import random
 from datetime import timedelta
@@ -18,6 +17,7 @@ from pesignal.backtest import (
     write_predictions,
 )
 from pesignal.errors import DataError, InsufficientHistoryError, NumericalError
+from pesignal.evaluation import report
 from pesignal.features import BROAD_SCOPE, RawFeatureRow, build_feature_table, deals_by_quarter
 from pesignal.ingest import AumBucket, first_deals
 from pesignal.logit import fit, fit_windows
@@ -264,8 +264,7 @@ def deals_after(deals, q, rng) -> list:
             out.append(deal)
         elif rng.random() < 0.8:
             aum = [None, AumBucket.HIGH, float(rng.uniform(0.5, 20.0))][int(rng.integers(0, 3))]
-            out.append(dataclasses.replace(
-                deal,
+            out.append(deal._replace(
                 sector=sectors[int(rng.integers(0, len(sectors)))],
                 investment_date=later(deal.investment_date) if rng.random() < 0.3 else deal.investment_date,
                 investor_aum=aum,
@@ -273,12 +272,12 @@ def deals_after(deals, q, rng) -> list:
             ))
         # a follow-on round after q keeps the company's first deal
         if rng.random() < 0.2:
-            out.append(dataclasses.replace(
-                deal, investment_date=max(later(deal.investment_date), first_day), investor_aum=50.0, investor="Fund 00"
+            out.append(deal._replace(
+                investment_date=max(later(deal.investment_date), first_day), investor_aum=50.0, investor="Fund 00"
             ))
     for j in range(int(rng.integers(0, 40))):
         day = first_day + timedelta(days=int(rng.integers(0, span + 1)))
-        new = dataclasses.replace(deals[0], company_id=f"NEW-{j}", sector=sectors[j % len(sectors)], investment_date=day)
+        new = deals[0]._replace(company_id=f"NEW-{j}", sector=sectors[j % len(sectors)], investment_date=day)
         out.append(new)
     return out
 
@@ -343,6 +342,20 @@ class TestPredictionIO:
         assert rows[0].endswith("0.750000,UP,UP,1")
         assert rows[1].endswith("0.250000,DOWN,UP,0")
         assert rows[2].endswith("0.500000,UP,NA,NA")
+
+    def test_table_read_back_classifies_as_written(self, monkeypatch):
+        # 0.49999996 is DOWN but is written 0.500000, which evaluate's
+        # report reads back as UP at threshold 0.5
+        monkeypatch.setattr("pesignal.backtest.prob_up", lambda z, params: 0.49999996)
+        rows = broad_rows(16)
+        records = run(rows, broad_labels([r.quarter for r in rows], force=Label.DOWN), FAST).records
+        out = io.StringIO()
+        write_predictions(records, out)
+        assert all(line.endswith(",0.500000,UP,DOWN,0") for line in out.getvalue().splitlines()[1:])
+        back = read_predictions(io.StringIO(out.getvalue()))
+        assert all(rec.predicted is Label.UP and rec.p_up >= FAST.threshold for rec in back)
+        scores = report(back, FAST.threshold)
+        assert (scores.tp, scores.fp, scores.tn, scores.fn) == (0, len(back), 0, 0)
 
     def test_read_rejects_bad_header(self):
         with pytest.raises(DataError, match="header"):

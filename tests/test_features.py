@@ -18,6 +18,7 @@ from pesignal.features import (
     SECTOR_FEATURES,
     RawFeatureRow,
     Scope,
+    _mean,
     aum_weight,
     build_feature_table,
     deals_by_quarter,
@@ -208,6 +209,21 @@ class TestAumFeatures:
     def test_avg_all_equal_exact(self):
         deals = [deal(aum=3.7) for _ in range(7)]
         assert avg_aum(deals, BROAD_SCOPE, Q) == 3.7
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1),
+            st.lists(st.floats(max_value=1e-300, min_value=-1e-300), min_size=1),
+            st.builds(lambda x, n: [x] * n, st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 50)),
+        )
+    )
+    def test_mean_is_statistics_mean(self, values):
+        # statistics loads fractions and decimal, so features computes
+        # the same exact mean without it
+        got, want = _mean(values), statistics.mean(values)
+        assert type(got) is type(want)
+        assert got.hex() == want.hex()
 
     def test_weighted_single(self):
         assert weighted_avg_aum([deal(aum=15.0)], BROAD_SCOPE, Q) == 15.0

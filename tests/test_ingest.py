@@ -42,6 +42,14 @@ class TestFieldParsers:
         assert parse_date("Feb-12-08") == date(2008, 2, 12)
         assert parse_date("Oct-06-06") == date(2006, 10, 6)
         assert parse_date("Dec-31-99") == date(1999, 12, 31)
+        assert parse_date("Feb-12-69") == date(1969, 2, 12)
+
+    @pytest.mark.parametrize("text", ["Feb-12-8", "Feb-12-0008", "Feb-12-108"])
+    def test_month_name_dates_take_exactly_two_year_digits(self, text):
+        with pytest.raises(DataError, match=f"cannot parse date '{text}'"):
+            parse_date(text)
+        parsed = parse_deals(deals_io(f"C1,Co,Finance,{text},3.5,1.0"))
+        assert parsed.records == [] and len(parsed.issues) == 1
 
     def test_date_rejects_garbage(self):
         for bad in ("12 Feb 2008", "Feb-30-08", "2008-13-01", ""):

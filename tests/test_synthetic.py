@@ -92,7 +92,7 @@ def test_shorter_horizon_is_a_prefix():
 
 def test_zero_noise_features_follow_mean_paths():
     spec = SyntheticSpec(seed=3, n_quarters=12, n_sectors=2, std_window=4, noise_scale=0.0)
-    features, _ = generate_features(spec)
+    features, _ = generate_features(spec, generate_deals(spec), generate_pe(spec))
     intensity = {
         s: deal_intensity_path(spec, s) for s in range(2)
     }
@@ -121,7 +121,7 @@ def test_counts_are_non_negative_integers():
 
 
 def test_feature_counts_match_the_drawn_counts():
-    features, _ = generate_features(SMALL)
+    features, _ = generate_features(SMALL, generate_deals(SMALL), generate_pe(SMALL))
     for s, name in enumerate(name for name in features if name != BROAD_SCOPE.name):
         counts = quarter_deal_counts(SMALL, s)
         assert [row.deal_count for row in features[name]] == counts
@@ -135,7 +135,7 @@ def test_deal_dates_fall_inside_their_quarter():
 
 def test_every_quarter_keeps_a_numeric_aum_and_rank():
     spec = SyntheticSpec(seed=5, n_quarters=24, n_sectors=3, std_window=6, noise_scale=2.0)
-    features, _ = generate_features(spec)
+    features, _ = generate_features(spec, generate_deals(spec), generate_pe(spec))
     for rows in features.values():
         for row in rows:
             if row.deal_count > 0:

@@ -207,7 +207,7 @@ def oracle_run(feature_rows, labels, config: BacktestConfig) -> BacktestResult:
                 scope=scope,
                 quarter=entry.predicted,
                 p_up=p,
-                predicted=classify(p, config.threshold),
+                predicted=classify(float(f"{p:.6f}"), config.threshold),
                 actual=y_by_quarter.get(entry.predicted),
                 fit=outcome,
             )
