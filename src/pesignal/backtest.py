@@ -15,7 +15,7 @@ from ._numpy import np
 from ._record import NamedTuple, checked
 from .errors import DataError, InsufficientHistoryError, NumericalError
 from .features import Scope
-from .logit import FitConfig, FitReport, classify, fit_windows, prob_up
+from .logit import FitReport, classify, fit_windows, prob_up
 from .logit import fit  # noqa: F401  (bench/test_bench.py checks the tracer wraps it here)
 from .quarters import Quarter
 from .response import Label
@@ -24,11 +24,11 @@ from .standardize import build_zscore_table
 
 @checked
 class BacktestConfig(NamedTuple):
-    """FitConfig's fields and checks, then walk-forward settings, so the fit takes it as is; build by keyword."""
+    """The fit's settings, then the walk's; logit.fit takes it as is. Build by keyword."""
 
-    learning_rate: float = FitConfig._field_defaults["learning_rate"]
-    tolerance: float = FitConfig._field_defaults["tolerance"]
-    max_iter: int = FitConfig._field_defaults["max_iter"]
+    learning_rate: float = 1e-3
+    tolerance: float = 1e-6
+    max_iter: int = 100_000
     std_window: int = 12
     est_window: int = 7
     threshold: float = 0.5
@@ -40,7 +40,12 @@ class BacktestConfig(NamedTuple):
             raise ValueError("est_window must be at least 2 quarters")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
-        FitConfig._check(self)
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
+        if not 0 <= self.tolerance < math.inf:
+            raise ValueError("tolerance must be finite and >= 0")
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be >= 0")
 
 
 @checked
@@ -134,8 +139,8 @@ def run(feature_rows, labels, config: BacktestConfig = BacktestConfig()) -> Back
                 scope=table.scope,
                 quarter=quarter,
                 p_up=p,
-                # classify what write_predictions writes, as evaluate reads it back
-                predicted=classify(float(f"{p:.6f}"), config.threshold),
+                # classify the cell the table holds, which evaluate reads back
+                predicted=classify(float(_p_up_cell(p)), config.threshold),
                 actual=actual[k + ne],
                 fit=outcome,
             )
@@ -143,25 +148,39 @@ def run(feature_rows, labels, config: BacktestConfig = BacktestConfig()) -> Back
     return BacktestResult(table.scope, tuple(records), tuple(skipped))
 
 
+PREDICTION_COLUMNS = ("scope", "quarter_end", "p_up", "predicted", "actual", "correct")
+
+
+def _p_up_cell(p: float) -> str:
+    return f"{p:.6f}"
+
+
+def prediction_row(rec: PredictionRecord) -> list:
+    """A record's cells in PREDICTION_COLUMNS order: 6-decimal p_up, NA for unscored actual/correct."""
+    actual = "NA" if rec.actual is None else rec.actual.value
+    correct = "NA" if rec.correct is None else ("1" if rec.correct else "0")
+    quarter_end = rec.quarter.end_date().isoformat()
+    return [rec.scope.name, quarter_end, _p_up_cell(rec.p_up), rec.predicted.value, actual, correct]
+
+
 def write_predictions(records, stream):
-    """Prediction table: 6-decimal p_up, NA for unscored actual/correct."""
-    stream.write("scope,quarter_end,p_up,predicted,actual,correct\n")
-    for rec in records:
-        actual = "NA" if rec.actual is None else rec.actual.value
-        correct = "NA" if rec.correct is None else ("1" if rec.correct else "0")
-        stream.write(
-            f"{rec.scope.name},{rec.quarter.end_date().isoformat()},"
-            f"{rec.p_up:.6f},{rec.predicted.value},{actual},{correct}\n"
-        )
+    """Prediction table: a PREDICTION_COLUMNS header, then one prediction_row per record."""
+    for cells in [PREDICTION_COLUMNS, *map(prediction_row, records)]:
+        stream.write(",".join(cells) + "\n")
 
 
 def read_predictions(stream) -> list:
-    """Parse a prediction table back; fit comes back as None."""
+    """Parse one scope's prediction table back; fit comes back as None.
+
+    A row that names another scope than the first row, repeats a
+    quarter, or has a correct cell its predicted and actual cells
+    contradict is a DataError naming its line.
+    """
     header = stream.readline().rstrip("\n")
-    expected = "scope,quarter_end,p_up,predicted,actual,correct"
-    if header != expected:
+    if header != ",".join(PREDICTION_COLUMNS):
         raise DataError(f"unexpected prediction table header: {header!r}")
     records = []
+    seen = set()
     for line_no, line in enumerate(stream, start=2):
         line = line.rstrip("\n")
         if not line:
@@ -169,17 +188,23 @@ def read_predictions(stream) -> list:
         parts = line.split(",")
         if len(parts) != 6:
             raise DataError(f"prediction table line {line_no}: expected 6 columns")
-        scope_name, quarter_end, p_up, predicted, actual, _ = parts
+        scope_name, quarter_end, p_up, predicted, actual, correct = parts
         try:
-            records.append(
-                PredictionRecord(
-                    scope=Scope.of_name(scope_name),
-                    quarter=Quarter.parse(quarter_end),
-                    p_up=float(p_up),
-                    predicted=Label(predicted),
-                    actual=None if actual == "NA" else Label(actual),
-                )
+            rec = PredictionRecord(
+                scope=Scope.of_name(scope_name),
+                quarter=Quarter.parse(quarter_end),
+                p_up=float(p_up),
+                predicted=Label(predicted),
+                actual=None if actual == "NA" else Label(actual),
             )
+            if records and rec.scope != records[0].scope:
+                raise ValueError(f"scope {rec.scope.name}, but the table is {records[0].scope.name}'s")
+            if rec.quarter in seen:
+                raise ValueError(f"quarter {rec.quarter} appears twice")
+            if correct != prediction_row(rec)[-1]:
+                raise ValueError(f"correct is {correct!r}, which predicted {predicted} and actual {actual} contradict")
         except ValueError as exc:
             raise DataError(f"prediction table line {line_no}: {exc}") from None
+        records.append(rec)
+        seen.add(rec.quarter)
     return records

@@ -85,14 +85,9 @@ class RunConfig(NamedTuple):
     def out_dir(self) -> Path:
         return Path(self.out)
 
-    def deals_path(self) -> Path:
-        return Path(self.deals) if self.deals else self.out_dir() / "deals.csv"
-
-    def prices_path(self) -> Path:
-        return Path(self.prices) if self.prices else self.out_dir() / "prices.csv"
-
-    def pe_path(self) -> Path:
-        return Path(self.pe) if self.pe else self.out_dir() / "pe.csv"
+    def input_path(self, key: str) -> Path:
+        """The deals, prices or pe file: the key's setting, else <key>.csv in out."""
+        return Path(getattr(self, key) or self.out_dir() / f"{key}.csv")
 
     def deal_format(self) -> DealFileFormat:
         return DealFileFormat(delimiter=self.delimiter, **dict(self.deal_columns))
@@ -288,16 +283,12 @@ def cmd_synth(config: RunConfig) -> int:
         if scope not in made:
             raise UsageError(f"scope {scope.name!r} is not synthesized with n_sectors = {spec.n_sectors}")
     data = generate_dataset(spec)
-    config = config._replace(
-        scopes=tuple(s.name for s in made),
-        deals=str(config.deals_path()),
-        prices=str(config.prices_path()),
-        pe=str(config.pe_path()),
-    )
+    inputs = {key: str(config.input_path(key)) for key in ("deals", "prices", "pe")}
+    config = config._replace(scopes=tuple(s.name for s in made), **inputs)
     files = _Files(config)
-    files.write(config.deals_path(), write_deals, data.deals, fmt=config.deal_format())
-    files.write(config.prices_path(), write_prices, data.prices, fmt=config.price_format())
-    files.write(config.pe_path(), write_prices, data.pe, fmt=config.price_format())
+    files.write(config.input_path("deals"), write_deals, data.deals, fmt=config.deal_format())
+    files.write(config.input_path("prices"), write_prices, data.prices, fmt=config.price_format())
+    files.write(config.input_path("pe"), write_prices, data.pe, fmt=config.price_format())
     _log("synth: %d deals, %d scopes, %d quarters", len(data.deals), len(made), spec.n_quarters)
     files.manifest("synth")
     return 0
@@ -307,8 +298,8 @@ def cmd_features(config: RunConfig) -> int:
     # t is the one fit setting features reads; check it as backtest does
     RunConfig(t=config.t).backtest_config()
     files = _Files(config)
-    deals_path = config.deals_path()
-    pe_path = config.pe_path()
+    deals_path = config.input_path("deals")
+    pe_path = config.input_path("pe")
     parsed = parse_deals(files.read(deals_path), config.deal_format(), strict=config.strict)
     for issue in parsed.issues:
         _log("%s %s", deals_path, issue)
@@ -335,7 +326,7 @@ def cmd_features(config: RunConfig) -> int:
 def cmd_backtest(config: RunConfig) -> int:
     bt_config = config.backtest_config()
     files = _Files(config)
-    prices_path = config.prices_path()
+    prices_path = config.input_path("prices")
     price_map = parse_prices(files.read(prices_path), config.price_format())
     market_prices = _series_for(price_map, BROAD_INDEX_NAME, prices_path)
     out = config.out_dir()
@@ -362,7 +353,10 @@ def cmd_evaluate(config: RunConfig) -> int:
     pooled_records = []
     per_scope = []
     for scope in config.scope_list():
-        records = read_predictions(files.read(out / f"predictions_{_slug(scope.name)}.csv"))
+        path = out / f"predictions_{_slug(scope.name)}.csv"
+        records = read_predictions(files.read(path))
+        if records and records[0].scope != scope:
+            raise DataError(f"{path} holds {records[0].scope.name} predictions, not {scope.name}'s")
         per_scope.append((scope.name, records))
         pooled_records.extend(records)
     if len(per_scope) > 1:

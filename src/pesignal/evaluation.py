@@ -1,10 +1,10 @@
 """Scoring of prediction tables: ROC/AUC, F1, confusion counts.
 
-The ROC sweeps the classification threshold over every distinct score
-plus sentinels below and above, classifying UP at or above the
-threshold. The trapezoid area under that curve equals the rank
-statistic (probability a random UP outscores a random DOWN, ties at
-half), which the tests exploit as an independent oracle.
+The ROC sweeps the classification threshold down the distinct scores,
+classifying UP at or above the threshold. The trapezoid area under that
+curve equals the rank statistic (probability a random UP outscores a
+random DOWN, ties at half), which the tests exploit as an independent
+oracle.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 from ._record import NamedTuple, checked
+from .backtest import PREDICTION_COLUMNS, prediction_row
 from .errors import DataError
 from .response import Label
 
@@ -47,28 +48,22 @@ class RocCurve(NamedTuple):
 def roc(pairs) -> RocCurve:
     """ROC over (p_up, actual) pairs; both classes must appear.
 
-    Thresholds: every distinct score, plus 0 and a value just above 1,
-    descending, so the curve starts empty at (0,0) and ends all-UP at
-    (1,1). One sort, then one sweep that admits the pairs scoring at or
-    above each threshold in turn (Fawcett 2006, Algorithm 1).
+    One sort, then one walk down the ranked scores that emits a point
+    after each distinct score (Fawcett 2006, Algorithm 1), so the curve
+    runs from (0,0), nothing UP, to (1,1), everything UP.
     """
     n_pos = sum(1 for _, y in pairs if y is Label.UP)
     n_neg = sum(1 for _, y in pairs if y is Label.DOWN)
     if not n_pos or not n_neg:
         raise DataError("AUC undefined: need at least one UP and one DOWN outcome")
-    above_one = math.nextafter(1.0, 2.0)
-    thresholds = sorted({0.0, above_one} | {p for p, _ in pairs}, reverse=True)
     ranked = sorted(pairs, key=lambda pair: pair[0], reverse=True)
-    points = []
-    tp = fp = k = 0
-    for theta in thresholds:
-        while k < len(ranked) and ranked[k][0] >= theta:
-            tp += ranked[k][1] is Label.UP
-            fp += ranked[k][1] is Label.DOWN
-            k += 1
-        point = (fp / n_neg, tp / n_pos)
-        if not points or points[-1] != point:
-            points.append(point)
+    points = [(0.0, 0.0)]
+    tp = fp = 0
+    for k, (p, y) in enumerate(ranked):
+        tp += y is Label.UP
+        fp += y is Label.DOWN
+        if k + 1 == len(ranked) or ranked[k + 1][0] != p:
+            points.append((fp / n_neg, tp / n_pos))
     return RocCurve(tuple(points), _trapezoid(points))
 
 
@@ -185,12 +180,7 @@ def write_roc_points(curve: RocCurve, stream):
 
 
 def write_scatter(records, stream):
-    """Per-quarter dots for plotting: prediction vs outcome."""
-    stream.write("scope,quarter_end,predicted,actual,correct\n")
-    for rec in records:
-        actual = "NA" if rec.actual is None else rec.actual.value
-        correct = "NA" if rec.correct is None else ("1" if rec.correct else "0")
-        stream.write(
-            f"{rec.scope.name},{rec.quarter.end_date().isoformat()},"
-            f"{rec.predicted.value},{actual},{correct}\n"
-        )
+    """Per-quarter dots for plotting: the prediction table without p_up."""
+    for cells in [list(PREDICTION_COLUMNS), *map(prediction_row, records)]:
+        del cells[2]
+        stream.write(",".join(cells) + "\n")

@@ -230,64 +230,52 @@ def _require_columns(fieldnames, wanted, what: str):
         raise DataError(f"{what} header is missing columns: {', '.join(missing)}")
 
 
+def _company_id(text: str) -> str:
+    if not text.strip():
+        raise DataError("empty company_id")
+    return text.strip()
+
+
+def _sector(text: str) -> str:
+    if text.strip() not in _VALID_SECTORS:
+        raise DataError(f"unknown sector {text.strip()!r}")
+    return text.strip()
+
+
 def parse_deals(stream, fmt: DealFileFormat = DealFileFormat(), strict: bool = False) -> ParsedDeals:
     """Parse a deal export.
 
     Rows whose fields fail to parse are rejected with a RowIssue naming
-    the line and column; strict mode turns the first such row into a
-    DataError. A malformed header is always fatal.
+    the line and the first failing column; strict mode turns the first
+    such row into a DataError. A malformed header is always fatal.
     """
-    reader = csv.DictReader(stream, delimiter=fmt.delimiter)
-    _require_columns(
-        reader.fieldnames,
-        [fmt.company_id, fmt.company_name, fmt.sector, fmt.date, fmt.aum, fmt.rank],
-        "deal file",
+    # DealRecord's fields in order, each parsed from its column; the last,
+    # investor, is optional, and a missing cell reads as ""
+    fields = (
+        ("company_id", fmt.company_id, _company_id),
+        ("company_name", fmt.company_name, str.strip),
+        ("sector", fmt.sector, _sector),
+        ("investment_date", fmt.date, parse_date),
+        ("investor_aum", fmt.aum, parse_aum),
+        ("investor_rank", fmt.rank, parse_rank),
+        ("investor", fmt.investor, str.strip),
     )
-    has_investor = fmt.investor in reader.fieldnames
+    reader = csv.DictReader(stream, delimiter=fmt.delimiter)
+    _require_columns(reader.fieldnames, [column for _, column, _ in fields[:-1]], "deal file")
     result = ParsedDeals([], [])
-
-    def reject(column: str, message: str):
-        issue = RowIssue(reader.line_num, column, message)
-        if strict:
-            raise DataError(str(issue))
-        result.issues.append(issue)
-
     for row in reader:
-        company_id = (row.get(fmt.company_id) or "").strip()
-        if not company_id:
-            reject(fmt.company_id, "empty company_id")
-            continue
-        sector = (row.get(fmt.sector) or "").strip()
-        if sector not in _VALID_SECTORS:
-            reject(fmt.sector, f"unknown sector {sector!r}")
-            continue
-        try:
-            when = parse_date(row.get(fmt.date) or "")
-        except DataError as exc:
-            reject(fmt.date, str(exc))
-            continue
-        try:
-            aum = parse_aum(row.get(fmt.aum) or "")
-        except DataError as exc:
-            reject(fmt.aum, str(exc))
-            continue
-        try:
-            rank = parse_rank(row.get(fmt.rank) or "")
-        except DataError as exc:
-            reject(fmt.rank, str(exc))
-            continue
-        investor = (row.get(fmt.investor) or "").strip() if has_investor else ""
-        result.records.append(
-            DealRecord(
-                company_id=company_id,
-                company_name=(row.get(fmt.company_name) or "").strip(),
-                sector=sector,
-                investment_date=when,
-                investor_aum=aum,
-                investor_rank=rank,
-                investor=investor,
-            )
-        )
+        values = {}
+        for field, column, parser in fields:
+            try:
+                values[field] = parser(row.get(column) or "")
+            except DataError as exc:
+                issue = RowIssue(reader.line_num, column, str(exc))
+                if strict:
+                    raise DataError(str(issue)) from None
+                result.issues.append(issue)
+                break
+        else:
+            result.records.append(DealRecord(**values))
     return result
 
 

@@ -47,21 +47,6 @@ class LogitParams(NamedTuple):
         return len(self.weights)
 
 
-@checked
-class FitConfig(NamedTuple):
-    learning_rate: float = 1e-3
-    tolerance: float = 1e-6
-    max_iter: int = 100_000
-
-    def _check(self):
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be finite and > 0")
-        if not 0 <= self.tolerance < math.inf:
-            raise ValueError("tolerance must be finite and >= 0")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be >= 0")
-
-
 class FitReport(NamedTuple):
     """Estimation outcome; converged means the gradient max-norm reached
     tolerance before the iteration cap."""
@@ -101,9 +86,9 @@ def _loglik(z, y, w, b) -> float:
         return float(np.sum(y * s) - np.sum(_softplus(s)))
 
 
-def fit(z, y, config: FitConfig = FitConfig()) -> FitReport:
+def fit(z, y, config) -> FitReport:
     """Gradient ascent on one window, z (n, d) and 0/1 labels y (n,):
-    the batch-of-one case of fit_windows.
+    the batch-of-one case of fit_windows, with the same config.
 
     Raises the window's NumericalError instead of returning it.
     """
@@ -113,13 +98,14 @@ def fit(z, y, config: FitConfig = FitConfig()) -> FitReport:
     return outcome
 
 
-def fit_windows(z, y, config: FitConfig = FitConfig()) -> list:
+def fit_windows(z, y, config) -> list:
     """Gradient ascent on every window at once, each from zero weights
     and bias.
 
     z is a (W, n, d) stack of feature windows and y the (W, n) stack of
-    their 0/1 labels. Each window stops on its own when its gradient
-    max-norm falls to config.tolerance or after config.max_iter updates.
+    their 0/1 labels; config is a backtest.BacktestConfig. Each window
+    stops on its own when its gradient max-norm falls to config.tolerance
+    or after config.max_iter updates of step config.learning_rate.
     Non-finite likelihood or gradient marks data pathology, never a
     stopping state: that window's entry is a NumericalError while the
     others carry on. Returns one FitReport or NumericalError per window,
@@ -137,7 +123,7 @@ def fit_windows(z, y, config: FitConfig = FitConfig()) -> list:
     return _ascend(z, y, np.zeros((len(z), z.shape[2])), np.zeros(len(z)), config)
 
 
-def _ascend(z, y, w, b, config: FitConfig) -> list:
+def _ascend(z, y, w, b, config) -> list:
     """The fit kernel on stacked windows: z (W, n, d), y (W, n), w (W, d),
     b (W,).
 

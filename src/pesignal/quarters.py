@@ -125,13 +125,6 @@ class QuarterlySeries(NamedTuple):
             return self.values[offset]
         return None
 
-    def at(self, quarter: Quarter) -> float:
-        """Value at the quarter; raises when absent."""
-        v = self.get(quarter)
-        if v is None:
-            raise DataError(f"no value at {quarter}")
-        return v
-
     def items(self):
         return [(self.start + k, v) for k, v in enumerate(self.values)]
 

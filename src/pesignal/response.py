@@ -38,10 +38,6 @@ def sector_spread(sector_prices: QuarterlySeries, market_prices: QuarterlySeries
     return ann_forward_return(sector_prices, t) - ann_forward_return(market_prices, t)
 
 
-def _labelable(t: Quarter, series_list) -> bool:
-    return all(s.get(t) is not None and s.get(t + 1) is not None for s in series_list)
-
-
 def build_labels(
     scope: Scope,
     market_prices: QuarterlySeries,
@@ -61,10 +57,12 @@ def build_labels(
     labels = {}
     t = lo
     while t <= hi:
-        if _labelable(t, needed):
+        try:
             if scope.is_broad:
                 labels[t] = label_of(ann_forward_return(market_prices, t))
             else:
                 labels[t] = label_of(sector_spread(sector_prices, market_prices, t))
+        except DataError:
+            pass  # a missing price leaves t unlabeled
         t = t + 1
     return labels

@@ -23,7 +23,7 @@ from .features import BROAD_FEATURES, BROAD_SCOPE, Scope, build_feature_table, d
 from .ingest import AumBucket, DealRecord, SECTOR_NAMES
 from .logit import LogitParams, prob_up
 from .quarters import Quarter, QuarterlySeries
-from .response import Label, build_labels
+from .response import Label, ann_forward_return, build_labels
 from .standardize import ZScoreTable, build_zscore_table
 
 # stream purposes (tests/oracles.py keys its samples with 6); the market uses index _BROAD_STREAM
@@ -97,11 +97,9 @@ def planted_params(spec: SyntheticSpec, scope: Scope) -> LogitParams:
 
 
 def _roughen(spec: SyntheticSpec, base: np.ndarray, purpose: int, index: int, scale: float) -> np.ndarray:
-    """base, and when noise_scale > 0 base times exp(scale * noise_scale * x)
-    for the AR(1) path x_k = 0.8 x_(k-1) + 0.6 e_k, e standard normal from
-    the (purpose, index) stream."""
-    if spec.noise_scale == 0:
-        return base
+    """base times exp(scale * noise_scale * x) for the AR(1) path
+    x_k = 0.8 x_(k-1) + 0.6 e_k, e standard normal from the (purpose,
+    index) stream; exactly base when noise_scale is 0."""
     eps = _stream(spec.seed, purpose, index).normal(size=spec.n_quarters)
     ar = np.empty(spec.n_quarters)
     level = 0.0
@@ -271,9 +269,7 @@ def generate_labels(
         if scope.is_broad:
             ann = sign * (8.0 + 30.0 * u_mag)
         else:
-            market_ratio = market_prices.at(quarter + 1) / market_prices.at(quarter)
-            market_ann = 100.0 * (market_ratio**4 - 1.0)
-            ann = market_ann + sign * (6.0 + 22.0 * u_mag)
+            ann = ann_forward_return(market_prices, quarter) + sign * (6.0 + 22.0 * u_mag)
         values.append(values[-1] * (1.0 + ann / 100.0) ** 0.25)
     prices = QuarterlySeries(spec.start, tuple(values))
     labels = build_labels(scope, market_prices or prices, None if scope.is_broad else prices)

@@ -13,7 +13,7 @@ from pesignal.backtest import BacktestConfig, run
 from pesignal.cli import main
 from pesignal.evaluation import roc, scored_pairs
 from pesignal.features import BROAD_SCOPE, Scope
-from pesignal.logit import FitConfig, LogitParams, fit
+from pesignal.logit import LogitParams, fit
 from pesignal.quarters import Quarter, QuarterlySeries
 from pesignal.response import Label, build_labels, sector_spread, ann_forward_return
 from pesignal.synthetic import SyntheticSpec, generate_dataset
@@ -33,7 +33,7 @@ def test_criterion_1_forward_returns_and_labels():
     prices = QuarterlySeries(Quarter(2008, 1), (66.43170, 64.41500, 74.60800))
     first, second = Quarter(2008, 1), Quarter(2008, 2)
     for quarter, quarterly in ((first, -3.04), (second, 15.82)):
-        simple = 100.0 * (prices.at(quarter + 1) / prices.at(quarter) - 1.0)
+        simple = 100.0 * (prices.get(quarter + 1) / prices.get(quarter) - 1.0)
         assert simple == pytest.approx(quarterly, abs=0.005)
     assert ann_forward_return(prices, first) == pytest.approx(-11.60, abs=0.005)
     assert ann_forward_return(prices, second) == pytest.approx(79.97, abs=0.005)
@@ -110,7 +110,7 @@ def test_criterion_5_likelihood_ascends_on_non_separable_instances():
         clash = [rng.uniform(-2.0, 2.0) for _ in range(m)]
         z += [clash, clash]
         y += [1.0, 0.0]
-        config = FitConfig(learning_rate=1e-3, max_iter=1200)
+        config = BacktestConfig(learning_rate=1e-3, max_iter=1200)
         trace = []
         report = fit(z, y, config)
         assert report == oracle_fit(np.array(z), np.array(y), config, trace), f"case {case}"
@@ -170,7 +170,7 @@ def test_criterion_7_planted_signal_recovery():
     started = time.perf_counter()
     strong = LogitParams((2.0, -1.5, 1.0, -1.0, 1.5), 0.25)
     z, y = planted_samples(strong, 2000, seed=41)
-    report = fit(z, y, FitConfig(max_iter=3000))
+    report = fit(z, y, BacktestConfig(max_iter=3000))
     recovered = report.params.weights
     dot = sum(a * b for a, b in zip(recovered, strong.weights))
     cosine = dot / (

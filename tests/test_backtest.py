@@ -366,6 +366,19 @@ class TestPredictionIO:
         with pytest.raises(DataError, match="line 2"):
             read_predictions(io.StringIO(text))
 
+    HEADER = "scope,quarter_end,p_up,predicted,actual,correct\n"
+
+    @pytest.mark.parametrize("correct", ["0", "NA", ""])
+    def test_read_rejects_a_correct_cell_that_predicted_and_actual_contradict(self, correct):
+        text = self.HEADER + "Market,2004-09-30,0.700000,UP,DOWN,0\n" + f"Market,2004-12-31,0.800000,UP,UP,{correct}\n"
+        with pytest.raises(DataError, match="line 3: correct is"):
+            read_predictions(io.StringIO(text))
+
+    def test_read_rejects_a_repeated_quarter(self):
+        row = "Market,2004-09-30,0.700000,UP,DOWN,0\n"
+        with pytest.raises(DataError, match="line 4: quarter 2004Q3 appears twice"):
+            read_predictions(io.StringIO(self.HEADER + row + "Market,2004-12-31,0.800000,UP,NA,NA\n" + row))
+
 
 class TestConfigValidation:
     def test_bounds(self):

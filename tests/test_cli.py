@@ -9,11 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from pesignal.backtest import read_predictions, run
-from pesignal.cli import main, resolve_config
+from pesignal.backtest import BacktestConfig, read_predictions, run
+from pesignal.cli import RunConfig, main, resolve_config
 from pesignal.errors import NumericalError, UsageError
 from pesignal.evaluation import roc, scored_pairs
-from pesignal.synthetic import generate_dataset
+from pesignal.synthetic import SyntheticSpec, generate_dataset
 
 SMALL = {
     "n_quarters": 24,
@@ -176,6 +176,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "insufficient history" in err
         assert "at least 12 quarters" in err
+
+    def test_evaluate_rejects_prediction_rows_of_another_scope(self, tmp_path, capsys):
+        out = run_pipeline(tmp_path, SMALL)
+        market = out / "predictions_market.csv"
+        ours = market.read_text().splitlines(keepends=True)
+        theirs = (out / "predictions_communications.csv").read_text().splitlines(keepends=True)
+        study = ["evaluate", "--config", str(tmp_path / "config.json"), "--out", str(out), "--scopes", "Market"]
+        market.write_text("".join(ours + theirs[1:2]))
+        assert main(study) == 2
+        assert f"line {len(ours) + 1}: scope Communications, but the table is Market's" in capsys.readouterr().err
+        market.write_text("".join(theirs))
+        assert main(study) == 2
+        assert "holds Communications predictions, not Market's" in capsys.readouterr().err
 
     def test_missing_input_file_is_a_usage_error(self, tmp_path, capsys):
         assert main(["features", "--out", str(tmp_path / "nowhere")]) == 1
@@ -408,6 +421,10 @@ class TestConfigResolution:
         config = resolve_config({}, {"scopes": "Market, Finance"})
         assert config.scopes == ("Market", "Finance")
 
+    def test_defaults_are_the_library_defaults(self):
+        assert RunConfig().backtest_config() == BacktestConfig()
+        assert RunConfig().synthetic_spec() == SyntheticSpec()
+
     def test_bad_values_rejected(self):
         with pytest.raises(UsageError):
             resolve_config({"t": "a dozen"}, {})
@@ -521,6 +538,24 @@ PINNED_FEATURE_DIGESTS = {
             "zscores_commercial_services.csv": "c95db23839a73c6e18207f1a67e2606bd20827ca914d4a14fcaf625cddb222e0",
             "zscores_communications.csv": "84a121e15342ccbb7a394831188a44161b611ee95364b837d0cc034597413cb8",
             "zscores_consumer_durables.csv": "620982cffb08e4d6f2f298c93a4a600180901273601f9980ec963a44a0244457",
+        },
+    ),
+    # noise-free: smooth paths, rounded deal counts and no per-deal draws;
+    # pinned before synthetic._roughen lost its noise_scale == 0 branch
+    "noise_free": (
+        {"seed": 3, "noise_scale": 0},
+        {
+            "deals.csv": "ca82f166719e06879b7dd718de46a3c16a8dc7944eb958476d83311d37eee209",
+            "prices.csv": "185ee9b2792d06774466411fcf8fc0212dfffc7d9e4ed3541af613f2af9b4124",
+            "pe.csv": "75225a8ece6cef2e2112acda71863c1a96885f892f08dad921ebb27887d12b23",
+            "features_market.csv": "acbfb3a7578e591cd9773b3a6e67df5c504311c7dc2fa94615bd8518a1f3154c",
+            "features_commercial_services.csv": "ef2762e04c7fc01e1a4474eeed27867b7dbdd2adcff3589e6d532563f799c0a8",
+            "features_communications.csv": "eff42aa37dc59ebefbd61cb8ad0ddd98009294d7cb49883d88bb1f3d7754d1fb",
+            "features_consumer_durables.csv": "bcfc93fbb1f2c6195f2c7149fdb01edcea3b00bf157baf8e34464f826b0bf50f",
+            "zscores_market.csv": "62c778e3042c4b8106295cee6b2e72acf05c55f3f27337f70ccc3e1b575922f2",
+            "zscores_commercial_services.csv": "c9fed0aaefa7ba836d28e841276ec79ec30850601d473e26d46da830400611ce",
+            "zscores_communications.csv": "11018520d3026b420661817e69832905a7777678b7003b5dcf5ea6fa7219a537",
+            "zscores_consumer_durables.csv": "5d54942ed70b8a8980baf92c7439e9694a1ccf5aae81331f21a8ffda7def173d",
         },
     ),
 }

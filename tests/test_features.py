@@ -333,7 +333,7 @@ class TestBuildFeatureTable:
         assert set(series) == set(BROAD_FEATURES)
         assert series["deal_count"].values == (1.0, 0.0, 0.0)
         assert series["avg_aum"].values == (4.0, None, None)
-        assert series["market_pe"].at(Quarter(2008, 2)) == pytest.approx(15.1)
+        assert series["market_pe"].get(Quarter(2008, 2)) == pytest.approx(15.1)
 
     def test_write_table(self):
         deals = [deal("Finance", date(2008, 2, 1), aum=4.0, rank=1.5)]

@@ -20,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pesignal.errors import NumericalError
-from pesignal.logit import FitConfig, FitReport, LogitParams, fit, fit_windows
+from pesignal.backtest import BacktestConfig
+from pesignal.logit import FitReport, LogitParams, fit, fit_windows
 
 
 def _sigmoid(s):
@@ -43,7 +44,7 @@ def _max_norm(dw, db) -> float:
     return max(head, abs(db))
 
 
-def oracle_fit(z, y, config: FitConfig = FitConfig(), trace: list | None = None) -> FitReport:
+def oracle_fit(z, y, config: BacktestConfig = BacktestConfig(), trace: list | None = None) -> FitReport:
     w = np.zeros(z.shape[1])
     b = 0.0
     eta = config.learning_rate
@@ -141,7 +142,7 @@ def test_every_window_matches_the_sequential_oracle(
         # gradient at once (1e300); only this window may fail
         k, scale = poison
         z[k % count] *= scale
-    config = FitConfig(learning_rate=learning_rate, tolerance=tolerance, max_iter=max_iter)
+    config = BacktestConfig(learning_rate=learning_rate, tolerance=tolerance, max_iter=max_iter)
     got = fit_windows(z, y, config)
     assert len(got) == count
     for k, outcome in enumerate(got):
@@ -151,7 +152,7 @@ def test_every_window_matches_the_sequential_oracle(
 def test_windows_stop_at_their_own_iterations():
     rng = np.random.default_rng(3)
     z, y = draw_windows(rng, 40, 12, 3, coarse=True)
-    config = FitConfig(learning_rate=0.5, tolerance=0.05, max_iter=200)
+    config = BacktestConfig(learning_rate=0.5, tolerance=0.05, max_iter=200)
     got = fit_windows(z, y, config)
     assert len({report.iterations for report in got}) > 3
     for k, outcome in enumerate(got):
@@ -162,7 +163,7 @@ def test_poisoned_window_fails_alone():
     rng = np.random.default_rng(5)
     z, y = draw_windows(rng, 8, 7, 5, coarse=False)
     z[2] *= 1e200
-    config = FitConfig(max_iter=50)
+    config = BacktestConfig(max_iter=50)
     got = fit_windows(z, y, config)
     assert [isinstance(outcome, NumericalError) for outcome in got] == [k == 2 for k in range(8)]
     for k, outcome in enumerate(got):
@@ -172,17 +173,17 @@ def test_poisoned_window_fails_alone():
 def test_single_fit_is_the_batch_of_one():
     rng = np.random.default_rng(13)
     z, y = draw_windows(rng, 1, 7, 5, coarse=False)
-    config = FitConfig(max_iter=500)
+    config = BacktestConfig(max_iter=500)
     assert fit(z[0], y[0], config) == oracle_fit(z[0], y[0], config)
 
 
 def test_empty_batch_and_mismatched_windows():
-    assert fit_windows(np.empty((0, 7, 5)), np.empty((0, 7))) == []
+    assert fit_windows(np.empty((0, 7, 5)), np.empty((0, 7)), BacktestConfig()) == []
     rng = np.random.default_rng(17)
     z, y = draw_windows(rng, 3, 4, 2, False)
     for bad_z, bad_y in ((z, y[:, :3]), (z, y[:2]), (z[0], y[0]), (z[:, :0], y[:, :0])):
         with pytest.raises(ValueError):
-            fit_windows(bad_z, bad_y)
+            fit_windows(bad_z, bad_y, BacktestConfig())
 
 
 def test_non_finite_features_rejected():
@@ -192,4 +193,4 @@ def test_non_finite_features_rejected():
         poisoned = z.copy()
         poisoned[1, 2, 0] = poison
         with pytest.raises(ValueError, match="finite"):
-            fit_windows(poisoned, y)
+            fit_windows(poisoned, y, BacktestConfig())

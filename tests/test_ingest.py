@@ -253,8 +253,8 @@ class TestParsePrices:
             )
         )
         assert set(series) == {"MARKET", "Finance"}
-        assert series["MARKET"].at(Quarter(2002, 4)) == 66.4317
-        assert series["Finance"].at(Quarter(2003, 1)) == 101.0
+        assert series["MARKET"].get(Quarter(2002, 4)) == 66.4317
+        assert series["Finance"].get(Quarter(2003, 1)) == 101.0
 
     def test_gap_fatal(self):
         with pytest.raises(DataError, match="MARKET"):

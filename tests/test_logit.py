@@ -6,9 +6,9 @@ import random
 import numpy as np
 import pytest
 
+from pesignal.backtest import BacktestConfig
 from pesignal.errors import NumericalError
 from pesignal.logit import (
-    FitConfig,
     LogitParams,
     classify,
     fit,
@@ -188,13 +188,13 @@ class TestFit:
     def test_repeated_point_matches_class_fraction(self):
         z = (0.5, -0.2)
         samples = [sample(z, True)] * 7 + [sample(z, False)] * 3
-        report = fit(*arrays(samples))
+        report = fit(*arrays(samples), BacktestConfig())
         assert report.converged
         assert prob_up(z, report.params) == pytest.approx(0.7, abs=1e-3)
 
     def test_separable_hits_cap_with_full_accuracy(self):
         samples = [sample((1.0,), True)] * 3 + [sample((-1.0,), False)] * 3
-        report = fit(*arrays(samples), FitConfig(max_iter=300))
+        report = fit(*arrays(samples), BacktestConfig(max_iter=300))
         assert not report.converged
         assert report.iterations == 300
         for z, up in samples:
@@ -205,7 +205,7 @@ class TestFit:
         rng = random.Random(61)
         for _ in range(10):
             samples, _ = random_instance(rng, dim=rng.randint(1, 3), n=rng.randint(6, 20), forced_tie=True)
-            config = FitConfig(max_iter=400)
+            config = BacktestConfig(max_iter=400)
             trace = []
             report = fit(*arrays(samples), config)
             assert report == oracle_fit(*arrays(samples), config, trace)
@@ -216,7 +216,7 @@ class TestFit:
 
     def test_zero_iterations_returns_zeros(self):
         samples = [sample((1.0, 2.0), True), sample((-1.0, 0.5), False)]
-        report = fit(*arrays(samples), FitConfig(max_iter=0))
+        report = fit(*arrays(samples), BacktestConfig(max_iter=0))
         assert report.params == zeros(2)
         assert report.iterations == 0
         assert not report.converged
@@ -224,7 +224,7 @@ class TestFit:
     def test_converged_meets_tolerance(self):
         z = (1.0,)
         samples = [sample(z, True), sample(z, False)]
-        config = FitConfig(tolerance=1e-8)
+        config = BacktestConfig(tolerance=1e-8)
         report = fit(*arrays(samples), config)
         assert report.converged
         assert report.final_gradient_norm <= config.tolerance
@@ -235,7 +235,7 @@ class TestFit:
         z = rng.normal(size=(600, 3))
         p = 1.0 / (1.0 + np.exp(-(z @ planted_w + 0.3)))
         ups = rng.random(600) < p
-        report = fit(z, ups.astype(float), FitConfig(max_iter=4000))
+        report = fit(z, ups.astype(float), BacktestConfig(max_iter=4000))
         w = np.array(report.params.weights)
         cosine = float(w @ planted_w / (np.linalg.norm(w) * np.linalg.norm(planted_w)))
         assert cosine > 0.9
@@ -243,11 +243,11 @@ class TestFit:
     def test_non_finite_raises_numerical_error(self):
         samples = [sample((1e200,), True), sample((-1e200,), False)]
         with pytest.raises(NumericalError):
-            fit(*arrays(samples), FitConfig(max_iter=5))
+            fit(*arrays(samples), BacktestConfig(max_iter=5))
 
     def test_report_line(self):
         samples = [sample((0.5,), True), sample((0.5,), False)]
-        line = fit_report_line(fit(*arrays(samples)))
+        line = fit_report_line(fit(*arrays(samples), BacktestConfig()))
         assert line.startswith("converged=yes iterations=")
         assert "grad_norm=" in line and "weights=" in line
 
@@ -271,11 +271,11 @@ class TestClassify:
             classify(0.5, -0.1)
 
 
-class TestFitConfigValidation:
+class TestFitSettingsValidation:
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
-            FitConfig(learning_rate=0.0)
+            BacktestConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
-            FitConfig(tolerance=-1e-9)
+            BacktestConfig(tolerance=-1e-9)
         with pytest.raises(ValueError):
-            FitConfig(max_iter=-1)
+            BacktestConfig(max_iter=-1)

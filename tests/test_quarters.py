@@ -113,9 +113,7 @@ class TestQuarterlySeries:
         assert s.get(Quarter(2000, 3)) is None
         assert s.get(Quarter(1999, 4)) is None
         assert s.get(Quarter(2001, 1)) is None
-        assert s.at(Quarter(2000, 4)) == 4.0
-        with pytest.raises(DataError):
-            s.at(Quarter(2000, 3))
+        assert s.get(Quarter(2000, 4)) == 4.0
 
     def test_end_and_covers(self):
         s = QuarterlySeries(Quarter(2000, 1), (1.0, 2.0, 3.0))

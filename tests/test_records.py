@@ -14,7 +14,7 @@ from pesignal.backtest import BacktestConfig, PredictionRecord
 from pesignal.evaluation import RocCurve, ScoreReport
 from pesignal.features import BROAD_SCOPE, RawFeatureRow, Scope
 from pesignal.ingest import DealRecord
-from pesignal.logit import FitConfig, LogitParams
+from pesignal.logit import LogitParams
 from pesignal.quarters import Quarter, QuarterlySeries
 from pesignal.response import Label
 from pesignal.synthetic import SyntheticSpec
@@ -26,7 +26,7 @@ CASES = [
     (Q, {"index": 5}),
     (QuarterlySeries(Q, (1.0, None)), {"values": (1.0, math.nan)}),
     (LogitParams((1.0, -2.0), 0.5), {"bias": math.inf}),
-    (FitConfig(), {"learning_rate": 0.0}),
+    (BacktestConfig(), {"learning_rate": 0.0}),
     (BacktestConfig(), {"threshold": 1.5}),
     (BacktestConfig(), {"max_iter": -1}),
     (PredictionRecord(BROAD_SCOPE, Q, 0.5, Label.UP, None), {"p_up": 1.5}),

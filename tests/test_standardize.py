@@ -177,7 +177,7 @@ class TestZScoreTable:
         pe = QuarterlySeries(START, tuple(r.market_pe for r in rows))
         scalar = zscore(pe, 4)
         for quarter, row in kept(table):
-            assert row[4] == scalar.series.at(quarter)
+            assert row[4] == scalar.series.get(quarter)
 
     def test_write_table(self):
         import io
