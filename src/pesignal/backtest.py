@@ -14,7 +14,7 @@ import math
 from ._numpy import np
 from ._record import NamedTuple, checked
 from .errors import DataError, InsufficientHistoryError, NumericalError
-from .features import Scope
+from .features import FeatureTable, Scope
 from .logit import FitReport, classify, fit_windows, prob_up
 from .logit import fit  # noqa: F401  (bench/test_bench.py checks the tracer wraps it here)
 from .quarters import Quarter
@@ -83,7 +83,7 @@ class BacktestResult(NamedTuple):
     skipped: tuple
 
 
-def run(feature_rows, labels, config: BacktestConfig = BacktestConfig()) -> BacktestResult:
+def run(features: FeatureTable, labels, config: BacktestConfig = BacktestConfig()) -> BacktestResult:
     """Walk one-ahead windows over a single-scope feature table.
 
     labels maps quarters to the scope's Labels; estimation windows
@@ -96,17 +96,17 @@ def run(feature_rows, labels, config: BacktestConfig = BacktestConfig()) -> Back
     k .. k+ne-1 and predicts row k+ne, which makes
     quarter_count - std_window - est_window + 1 windows.
     """
-    table = build_zscore_table(feature_rows, config.std_window)
-    z = np.array(table.z, dtype=float)  # a dropped row's None reads as NaN
+    table = build_zscore_table(features, config.std_window)
+    z = np.array(table.rows, dtype=float)  # a dropped row's None reads as NaN
     ne = config.est_window
-    windows = len(table.z) - ne
+    windows = len(table.rows) - ne
     if windows <= 0:
         raise InsufficientHistoryError(
             f"walk-forward needs at least {config.std_window + ne} quarters"
             f" ({config.std_window} to standardize, {ne} to estimate,"
-            f" predicting the one after), got {len(feature_rows)}"
+            f" predicting the one after), got {len(features.rows)}"
         )
-    actual = [labels.get(table.start + k) for k in range(len(table.z))]
+    actual = [labels.get(table.start + k) for k in range(len(table.rows))]
     has_z = ~np.isnan(z).any(axis=1)
     usable = has_z & np.array([y is not None for y in actual])
     # each window gets its skip reason, or None when it is fitted in the batch
@@ -203,7 +203,7 @@ def read_predictions(stream) -> list:
                 raise ValueError(f"quarter {rec.quarter} appears twice")
             if correct != prediction_row(rec)[-1]:
                 raise ValueError(f"correct is {correct!r}, which predicted {predicted} and actual {actual} contradict")
-        except ValueError as exc:
+        except (ValueError, DataError) as exc:
             raise DataError(f"prediction table line {line_no}: {exc}") from None
         records.append(rec)
         seen.add(rec.quarter)

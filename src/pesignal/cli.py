@@ -38,7 +38,7 @@ from .ingest import (
 from .logit import fit_report_line
 from .quarters import Quarter
 from .response import build_labels
-from .standardize import build_zscore_table, write_zscore_table
+from .standardize import build_zscore_table
 from .synthetic import SyntheticSpec, generate_dataset
 
 
@@ -245,6 +245,14 @@ class _Files:
         # hold it again at four bytes a character
         return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
 
+    def parse(self, path: Path, reader):
+        """reader's result on the file; its DataError names the file."""
+        stream = self.read(path)
+        try:
+            return reader(stream)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
+
     def write(self, path: Path, writer, *args, **kwargs):
         """writer(*args, stream, **kwargs) rendered, then written atomically."""
         buffer = io.StringIO()
@@ -311,14 +319,14 @@ def cmd_features(config: RunConfig) -> int:
     out = config.out_dir()
     for scope in config.scope_list():
         sector_pe = None if scope.is_broad else _series_for(pe_map, scope.name, pe_path)
-        rows = build_feature_table(buckets, scope, first, last, market_pe, sector_pe)
-        table = build_zscore_table(rows, config.t)
-        if table.dropped:
-            _log("%s: %d quarters dropped for missing features", scope.name, len(table.dropped))
-        if table.zero_variance:
-            _log("%s: %d zero-variance windows pinned to z=0", scope.name, len(table.zero_variance))
-        files.write(out / f"features_{_slug(scope.name)}.csv", write_feature_table, rows)
-        files.write(out / f"zscores_{_slug(scope.name)}.csv", write_zscore_table, table)
+        table = build_feature_table(buckets, scope, first, last, market_pe, sector_pe)
+        ztable = build_zscore_table(table, config.t)
+        if ztable.dropped:
+            _log("%s: %d quarters dropped for missing features", scope.name, len(ztable.dropped))
+        if ztable.zero_variance:
+            _log("%s: %d zero-variance windows pinned to z=0", scope.name, len(ztable.zero_variance))
+        files.write(out / f"features_{_slug(scope.name)}.csv", write_feature_table, table)
+        files.write(out / f"zscores_{_slug(scope.name)}.csv", write_feature_table, ztable)
     files.manifest("features")
     return 0
 
@@ -331,10 +339,13 @@ def cmd_backtest(config: RunConfig) -> int:
     market_prices = _series_for(price_map, BROAD_INDEX_NAME, prices_path)
     out = config.out_dir()
     for scope in config.scope_list():
-        rows = read_feature_table(files.read(out / f"features_{_slug(scope.name)}.csv"))
+        path = out / f"features_{_slug(scope.name)}.csv"
+        table = files.parse(path, read_feature_table)
+        if table.scope != scope:
+            raise DataError(f"{path} holds {table.scope.name} features, not {scope.name}'s")
         sector_prices = None if scope.is_broad else _series_for(price_map, scope.name, prices_path)
         labels = build_labels(scope, market_prices, sector_prices)
-        result = run(rows, labels, bt_config)
+        result = run(table, labels, bt_config)
         for skip in result.skipped:
             _log("%s %s: skipped, %s", scope.name, skip.predicted, skip.reason)
         for record in result.records:
@@ -354,7 +365,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     per_scope = []
     for scope in config.scope_list():
         path = out / f"predictions_{_slug(scope.name)}.csv"
-        records = read_predictions(files.read(path))
+        records = files.parse(path, read_predictions)
         if records and records[0].scope != scope:
             raise DataError(f"{path} holds {records[0].scope.name} predictions, not {scope.name}'s")
         per_scope.append((scope.name, records))

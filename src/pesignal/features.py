@@ -58,29 +58,37 @@ BROAD_SCOPE = Scope()
 
 
 @checked
-class RawFeatureRow(NamedTuple):
-    """One quarter of raw (unstandardized) features for one scope.
+class FeatureTable(NamedTuple):
+    """One scope's quarterly feature matrix: rows[k] holds the values of
+    quarter start + k, one per name, and None marks a missing value.
 
-    avg_aum and weighted_avg_aum are None exactly when no deal in the
-    quarter and scope carries a usable AUM. avg_fund_ranking is broad
-    scope only; sector_count_pct and sector_pe are sector scope only.
+    standardize.build_zscore_table maps it to its z table: z_ names, an
+    all-None row for each dropped quarter, and zero_variance filled in.
     """
 
-    quarter: Quarter
     scope: Scope
-    deal_count: int
-    avg_aum: float | None
-    weighted_avg_aum: float | None
-    market_pe: float
-    avg_fund_ranking: float | None = None
-    sector_count_pct: float | None = None
-    sector_pe: float | None = None
+    start: Quarter
+    names: tuple
+    rows: tuple
+    zero_variance: tuple = ()
 
     def _check(self):
-        if self.deal_count < 0:
-            raise ValueError("deal_count must be >= 0")
-        if self.sector_count_pct is not None and not 0.0 <= self.sector_count_pct <= 100.0:
-            raise ValueError(f"sector_count_pct out of [0, 100]: {self.sector_count_pct!r}")
+        for k, row in enumerate(self.rows):
+            for v in row:
+                if v is not None and not math.isfinite(v):
+                    raise ValueError(f"non-finite value at {self.start + k}: {v!r}")
+
+    @property
+    def dropped(self) -> tuple:
+        """The quarters whose row is all None."""
+        return tuple(self.start + k for k, row in enumerate(self.rows) if row.count(None) == len(row))
+
+    def row_at(self, quarter: Quarter):
+        """The quarter's row, or None when it holds a None or lies outside the table."""
+        k = quarter - self.start
+        if 0 <= k < len(self.rows) and None not in self.rows[k]:
+            return self.rows[k]
+        return None
 
 
 def feature_names(scope: Scope) -> tuple:
@@ -130,92 +138,80 @@ def build_feature_table(
     last_quarter: Quarter,
     market_pe: QuarterlySeries,
     sector_pe: QuarterlySeries | None = None,
-) -> list:
-    """One RawFeatureRow per quarter in [first_quarter, last_quarter].
+) -> FeatureTable:
+    """The scope's features for every quarter in [first_quarter, last_quarter].
 
     buckets maps each quarter to its first deals (deals_by_quarter), so
     one grouping serves every scope. market_pe must cover every quarter;
     sector scopes additionally need sector_pe coverage. Raises DataError
-    naming the first bare quarter.
+    naming the first bare quarter. deal_count is an int; avg_aum and
+    weighted_avg_aum are None exactly when no deal in the quarter and
+    scope carries a usable AUM.
     """
     if not scope.is_broad and sector_pe is None:
         raise DataError(f"sector scope {scope.name} needs a sector P/E series")
+    names = feature_names(scope)
     rows = []
     for quarter in quarter_range(first_quarter, last_quarter):
         m_pe = market_pe.get(quarter)
+        s_pe = None if scope.is_broad else sector_pe.get(quarter)
         if m_pe is None:
             raise DataError(f"market P/E series does not cover {quarter}")
-        s_pe = None
-        if not scope.is_broad:
-            s_pe = sector_pe.get(quarter)
-            if s_pe is None:
-                raise DataError(f"sector P/E series for {scope.name} does not cover {quarter}")
+        if s_pe is None and not scope.is_broad:
+            raise DataError(f"sector P/E series for {scope.name} does not cover {quarter}")
         bucket = buckets.get(quarter, [])
         matched = matching_deals(bucket, scope)
         aums = [a for a in (d.numeric_aum() for d in matched) if a is not None]
-        ranks = [d.investor_rank for d in matched if d.investor_rank is not None]
-        # a sector's share of all the quarter's deals; None when it has none
-        share = None if scope.is_broad or not bucket else 100.0 * len(matched) / len(bucket)
-        row = RawFeatureRow(
-            quarter=quarter,
-            scope=scope,
-            deal_count=len(matched),
-            avg_aum=_mean(aums),
-            weighted_avg_aum=_weighted_mean(aums),
-            market_pe=m_pe,
-            avg_fund_ranking=_mean(ranks) if scope.is_broad else None,
-            sector_count_pct=share,
-            sector_pe=s_pe,
-        )
-        rows.append(row)
-    return rows
+        # every feature of either scope; the scope's names pick its columns
+        values = {
+            "deal_count": len(matched),
+            # a sector's share of all the quarter's deals; None when it has none
+            "sector_count_pct": 100.0 * len(matched) / len(bucket) if bucket else None,
+            "avg_aum": _mean(aums),
+            "weighted_avg_aum": _weighted_mean(aums),
+            "avg_fund_ranking": _mean([d.investor_rank for d in matched if d.investor_rank is not None]),
+            "sector_pe": s_pe,
+            "market_pe": m_pe,
+        }
+        rows.append(tuple(values[name] for name in names))
+    return FeatureTable(scope, first_quarter, names, tuple(rows))
 
 
-def feature_series(rows) -> dict:
-    """Per-feature QuarterlySeries from a contiguous feature table."""
-    if not rows:
-        raise DataError("empty feature table")
-    scope = rows[0].scope
-    start = rows[0].quarter
-    series = {}
-    for name in feature_names(scope):
-        values = []
-        for k, row in enumerate(rows):
-            if row.scope != scope:
-                raise DataError("feature table mixes scopes")
-            if row.quarter - start != k:
-                raise DataError(f"feature table is not contiguous at {row.quarter}")
-            value = getattr(row, name)
-            values.append(None if value is None else float(value))
-        series[name] = QuarterlySeries(start, tuple(values))
-    return series
+def write_feature_table(table: FeatureTable, stream):
+    """Emit an audit table, feature or z: scope, quarter-end date, then
+    the table's columns, an int as is, a float to 6 decimals and None as
+    NA; all-None rows are left out."""
+    stream.write(",".join(["scope", "quarter_end", *table.names]) + "\n")
+    for k, row in enumerate(table.rows):
+        if row.count(None) < len(row):
+            cells = [table.scope.name, (table.start + k).end_date().isoformat()]
+            cells += ["NA" if v is None else str(v) if isinstance(v, int) else f"{v:.6f}" for v in row]
+            stream.write(",".join(cells) + "\n")
 
 
-def format_value(value) -> str:
-    if value is None:
-        return "NA"
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.6f}"
+def _cell(name: str, cell: str):
+    """One feature table cell: deal_count a count, any other column NA or a finite float."""
+    if name == "deal_count":
+        if not cell.isdigit():
+            raise ValueError(f"deal_count is not a count: {cell!r}")
+        return int(cell)
+    if cell == "NA":
+        return None
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is not finite: {cell!r}")
+    if name == "sector_count_pct" and not 0.0 <= value <= 100.0:
+        raise ValueError(f"sector_count_pct out of [0, 100]: {value!r}")
+    return value
 
 
-def write_feature_table(rows, stream):
-    """Emit the audit table: quarter-end date then the scope's columns."""
-    if not rows:
-        raise DataError("empty feature table")
-    names = feature_names(rows[0].scope)
-    stream.write(",".join(["scope", "quarter_end", *names]) + "\n")
-    for row in rows:
-        cells = [row.scope.name, row.quarter.end_date().isoformat()]
-        cells += [format_value(getattr(row, name)) for name in names]
-        stream.write(",".join(cells) + "\n")
-
-
-def read_feature_table(stream) -> list:
-    """Parse a feature table back into RawFeatureRows.
+def read_feature_table(stream) -> FeatureTable:
+    """Parse a feature table back into a FeatureTable.
 
     Values carry the table's 6-decimal precision, not the full floats
-    the writer started from.
+    the writer started from. A row that names another scope than the
+    first row, or another quarter than the one after the row before, is
+    a DataError naming its line.
     """
     header = stream.readline().rstrip("\n")
     columns = header.split(",")
@@ -228,25 +224,21 @@ def read_feature_table(stream) -> list:
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) != len(columns):
-            raise DataError(
-                f"feature table line {line_no}: expected {len(columns)} columns"
-            )
         try:
-            scope = Scope.of_name(parts[0])
-            if names != feature_names(scope):
-                raise ValueError(f"columns {names} do not fit scope {scope.name}")
-            values = {}
-            for name, cell in zip(names, parts[2:]):
-                if cell == "NA":
-                    values[name] = None
-                elif name == "deal_count":
-                    values[name] = int(cell)
-                else:
-                    values[name] = float(cell)
-                    if not math.isfinite(values[name]):
-                        raise ValueError(f"{name} is not finite: {cell!r}")
-            rows.append(RawFeatureRow(quarter=Quarter.parse(parts[1]), scope=scope, **values))
-        except ValueError as exc:
+            if len(parts) != len(columns):
+                raise ValueError(f"expected {len(columns)} columns")
+            quarter = Quarter.parse(parts[1])
+            if not rows:
+                scope, start = Scope.of_name(parts[0]), quarter
+                if names != feature_names(scope):
+                    raise ValueError(f"columns {names} do not fit scope {scope.name}")
+            elif parts[0] != scope.name:
+                raise ValueError(f"scope {parts[0]}, but the table is {scope.name}'s")
+            elif quarter != start + len(rows):
+                raise ValueError(f"quarter {quarter}, but the row before is {start + (len(rows) - 1)}")
+            rows.append(tuple(_cell(name, cell) for name, cell in zip(names, parts[2:])))
+        except (ValueError, DataError) as exc:
             raise DataError(f"feature table line {line_no}: {exc}") from None
-    return rows
+    if not rows:
+        raise DataError("empty feature table")
+    return FeatureTable(scope, start, names, tuple(rows))

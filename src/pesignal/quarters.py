@@ -109,9 +109,6 @@ class QuarterlySeries(NamedTuple):
                 raise ValueError(f"non-finite value at {self.start + k}: {v!r}")
         return self.start, values
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     @property
     def end(self) -> Quarter:
         if not self.values:

@@ -19,12 +19,12 @@ from datetime import MAXYEAR, MINYEAR, timedelta
 
 from ._numpy import np
 from ._record import NamedTuple, checked
-from .features import BROAD_FEATURES, BROAD_SCOPE, Scope, build_feature_table, deals_by_quarter, feature_names
+from .features import BROAD_FEATURES, BROAD_SCOPE, FeatureTable, Scope, build_feature_table, deals_by_quarter, feature_names
 from .ingest import AumBucket, DealRecord, SECTOR_NAMES
 from .logit import LogitParams, prob_up
 from .quarters import Quarter, QuarterlySeries
 from .response import Label, ann_forward_return, build_labels
-from .standardize import ZScoreTable, build_zscore_table
+from .standardize import build_zscore_table
 
 # stream purposes (tests/oracles.py keys its samples with 6); the market uses index _BROAD_STREAM
 _P_INTENSITY = 1
@@ -224,21 +224,14 @@ def generate_features(spec: SyntheticSpec, deals, pe) -> tuple:
     features = {}
     ztables = {}
     for scope in spec.scopes():
-        rows = build_feature_table(
-            buckets,
-            scope,
-            spec.start,
-            spec.last,
-            market_pe=pe[BROAD_SCOPE.name],
-            sector_pe=None if scope.is_broad else pe[scope.name],
-        )
-        features[scope.name] = rows
-        ztables[scope.name] = build_zscore_table(rows, spec.std_window)
+        sector_pe = None if scope.is_broad else pe[scope.name]
+        features[scope.name] = build_feature_table(buckets, scope, spec.start, spec.last, pe[BROAD_SCOPE.name], sector_pe)
+        ztables[scope.name] = build_zscore_table(features[scope.name], spec.std_window)
     return features, ztables
 
 
 def generate_labels(
-    ztable: ZScoreTable,
+    ztable: FeatureTable,
     params: LogitParams,
     spec: SyntheticSpec,
     scope: Scope,

@@ -1,4 +1,5 @@
-"""Test oracles for the logit likelihood and the planted law.
+"""Test oracles for the logit likelihood, the planted law and the
+series-based standardization.
 
 The library's batched fit kernel never evaluates the likelihood or its
 gradient at a given point on its own, so those evaluations live here,
@@ -9,11 +10,20 @@ labels y (n,), and use pesignal.logit's stable sigmoid and likelihood.
 
 planted_samples draws standard-normal features and labels from a
 planted logit law, for weight recovery (acceptance criterion 7).
+
+series_zscore_table is the z table as built before standardization
+worked on the columns of a FeatureTable: one QuarterlySeries per
+feature (feature_series), each standardized on its own (series_zscore)
+and zipped back into rows. build_zscore_table must equal it.
 """
 
 import numpy as np
 
+from pesignal.errors import DataError, InsufficientHistoryError
+from pesignal.features import FeatureTable
 from pesignal.logit import LogitParams, _loglik, _sigmoid, prob_up
+from pesignal.quarters import QuarterlySeries
+from pesignal.standardize import _window_stats
 
 
 def _grad(z, y, w, b):
@@ -59,3 +69,50 @@ def planted_samples(params: LogitParams, n: int, seed: int) -> tuple:
     u = rng.random(n)
     y = np.array([coin < prob_up(row, params) for row, coin in zip(z, u)], dtype=float)
     return z, y
+
+
+def feature_series(table: FeatureTable) -> dict:
+    """Per-feature QuarterlySeries of a feature table, values as floats."""
+    if not table.rows:
+        raise DataError("empty feature table")
+    return {
+        name: QuarterlySeries(table.start, tuple(None if v is None else float(v) for v in column))
+        for name, column in zip(table.names, zip(*table.rows))
+    }
+
+
+def series_zscore(x: QuarterlySeries, window: int) -> tuple:
+    """(z series covering x.start + window - 1 through x.end, the
+    quarters where sigma was 0 and z was set to 0)."""
+    if window < 2:
+        raise ValueError(f"window must be at least 2 quarters, got {window}")
+    if len(x.values) < window:
+        raise InsufficientHistoryError(
+            f"standardization needs {window} quarters, series has {len(x.values)}"
+        )
+    out = []
+    flagged = []
+    for k in range(window - 1, len(x.values)):
+        values = x.values[k - window + 1 : k + 1]
+        if any(v is None for v in values):
+            out.append(None)
+            continue
+        mu, sigma = _window_stats(values)
+        if sigma == 0.0:
+            out.append(0.0)
+            flagged.append(x.start + k)
+        else:
+            out.append((x.values[k] - mu) / sigma)
+    return QuarterlySeries(x.start + (window - 1), tuple(out)), tuple(flagged)
+
+
+def series_zscore_table(table: FeatureTable, window: int) -> FeatureTable:
+    series = feature_series(table)
+    standardized = {name: series_zscore(series[name], window) for name in table.names}
+    zero_variance = tuple(
+        (quarter, name) for name in table.names for quarter in standardized[name][1]
+    )
+    start = table.start + (window - 1)
+    rows = zip(*(standardized[name][0].values for name in table.names))
+    z = tuple((None,) * len(table.names) if None in row else row for row in rows)
+    return FeatureTable(table.scope, start, tuple(f"z_{n}" for n in table.names), z, zero_variance)

@@ -53,9 +53,9 @@ def test_criterion_2_sector_spreads_and_labels():
 
 def test_criterion_3_schedule_yields_50_predictions():
     data = generate_dataset(SyntheticSpec(seed=3, n_quarters=68, n_sectors=1, std_window=12))
-    rows = data.features["Market"]
-    assert (rows[0].quarter, rows[-1].quarter) == (Quarter(2000, 1), Quarter(2016, 4))
-    result = run(rows, data.labels["Market"], BacktestConfig(std_window=12, est_window=7, max_iter=20))
+    table = data.features["Market"]
+    assert (table.start, table.start + (len(table.rows) - 1)) == (Quarter(2000, 1), Quarter(2016, 4))
+    result = run(table, data.labels["Market"], BacktestConfig(std_window=12, est_window=7, max_iter=20))
     predicted = sorted([r.quarter for r in result.records] + [s.predicted for s in result.skipped])
     assert len(predicted) == 50
     assert predicted[0].end_date().isoformat() == "2004-09-30"

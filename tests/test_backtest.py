@@ -18,7 +18,7 @@ from pesignal.backtest import (
 )
 from pesignal.errors import DataError, InsufficientHistoryError, NumericalError
 from pesignal.evaluation import report
-from pesignal.features import BROAD_SCOPE, RawFeatureRow, build_feature_table, deals_by_quarter
+from pesignal.features import BROAD_FEATURES, BROAD_SCOPE, FeatureTable, build_feature_table, deals_by_quarter
 from pesignal.ingest import AumBucket, first_deals
 from pesignal.logit import fit, fit_windows
 from pesignal.quarters import Quarter, QuarterlySeries, quarter_range
@@ -30,22 +30,20 @@ START = Quarter(2000, 1)
 
 
 def broad_rows(n, seed=101, hole=None):
+    """A market feature table of n quarters from START."""
     rng = random.Random(seed)
     rows = []
     for k in range(n):
         aum = None if k == hole else rng.uniform(1, 9)
-        rows.append(
-            RawFeatureRow(
-                quarter=START + k,
-                scope=BROAD_SCOPE,
-                deal_count=rng.randrange(40, 400),
-                avg_aum=aum,
-                weighted_avg_aum=None if aum is None else aum * rng.uniform(1.0, 1.6),
-                market_pe=rng.uniform(10, 25),
-                avg_fund_ranking=rng.uniform(1.5, 3.5),
-            )
-        )
-    return rows
+        count = rng.randrange(40, 400)
+        wavg = None if aum is None else aum * rng.uniform(1.0, 1.6)
+        pe = rng.uniform(10, 25)
+        rows.append((count, aum, wavg, rng.uniform(1.5, 3.5), pe))
+    return FeatureTable(BROAD_SCOPE, START, BROAD_FEATURES, tuple(rows))
+
+
+def quarters_of(table):
+    return [table.start + k for k in range(len(table.rows))]
 
 
 def broad_labels(quarters, seed=202, force=None):
@@ -62,7 +60,7 @@ FAST = BacktestConfig(std_window=4, est_window=3, max_iter=300)
 
 def walk(rows, config):
     """Every predicted quarter of the walk, recorded or skipped, in order."""
-    result = run(rows, broad_labels([r.quarter for r in rows]), config)
+    result = run(rows, broad_labels(quarters_of(rows)), config)
     return sorted([r.quarter for r in result.records] + [s.predicted for s in result.skipped])
 
 
@@ -77,7 +75,7 @@ class TestSchedule:
 
     def test_windows_slide_by_one(self):
         rows = broad_rows(68)
-        labels = broad_labels([r.quarter for r in rows])
+        labels = broad_labels(quarters_of(rows))
         config = BacktestConfig(std_window=12, est_window=7, max_iter=20)
         table = build_zscore_table(rows, 12)
         result = run(rows, labels, config)
@@ -86,7 +84,7 @@ class TestSchedule:
             # window k fits z rows k .. k+6, the 7 quarters just before the predicted one
             assert table.start + k == r.quarter - 7
             y = np.array([labels[q] is Label.UP for q in quarter_range(r.quarter - 7, r.quarter - 1)], dtype=float)
-            assert r.fit == fit(table.z[k : k + 7], y, config)
+            assert r.fit == fit(table.rows[k : k + 7], y, config)
 
     def test_minimal_history_single_prediction(self):
         assert walk(broad_rows(19), BacktestConfig(std_window=12, est_window=7, max_iter=20)) == [Quarter(2004, 3)]
@@ -115,7 +113,7 @@ class TestSchedule:
 class TestRun:
     def test_record_per_scheduled_quarter(self):
         rows = broad_rows(16)
-        labels = broad_labels([r.quarter for r in rows])
+        labels = broad_labels(quarters_of(rows))
         result = run(rows, labels, FAST)
         assert result.skipped == ()
         assert [r.quarter for r in result.records] == [START + k for k in range(6, 16)]
@@ -124,7 +122,7 @@ class TestRun:
 
     def test_deterministic(self):
         rows = broad_rows(16)
-        labels = broad_labels([r.quarter for r in rows])
+        labels = broad_labels(quarters_of(rows))
         first = io.StringIO()
         second = io.StringIO()
         write_predictions(run(rows, labels, FAST).records, first)
@@ -132,27 +130,15 @@ class TestRun:
         assert first.getvalue() == second.getvalue()
 
     def test_constant_features_all_up_labels(self):
-        rows = []
-        for k in range(10):
-            rows.append(
-                RawFeatureRow(
-                    quarter=START + k,
-                    scope=BROAD_SCOPE,
-                    deal_count=100,
-                    avg_aum=5.0,
-                    weighted_avg_aum=5.0,
-                    market_pe=15.0,
-                    avg_fund_ranking=2.0,
-                )
-            )
-        labels = broad_labels([r.quarter for r in rows], force=Label.UP)
+        rows = FeatureTable(BROAD_SCOPE, START, BROAD_FEATURES, ((100, 5.0, 5.0, 2.0, 15.0),) * 10)
+        labels = broad_labels(quarters_of(rows), force=Label.UP)
         result = run(rows, labels, BacktestConfig(std_window=4, est_window=3, max_iter=200))
         assert result.records
         assert all(r.predicted is Label.UP for r in result.records)
 
     def test_feature_hole_skips_overlapping_windows(self):
         rows = broad_rows(16, hole=8)
-        labels = broad_labels([r.quarter for r in rows])
+        labels = broad_labels(quarters_of(rows))
         result = run(rows, labels, FAST)
         assert len(result.records) + len(result.skipped) == 16 - 4 - 3 + 1
         assert result.skipped
@@ -161,7 +147,7 @@ class TestRun:
 
     def test_missing_label_skips_window(self):
         rows = broad_rows(16)
-        quarters = [r.quarter for r in rows]
+        quarters = quarters_of(rows)
         missing = START + 9
         labels = broad_labels(quarters)
         del labels[missing]
@@ -173,7 +159,7 @@ class TestRun:
 
     def test_unscored_final_quarter(self):
         rows = broad_rows(16)
-        quarters = [r.quarter for r in rows]
+        quarters = quarters_of(rows)
         labels = broad_labels(quarters)
         del labels[quarters[-1]]
         result = run(rows, labels, FAST)
@@ -184,13 +170,13 @@ class TestRun:
 
     def test_no_lookahead(self):
         rows = broad_rows(16)
-        quarters = [r.quarter for r in rows]
+        quarters = quarters_of(rows)
         labels = broad_labels(quarters)
         full = run(rows, labels, FAST)
         for horizon in (10, 12, 15):
             q = START + horizon
             truncated = run(
-                [r for r in rows if r.quarter <= q],
+                rows._replace(rows=rows.rows[: horizon + 1]),
                 {quarter: y for quarter, y in labels.items() if quarter < q},
                 FAST,
             )
@@ -211,7 +197,7 @@ class TestRun:
             return outcomes
 
         rows = broad_rows(16)
-        labels = broad_labels([r.quarter for r in rows])
+        labels = broad_labels(quarters_of(rows))
         del labels[START + 5], labels[START + 11]
         clean = run(rows, labels, FAST)
         monkeypatch.setattr("pesignal.backtest.fit_windows", second_fails)
@@ -242,7 +228,7 @@ def after(series: dict, q, rng) -> dict:
     """Each series with every value strictly after q rescaled."""
     out = {}
     for name, s in series.items():
-        scale = np.exp(rng.normal(0, 0.3, len(s)))
+        scale = np.exp(rng.normal(0, 0.3, len(s.values)))
         values = [v * float(f) if s.start + k > q else v for k, (v, f) in enumerate(zip(s.values, scale))]
         out[name] = QuarterlySeries(s.start, tuple(values))
     return out
@@ -313,8 +299,8 @@ def test_no_lookahead_through_the_pipeline(offset, seed, change_deals, change_pr
 class TestPredictionIO:
     def test_round_trip(self):
         rows = broad_rows(16)
-        labels = broad_labels([r.quarter for r in rows])
-        del labels[rows[-1].quarter]
+        labels = broad_labels(quarters_of(rows))
+        del labels[quarters_of(rows)[-1]]
         records = run(rows, labels, FAST).records
         out = io.StringIO()
         write_predictions(records, out)
@@ -348,7 +334,7 @@ class TestPredictionIO:
         # report reads back as UP at threshold 0.5
         monkeypatch.setattr("pesignal.backtest.prob_up", lambda z, params: 0.49999996)
         rows = broad_rows(16)
-        records = run(rows, broad_labels([r.quarter for r in rows], force=Label.DOWN), FAST).records
+        records = run(rows, broad_labels(quarters_of(rows), force=Label.DOWN), FAST).records
         out = io.StringIO()
         write_predictions(records, out)
         assert all(line.endswith(",0.500000,UP,DOWN,0") for line in out.getvalue().splitlines()[1:])
@@ -362,9 +348,13 @@ class TestPredictionIO:
             read_predictions(io.StringIO("nope\n"))
 
     def test_read_rejects_bad_row(self):
-        text = "scope,quarter_end,p_up,predicted,actual,correct\nMarket,2004-09-30,oops,UP,NA,NA\n"
-        with pytest.raises(DataError, match="line 2"):
-            read_predictions(io.StringIO(text))
+        header = "scope,quarter_end,p_up,predicted,actual,correct\n"
+        for row, error in (
+            ("Market,2004-09-30,oops,UP,NA,NA", "line 2"),
+            ("Market,2004-09-3x,0.500000,UP,NA,NA", "line 2: cannot parse quarter from '2004-09-3x'"),
+        ):
+            with pytest.raises(DataError, match=error):
+                read_predictions(io.StringIO(header + row + "\n"))
 
     HEADER = "scope,quarter_end,p_up,predicted,actual,correct\n"
 

@@ -185,10 +185,19 @@ class TestExitCodes:
         study = ["evaluate", "--config", str(tmp_path / "config.json"), "--out", str(out), "--scopes", "Market"]
         market.write_text("".join(ours + theirs[1:2]))
         assert main(study) == 2
-        assert f"line {len(ours) + 1}: scope Communications, but the table is Market's" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{market}: prediction table line {len(ours) + 1}: scope Communications, but the table is Market's" in err
         market.write_text("".join(theirs))
         assert main(study) == 2
         assert "holds Communications predictions, not Market's" in capsys.readouterr().err
+
+    def test_backtest_rejects_a_feature_table_of_another_scope(self, tmp_path, capsys):
+        out = run_pipeline(tmp_path, SMALL)
+        market = out / "features_market.csv"
+        market.write_bytes((out / "features_commercial_services.csv").read_bytes())
+        study = ["backtest", "--config", str(tmp_path / "config.json"), "--out", str(out), "--scopes", "Market"]
+        assert main(study) == 2
+        assert f"data error: {market} holds Commercial Services features, not Market's" in capsys.readouterr().err
 
     def test_missing_input_file_is_a_usage_error(self, tmp_path, capsys):
         assert main(["features", "--out", str(tmp_path / "nowhere")]) == 1
@@ -236,14 +245,19 @@ class TestExitCodes:
         assert main(["features", "--config", config, "--out", str(out)]) == 0
         path = out / "features_market.csv"
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        for cell in ("nan", "inf", "-inf"):
+        for column, cell, problem in (
+            (3, "nan", "avg_aum is not finite"),
+            (3, "inf", "avg_aum is not finite"),
+            (3, "-inf", "avg_aum is not finite"),
+            (2, "NA", "deal_count is not a count"),
+        ):
             parts = lines[3].split(",")
-            parts[3] = cell  # avg_aum
+            parts[column] = cell
             path.write_text("".join(lines[:3] + [",".join(parts)] + lines[4:]), encoding="utf-8")
             capsys.readouterr()
             assert main(["backtest", "--config", config, "--out", str(out)]) == 2
             err = capsys.readouterr().err
-            assert f"data error: feature table line 4: avg_aum is not finite: {cell!r}" in err
+            assert f"data error: {path}: feature table line 4: {problem}: {cell!r}" in err
             assert "Traceback" not in err
 
     @pytest.mark.parametrize(

@@ -11,19 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import feature_series
 from pesignal.errors import DataError
 from pesignal.features import (
     BROAD_FEATURES,
     BROAD_SCOPE,
     SECTOR_FEATURES,
-    RawFeatureRow,
+    FeatureTable,
     Scope,
     _mean,
     aum_weight,
     build_feature_table,
     deals_by_quarter,
     feature_names,
-    feature_series,
     read_feature_table,
     write_feature_table,
 )
@@ -95,10 +95,9 @@ def sector_count_pct(deals, sector: str, quarter: Quarter) -> float | None:
 
 
 def oracle_feature_table(deals, scope, first_quarter, last_quarter, market_pe, sector_pe=None):
-    return [
-        RawFeatureRow(
-            quarter=quarter,
-            scope=scope,
+    rows = []
+    for quarter in quarter_range(first_quarter, last_quarter):
+        values = dict(
             deal_count=deal_count(deals, scope, quarter),
             avg_aum=avg_aum(deals, scope, quarter),
             weighted_avg_aum=weighted_avg_aum(deals, scope, quarter),
@@ -107,8 +106,13 @@ def oracle_feature_table(deals, scope, first_quarter, last_quarter, market_pe, s
             sector_count_pct=None if scope.is_broad else sector_count_pct(deals, scope.sector, quarter),
             sector_pe=None if scope.is_broad else sector_pe.get(quarter),
         )
-        for quarter in quarter_range(first_quarter, last_quarter)
-    ]
+        rows.append(tuple(values[name] for name in feature_names(scope)))
+    return FeatureTable(scope, first_quarter, feature_names(scope), tuple(rows))
+
+
+def by_name(table, k):
+    """Row k of a feature table as a {name: value} dict."""
+    return dict(zip(table.names, table.rows[k]))
 
 
 class TestScope:
@@ -271,28 +275,28 @@ def pe_series(start, n, base=15.0):
 class TestBuildFeatureTable:
     def test_broad_rows(self):
         deals = [deal("Finance", date(2008, 2, 1), aum=4.0, rank=1.5)]
-        rows = build_feature_table(
+        table = build_feature_table(
             deals_by_quarter(deals),
             BROAD_SCOPE,
             Quarter(2008, 1),
             Quarter(2008, 2),
             pe_series(Quarter(2008, 1), 2),
         )
-        assert [r.quarter for r in rows] == [Quarter(2008, 1), Quarter(2008, 2)]
-        first, second = rows
-        assert first.deal_count == 1
-        assert first.avg_fund_ranking == 1.5
-        assert first.sector_count_pct is None and first.sector_pe is None
-        assert first.market_pe == 15.0
-        assert second.deal_count == 0
-        assert second.avg_aum is None
+        assert (table.scope, table.start, table.names, len(table.rows)) == (BROAD_SCOPE, Quarter(2008, 1), BROAD_FEATURES, 2)
+        first, second = by_name(table, 0), by_name(table, 1)
+        assert first["deal_count"] == 1
+        assert first["avg_fund_ranking"] == 1.5
+        assert "sector_count_pct" not in first and "sector_pe" not in first
+        assert first["market_pe"] == 15.0
+        assert second["deal_count"] == 0
+        assert second["avg_aum"] is None
 
     def test_sector_rows(self):
         deals = [
             deal("Finance", date(2008, 2, 1), aum=4.0, rank=1.5),
             deal("Utilities", date(2008, 2, 1), aum=2.0),
         ]
-        rows = build_feature_table(
+        table = build_feature_table(
             deals_by_quarter(deals),
             Scope("Finance"),
             Quarter(2008, 1),
@@ -300,13 +304,13 @@ class TestBuildFeatureTable:
             pe_series(Quarter(2008, 1), 1),
             sector_pe=pe_series(Quarter(2008, 1), 1, base=22.0),
         )
-        (row,) = rows
-        assert row.deal_count == 1
-        assert row.sector_count_pct == 50.0
-        assert row.sector_pe == 22.0
-        assert row.avg_fund_ranking is None
-        values = tuple(getattr(row, name) for name in SECTOR_FEATURES)
-        assert values == (1, 50.0, 4.0, 4.0, 22.0, 15.1 - 0.1)
+        assert table.names == SECTOR_FEATURES
+        row = by_name(table, 0)
+        assert row["deal_count"] == 1
+        assert row["sector_count_pct"] == 50.0
+        assert row["sector_pe"] == 22.0
+        assert "avg_fund_ranking" not in row
+        assert table.rows == ((1, 50.0, 4.0, 4.0, 22.0, 15.1 - 0.1),)
 
     def test_missing_market_pe_names_quarter(self):
         with pytest.raises(DataError, match="2008Q2"):
@@ -322,14 +326,14 @@ class TestBuildFeatureTable:
 
     def test_feature_series_round_trip(self):
         deals = [deal("Finance", date(2008, 2, 1), aum=4.0, rank=1.5)]
-        rows = build_feature_table(
+        table = build_feature_table(
             deals_by_quarter(deals),
             BROAD_SCOPE,
             Quarter(2008, 1),
             Quarter(2008, 3),
             pe_series(Quarter(2008, 1), 3),
         )
-        series = feature_series(rows)
+        series = feature_series(table)
         assert set(series) == set(BROAD_FEATURES)
         assert series["deal_count"].values == (1.0, 0.0, 0.0)
         assert series["avg_aum"].values == (4.0, None, None)
@@ -337,7 +341,7 @@ class TestBuildFeatureTable:
 
     def test_write_table(self):
         deals = [deal("Finance", date(2008, 2, 1), aum=4.0, rank=1.5)]
-        rows = build_feature_table(
+        table = build_feature_table(
             deals_by_quarter(deals),
             BROAD_SCOPE,
             Quarter(2008, 1),
@@ -345,7 +349,7 @@ class TestBuildFeatureTable:
             pe_series(Quarter(2008, 1), 2),
         )
         out = io.StringIO()
-        write_feature_table(rows, out)
+        write_feature_table(table, out)
         lines = out.getvalue().splitlines()
         assert lines[0] == "scope,quarter_end," + ",".join(BROAD_FEATURES)
         assert lines[1] == "Market,2008-03-31,1,4.000000,4.000000,1.500000,15.000000"
@@ -357,7 +361,7 @@ class TestBuildFeatureTable:
             deal("Utilities", date(2008, 5, 9), aum=AumBucket.HIGH),
         ]
         for scope in (BROAD_SCOPE, Scope("Finance")):
-            rows = build_feature_table(
+            table = build_feature_table(
                 deals_by_quarter(deals),
                 scope,
                 Quarter(2008, 1),
@@ -366,24 +370,33 @@ class TestBuildFeatureTable:
                 sector_pe=None if scope.is_broad else pe_series(Quarter(2008, 1), 2),
             )
             out = io.StringIO()
-            write_feature_table(rows, out)
+            write_feature_table(table, out)
             again = read_feature_table(io.StringIO(out.getvalue()))
-            assert again == rows
+            assert again == table
+
+    MANGLED = [
+        ("Market,2008-03-31,1", "line 2: expected 7 columns"),
+        ("Market,2008-03-31,one,NA,NA,NA,15.000000", "line 2: deal_count is not a count: 'one'"),
+        ("Market,2008-03-31,NA,NA,NA,NA,15.000000", "line 2: deal_count is not a count: 'NA'"),
+        ("Market,2008-03-31,-1,NA,NA,NA,15.000000", "line 2: deal_count is not a count: '-1'"),
+        ("Finance,2008-03-31,1,NA,NA,NA,15.000000", "line 2: columns .* do not fit scope Finance"),
+        ("Market,2008-03-31,1,NA,NA,NA,15.0\nMarket,2008-09-3x,1,NA,NA,NA,15.0", "line 3: cannot parse quarter from '2008-09-3x'"),
+        ("Market,2008-03-31,1,NA,NA,NA,15.0\nFinance,2008-06-30,1,NA,NA,NA,15.0", "line 3: scope Finance, but the table is Market's"),
+        ("Market,2008-03-31,1,NA,NA,NA,15.0\nMarket,2008-09-30,1,NA,NA,NA,15.0", "line 3: quarter 2008Q3, but the row before is 2008Q1"),
+        ("Market,2008-03-31,1,NA,NA,NA,15.0\nMarket,2008-03-31,1,NA,NA,NA,15.0", "line 3: quarter 2008Q1, but the row before is 2008Q1"),
+        ("", "empty feature table"),
+    ]
 
     def test_read_table_rejects_mangled_input(self):
         with pytest.raises(DataError, match="header"):
             read_feature_table(io.StringIO("quarter,stuff\n"))
         header = "scope,quarter_end," + ",".join(BROAD_FEATURES)
-        with pytest.raises(DataError, match="line 2"):
-            read_feature_table(io.StringIO(header + "\nMarket,2008-03-31,1\n"))
-        with pytest.raises(DataError, match="line 2"):
-            read_feature_table(
-                io.StringIO(header + "\nMarket,2008-03-31,one,NA,NA,NA,15.000000\n")
-            )
-        with pytest.raises(DataError, match="do not fit"):
-            read_feature_table(
-                io.StringIO(header + "\nFinance,2008-03-31,1,NA,NA,NA,15.000000\n")
-            )
+        for rows, error in self.MANGLED:
+            with pytest.raises(DataError, match=error):
+                read_feature_table(io.StringIO(header + "\n" + rows + "\n"))
+        sector = "scope,quarter_end," + ",".join(SECTOR_FEATURES)
+        with pytest.raises(DataError, match=r"line 2: sector_count_pct out of \[0, 100\]: 100.5"):
+            read_feature_table(io.StringIO(sector + "\nFinance,2008-03-31,1,100.5,NA,NA,15.0,15.0\n"))
 
 
 FIRST, LAST = Quarter(2008, 1), Quarter(2009, 4)
@@ -431,3 +444,29 @@ class TestGroupedAggregation:
             got = build_feature_table(buckets, scope, FIRST, LAST, market_pe, s_pe)
             want = oracle_feature_table(deals, scope, FIRST, LAST, market_pe, s_pe)
             assert repr(got) == repr(want)
+
+
+def finite_or_na(name):
+    if name == "deal_count":
+        return st.integers(0, 10**9)
+    if name == "sector_count_pct":
+        return st.none() | st.floats(0.0, 100.0)
+    return st.none() | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    scope=st.sampled_from([BROAD_SCOPE] + [Scope(name) for name in SECTOR_NAMES]),
+    start=st.builds(Quarter, st.integers(1, 9990), st.integers(1, 4)),
+    n=st.integers(1, 8),
+    data=st.data(),
+)
+def test_written_table_reads_back_rounded_to_six_decimals(scope, start, n, data):
+    names = feature_names(scope)
+    rows = tuple(tuple(data.draw(finite_or_na(name)) for name in names) for _ in range(n))
+    table = FeatureTable(scope, start, names, rows)
+    out = io.StringIO()
+    write_feature_table(table, out)
+    rounded = tuple(tuple(v if v is None or isinstance(v, int) else round(v, 6) for v in row) for row in rows)
+    # repr also tells an int deal_count from a float and -0.0 from 0.0
+    assert repr(read_feature_table(io.StringIO(out.getvalue()))) == repr(table._replace(rows=rounded))

@@ -12,7 +12,7 @@ import pytest
 import pesignal
 from pesignal.backtest import BacktestConfig, PredictionRecord
 from pesignal.evaluation import RocCurve, ScoreReport
-from pesignal.features import BROAD_SCOPE, RawFeatureRow, Scope
+from pesignal.features import BROAD_FEATURES, BROAD_SCOPE, FeatureTable, Scope
 from pesignal.ingest import DealRecord
 from pesignal.logit import LogitParams
 from pesignal.quarters import Quarter, QuarterlySeries
@@ -31,7 +31,7 @@ CASES = [
     (BacktestConfig(), {"max_iter": -1}),
     (PredictionRecord(BROAD_SCOPE, Q, 0.5, Label.UP, None), {"p_up": 1.5}),
     (Scope("Finance"), {"sector": "Tulips"}),
-    (RawFeatureRow(Q, BROAD_SCOPE, 3, None, None, 15.0), {"deal_count": -1}),
+    (FeatureTable(BROAD_SCOPE, Q, BROAD_FEATURES, ((3, None, None, None, 15.0),)), {"rows": ((3, math.inf, None, None, 15.0),)}),
     (RocCurve(((0.0, 0.0), (1.0, 1.0)), 0.5), {"auc": 0.75}),
     (ScoreReport("Market", 1, 0, None, 0.0, None, None, 1, 0, 0, 0), {"tp": 2}),
     (DealRecord("C1", "Co", "Finance", date(2008, 2, 12)), {"investor_rank": 5.0}),
@@ -69,4 +69,4 @@ def test_replace_normalizes_as_construction_does():
     params = LogitParams((1.0,), 0.0)._replace(weights=[2], bias=1)
     assert params.weights == (2.0,) and type(params.weights[0]) is float and type(params.bias) is float
     series = QuarterlySeries(Q, (1.0,))._replace(values=[2.0, None])
-    assert series.values == (2.0, None) and len(series) == 2
+    assert series.values == (2.0, None) and len(series.values) == 2

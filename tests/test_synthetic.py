@@ -90,6 +90,11 @@ def test_shorter_horizon_is_a_prefix():
     assert [d for d in long if Quarter.of_date(d.investment_date) <= horizon] == short
 
 
+def named_rows(table):
+    """Each row of a feature table as a {name: value} dict."""
+    return [dict(zip(table.names, row)) for row in table.rows]
+
+
 def test_zero_noise_features_follow_mean_paths():
     spec = SyntheticSpec(seed=3, n_quarters=12, n_sectors=2, std_window=4, noise_scale=0.0)
     features, _ = generate_features(spec, generate_deals(spec), generate_pe(spec))
@@ -98,17 +103,16 @@ def test_zero_noise_features_follow_mean_paths():
     }
     aum = {s: aum_level_path(spec, s) for s in range(2)}
     for s, scope_name in enumerate(name for name in features if name != BROAD_SCOPE.name):
-        rows = features[scope_name]
-        for k, row in enumerate(rows):
-            assert row.deal_count == int(round(float(intensity[s][k])))
-            assert row.avg_aum == pytest.approx(float(aum[s][k]), abs=1e-12)
+        for k, row in enumerate(named_rows(features[scope_name])):
+            assert row["deal_count"] == int(round(float(intensity[s][k])))
+            assert row["avg_aum"] == pytest.approx(float(aum[s][k]), abs=1e-12)
     broad = features[BROAD_SCOPE.name]
     market_pe = pe_path(spec, 0xFFFFFFFF, 7)
-    for k, row in enumerate(broad):
-        assert row.deal_count == sum(
+    for k, row in enumerate(named_rows(broad)):
+        assert row["deal_count"] == sum(
             int(round(float(intensity[s][k]))) for s in range(2)
         )
-        assert row.market_pe == pytest.approx(float(market_pe[k]), abs=1e-12)
+        assert row["market_pe"] == pytest.approx(float(market_pe[k]), abs=1e-12)
 
 
 def test_counts_are_non_negative_integers():
@@ -124,7 +128,7 @@ def test_feature_counts_match_the_drawn_counts():
     features, _ = generate_features(SMALL, generate_deals(SMALL), generate_pe(SMALL))
     for s, name in enumerate(name for name in features if name != BROAD_SCOPE.name):
         counts = quarter_deal_counts(SMALL, s)
-        assert [row.deal_count for row in features[name]] == counts
+        assert [row["deal_count"] for row in named_rows(features[name])] == counts
 
 
 def test_deal_dates_fall_inside_their_quarter():
@@ -136,11 +140,11 @@ def test_deal_dates_fall_inside_their_quarter():
 def test_every_quarter_keeps_a_numeric_aum_and_rank():
     spec = SyntheticSpec(seed=5, n_quarters=24, n_sectors=3, std_window=6, noise_scale=2.0)
     features, _ = generate_features(spec, generate_deals(spec), generate_pe(spec))
-    for rows in features.values():
-        for row in rows:
-            if row.deal_count > 0:
-                assert row.avg_aum is not None
-                assert row.weighted_avg_aum is not None
+    for table in features.values():
+        for row in named_rows(table):
+            if row["deal_count"] > 0:
+                assert row["avg_aum"] is not None
+                assert row["weighted_avg_aum"] is not None
 
 
 def test_pe_series_positive_and_complete():
@@ -196,7 +200,7 @@ def test_huge_bias_forces_up_on_z_quarters():
     )
     data = generate_dataset(spec)
     table = data.ztables[BROAD_SCOPE.name]
-    z_quarters = {table.start + k for k in range(len(table.z))} - set(table.dropped)
+    z_quarters = {table.start + k for k in range(len(table.rows))} - set(table.dropped)
     for quarter, y in data.labels[BROAD_SCOPE.name].items():
         if quarter in z_quarters:
             assert y is Label.UP
@@ -250,7 +254,7 @@ def test_written_files_round_trip_exactly(tmp_path):
     assert pe == data.pe
     buckets = deals_by_quarter(parsed.records)
     for scope in SMALL.scopes():
-        rows = build_feature_table(
+        table = build_feature_table(
             buckets,
             scope,
             SMALL.start,
@@ -258,7 +262,7 @@ def test_written_files_round_trip_exactly(tmp_path):
             market_pe=pe[BROAD_SCOPE.name],
             sector_pe=None if scope.is_broad else pe[scope.name],
         )
-        assert rows == data.features[scope.name]
+        assert table == data.features[scope.name]
         labels = build_labels(
             scope,
             prices[BROAD_SCOPE.name],

@@ -6,7 +6,8 @@ as they stood before the walk planned on one (quarters, d) z array and
 windows became row slices of it. They are kept here with the types they
 used: the row type, the schedule of ScheduleEntry quarter objects the
 walk followed, and the ResponseLabel objects it read labels from, built
-by oracle_labels. So the array walk is checked against the
+by oracle_labels; oracle_zscore_table standardizes each feature as its
+own series, through tests/oracles.py. So the array walk is checked against the
 implementation whose outputs the CLI's byte-identical tables pin: every
 record field, every fit report field and every skip reason must be
 equal (==, not approx), and build_labels' quarter-to-Label map must hold
@@ -24,11 +25,12 @@ from hypothesis import strategies as st
 
 from pesignal.backtest import BacktestConfig, BacktestResult, PredictionRecord, SkippedWindow, run
 from pesignal.errors import DataError, InsufficientHistoryError, NumericalError
-from pesignal.features import BROAD_SCOPE, RawFeatureRow, Scope, feature_names, feature_series
+from oracles import feature_series, series_zscore
+from pesignal.features import BROAD_SCOPE, FeatureTable, Scope, feature_names
 from pesignal.logit import classify, fit_windows, prob_up
 from pesignal.quarters import Quarter, QuarterlySeries, quarter_count, quarter_range
 from pesignal.response import Label, ann_forward_return, build_labels, label_of, sector_spread
-from pesignal.standardize import build_zscore_table, zscore
+from pesignal.standardize import build_zscore_table
 
 START = Quarter(2000, 1)
 
@@ -56,20 +58,20 @@ class OracleTable:
     zero_variance: tuple
 
 
-def oracle_zscore_table(feature_rows, window: int) -> OracleTable:
-    series = feature_series(feature_rows)
-    scope = feature_rows[0].scope
+def oracle_zscore_table(features: FeatureTable, window: int) -> OracleTable:
+    series = feature_series(features)
+    scope = features.scope
     names = feature_names(scope)
-    standardized = {name: zscore(series[name], window) for name in names}
+    standardized = {name: series_zscore(series[name], window) for name in names}
     zero_variance = tuple(
-        (quarter, name) for name in names for quarter in standardized[name].zero_variance
+        (quarter, name) for name in names for quarter in standardized[name][1]
     )
-    start = feature_rows[0].quarter + (window - 1)
-    end = feature_rows[-1].quarter
+    start = features.start + (window - 1)
+    end = features.start + (len(features.rows) - 1)
     rows = []
     dropped = []
     for quarter in quarter_range(start, end):
-        zs = tuple(standardized[name].series.get(quarter) for name in names)
+        zs = tuple(standardized[name][0].get(quarter) for name in names)
         if any(z is None for z in zs):
             dropped.append(quarter)
         else:
@@ -160,13 +162,13 @@ def oracle_labels(scope: Scope, market_prices, sector_prices=None) -> list:
     return labels
 
 
-def oracle_run(feature_rows, labels, config: BacktestConfig) -> BacktestResult:
-    scope = feature_rows[0].scope
-    table = oracle_zscore_table(feature_rows, config.std_window)
+def oracle_run(features: FeatureTable, labels, config: BacktestConfig) -> BacktestResult:
+    scope = features.scope
+    table = oracle_zscore_table(features, config.std_window)
     z_by_quarter = {row.quarter: row for row in table.rows}
     y_by_quarter = {lab.quarter: lab.y for lab in labels}
     entries = schedule(
-        feature_rows[0].quarter, feature_rows[-1].quarter, config.std_window, config.est_window
+        features.start, features.start + (len(features.rows) - 1), config.std_window, config.est_window
     )
     plan = []
     for entry in entries:
@@ -226,20 +228,19 @@ def draw_rows(rng, scope, n, hole_rate, coarse):
         return float(rng.integers(low, high)) if coarse else float(rng.uniform(low, high))
 
     rows = []
-    for k in range(n):
-        common = dict(
-            quarter=START + k,
-            scope=scope,
+    for _ in range(n):
+        values = dict(
             deal_count=int(rng.integers(0, 4)) if coarse else int(rng.integers(0, 400)),
             avg_aum=value(1, 4),
             weighted_avg_aum=value(1, 4),
             market_pe=value(10, 13),
         )
         if scope.is_broad:
-            rows.append(RawFeatureRow(**common, avg_fund_ranking=value(1, 4)))
+            values.update(avg_fund_ranking=value(1, 4))
         else:
-            rows.append(RawFeatureRow(**common, sector_count_pct=value(0, 100), sector_pe=value(10, 13)))
-    return rows
+            values.update(sector_count_pct=value(0, 100), sector_pe=value(10, 13))
+        rows.append(tuple(values[name] for name in feature_names(scope)))
+    return FeatureTable(scope, START, feature_names(scope), tuple(rows))
 
 
 def draw_labels(rng, scope, quarters, missing_rate):
@@ -279,7 +280,7 @@ def test_run_matches_the_object_walk(
 ):
     rng = np.random.default_rng(seed)
     rows = draw_rows(rng, scope, std_window + est_window + extra, hole_rate, coarse)
-    quarters = [row.quarter for row in rows]
+    quarters = [rows.start + k for k in range(len(rows.rows))]
     # a missing label at the last quarter leaves its prediction unscored
     labels = draw_labels(rng, scope, quarters[:-1] if last_unlabelled else quarters, missing_rate)
     config = BacktestConfig(
@@ -311,11 +312,12 @@ def test_zscore_table_matches_the_tuple_rows(scope, window, extra, seed, coarse,
     rows = draw_rows(np.random.default_rng(seed), scope, window + extra, hole_rate, coarse)
     table = build_zscore_table(rows, window)
     want = oracle_zscore_table(rows, window)
-    kept = [(table.start + k, z) for k, z in enumerate(table.z) if None not in z]
+    kept = [(table.start + k, z) for k, z in enumerate(table.rows) if None not in z]
     assert kept == [(row.quarter, row.z) for row in want.rows]
-    assert all(table.z[quarter - table.start] == (None,) * len(table.names) for quarter in table.dropped)
-    assert table.start + len(table.z) - 1 == rows[-1].quarter
-    assert (table.names, table.dropped, table.zero_variance) == (want.names, want.dropped, want.zero_variance)
+    assert all(table.rows[quarter - table.start] == (None,) * len(table.names) for quarter in table.dropped)
+    assert table.start + len(table.rows) == rows.start + len(rows.rows)
+    assert table.names == tuple(f"z_{name}" for name in want.names)
+    assert (table.dropped, table.zero_variance) == (want.dropped, want.zero_variance)
     for quarter, z in kept:
         assert table.row_at(quarter) == z
     for quarter in table.dropped:
@@ -355,7 +357,7 @@ def test_run_raises_the_schedule_history_error():
     for n, t, ne in ((18, 12, 7), (9, 4, 6), (4, 2, 3)):
         rows = draw_rows(np.random.default_rng(n), BROAD_SCOPE, n, 0.0, False)
         with pytest.raises(InsufficientHistoryError) as want:
-            schedule(rows[0].quarter, rows[-1].quarter, t, ne)
+            schedule(rows.start, rows.start + (n - 1), t, ne)
         with pytest.raises(InsufficientHistoryError) as got:
             run(rows, {}, BacktestConfig(std_window=t, est_window=ne))
         assert str(got.value) == str(want.value)
