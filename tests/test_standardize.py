@@ -95,7 +95,7 @@ class TestZScore:
         truncated, _ = zscore(values[:15], 6)
         assert full[: len(truncated)] == truncated
 
-    def test_too_short_(self):
+    def test_too_short_series(self):
         with pytest.raises(InsufficientHistoryError):
             zscore((1.0, 2.0), 3)
 
