@@ -9,16 +9,18 @@ so saturated scores never overflow.
 A training window is a (n, d) float array of z-scored features with a
 (n,) vector of 0/1 labels, 1 for UP. One kernel fits a whole stack of
 windows at once, z of shape (W, n, d) with y of shape (W, n), and a
-single fit is the batch of one. Each window's result is bit-identical
-to fitting it alone with ``z @ w + b`` and ``z.T @ resid``, and that
-rests on the exact operations the kernel uses: scores are
-``np.matmul(z, w[:, :, None])[:, :, 0] + b[:, None]``, the weight
-gradient is ``np.matmul(z.transpose(0, 2, 1), resid[:, :, None])[:, :, 0]``
-on the transposed view, and the bias gradient is ``resid.sum(axis=1)``.
-Equivalent-looking rewrites change the summation order and with it the
-last bits: ``einsum``, ``(z * w).sum(-1)`` and a contiguous copy of the
-transpose all do. ``np.matvec``/``np.vecmat`` would match but need numpy
-2.2, above this package's floor.
+single fit is the batch of one. The kernel lays the stack out window
+last, with the bias as a trailing feature of ones, and reduces only
+over a leading axis of a C-ordered copy, so numpy adds one slice at a
+time in index order: a score sums the features, then the bias; a
+gradient sums the rows. No BLAS product is left, so the bits do not
+depend on the BLAS build, and a window's result does not depend on the
+batch around it. Two limits remain: ``np.exp`` dispatches by CPU, so
+its last bits may still differ between machines; and this order rounds
+differently from the stacked ``np.matmul`` kernel it replaced, which is
+harmless at the default learning rate (relative weight gaps near 1e-16)
+but at a large one (0.5, say) can move the iteration where a window
+stops. No pinned output uses such a rate.
 """
 
 from __future__ import annotations
@@ -58,15 +60,6 @@ class FitReport(NamedTuple):
     converged: bool
 
 
-def _sigmoid(s):
-    e = np.exp(-np.abs(s))
-    return np.where(s >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def _softplus(s):
-    return np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s)))
-
-
 def prob_up(z, params: LogitParams) -> float:
     """P(UP | z): logistic of the linear score, stable at saturation."""
     if len(z) != params.dim:
@@ -76,14 +69,6 @@ def prob_up(z, params: LogitParams) -> float:
         return 1.0 / (1.0 + math.exp(-score))
     e = math.exp(score)
     return e / (1.0 + e)
-
-
-def _loglik(z, y, w, b) -> float:
-    # overflow to inf/nan is detected by the callers, so the default
-    # numpy warning is pure noise here
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = z @ w + b
-        return float(np.sum(y * s) - np.sum(_softplus(s)))
 
 
 def fit(z, y, config) -> FitReport:
@@ -111,71 +96,75 @@ def fit_windows(z, y, config) -> list:
     others carry on. Returns one FitReport or NumericalError per window,
     in order; each equals, bit for bit, what a fit of that window alone
     gives.
-    """
-    # the kernel's op order pins its bits for C-ordered windows
-    z, y = np.ascontiguousarray(z, dtype=float), np.asarray(y, dtype=float)
-    if z.ndim != 3 or y.shape != z.shape[:2] or not z.shape[1]:
-        raise ValueError(f"need windows of n >= 1 feature rows and n labels, got z {z.shape} and y {y.shape}")
-    if not len(z):
-        return []  # _ascend never stops on zero windows
-    if not np.isfinite(z).all():
-        raise ValueError("training features must be finite")
-    return _ascend(z, y, np.zeros((len(z), z.shape[2])), np.zeros(len(z)), config)
-
-
-def _ascend(z, y, w, b, config) -> list:
-    """The fit kernel on stacked windows: z (W, n, d), y (W, n), w (W, d),
-    b (W,).
 
     Windows advance in lockstep, so they share the iteration count; a
     window that stops leaves the active arrays, which shrink only on
     iterations where some window stopped.
     """
-    eta = config.learning_rate
-    outcomes = [None] * len(b)
-    active = np.arange(len(b))
-    zt = z.transpose(0, 2, 1)
+    z, y = np.asarray(z, dtype=float), np.asarray(y, dtype=float)
+    if z.ndim != 3 or y.shape != z.shape[:2] or not z.shape[1]:
+        raise ValueError(f"need windows of n >= 1 feature rows and n labels, got z {z.shape} and y {y.shape}")
+    if not np.isfinite(z).all():
+        raise ValueError("training features must be finite")
+    if not len(z):
+        return []  # the loop never stops on zero windows
+    eta, tol, cap, d = config.learning_rate, config.tolerance, config.max_iter, z.shape[2]
+    outcomes = [None] * len(z)
+    zb = np.concatenate([z, np.ones(z.shape[:2] + (1,))], axis=2)  # the bias is feature d
+    # zs (d+1, n, W) gives the scores, zg (n, d+1, W) the gradients
+    everything = np.arange(len(z))
+    active, zs, zg, y = _columns(everything, (everything, zb.T, zb.transpose(1, 2, 0), y.T))
+    wb = np.zeros((d + 1, zs.shape[-1]))
     iterations = 0
-    # the errstate wraps the whole loop because non-finite values are
-    # detected explicitly below; score finiteness stands in for the
-    # likelihood's, since the stable softplus cannot overflow on finite
-    # scores, so the likelihood is computed only for stopped windows
+    # non-finite values are detected explicitly below; score finiteness
+    # stands in for the likelihood's, since the stable softplus cannot
+    # overflow on finite scores
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            s = np.matmul(z, w[:, :, None])[:, :, 0] + b[:, None]
-            resid = y - _sigmoid(s)
-            dw = np.matmul(zt, resid[:, :, None])[:, :, 0]
-            db = resid.sum(axis=1)
-            # NaN propagates through max, so a finite norm means a finite gradient
-            norm = np.maximum(np.abs(dw).max(axis=1, initial=0.0), np.abs(db))
-            healthy = np.isfinite(s).all(axis=1) & np.isfinite(norm)
-            converged = norm <= config.tolerance
-            stop = ~healthy | converged
-            if iterations >= config.max_iter:
-                stop[:] = True
-            if stop.any():
+            s = np.add.reduce(zs * wb[:, None, :], axis=0)
+            a = np.abs(s)
+            e = np.exp(-a)
+            # 1 / (1 + e) where s >= 0 and e / (1 + e) below, since e <= 1;
+            # cheaper than np.where(s >= 0, 1, e), with the same bits
+            resid = y - np.maximum(e, np.sign(s)) / (1.0 + e)
+            g = np.add.reduce(zg * resid[:, None, :], axis=0)
+            # ufunc reduces skip the array methods' Python wrapper; NaN
+            # propagates through max, so a finite norm means a finite gradient
+            norm = np.maximum.reduce(np.abs(g), axis=0)
+            finite = np.maximum.reduce(norm) < math.inf and np.maximum.reduce(a, axis=None) < math.inf
+            if not (iterations < cap and tol < np.minimum.reduce(norm) and finite):
+                healthy = np.isfinite(s).all(axis=0) & np.isfinite(norm)
+                converged = norm <= tol
+                stop = ~healthy | converged | (iterations >= cap)
                 for row in np.flatnonzero(stop):
-                    k = active[row]
                     if not healthy[row]:
-                        outcomes[k] = NumericalError(
+                        outcomes[active[row]] = NumericalError(
                             f"non-finite likelihood or gradient after {iterations} iterations"
                         )
                         continue
-                    outcomes[k] = FitReport(
-                        params=LogitParams(w[row], b[row]),
+                    sk = s[:, row]
+                    loglik = np.sum(y[:, row] * sk) - np.sum(np.maximum(sk, 0.0) + np.log1p(e[:, row]))
+                    outcomes[active[row]] = FitReport(
+                        params=LogitParams(wb[:d, row], wb[d, row]),
                         iterations=iterations,
                         final_gradient_norm=float(norm[row]),
-                        final_log_likelihood=_loglik(z[row], y[row], w[row], b[row]),
+                        final_log_likelihood=float(loglik),
                         converged=bool(converged[row]),
                     )
-                keep = ~stop
-                if not keep.any():
+                cols = np.flatnonzero(~stop)
+                if not len(cols):
                     return outcomes
-                active, z, y, w, b, dw, db = (a[keep] for a in (active, z, y, w, b, dw, db))
-                zt = z.transpose(0, 2, 1)
-            w = w + eta * dw
-            b = b + eta * db
+                active, zs, zg, y, wb, g = _columns(cols, (active, zs, zg, y, wb, g))
+            wb += eta * g
             iterations += 1
+
+
+def _columns(cols, arrays) -> list:
+    # C-ordered copies of the given windows; numpy sums a reduced axis
+    # pairwise, not in order, once every other axis has length 1, so a
+    # lone window rides with a copy of itself
+    cols = cols.repeat(2) if len(cols) == 1 else cols
+    return [np.take(a, cols, axis=-1) for a in arrays]
 
 
 def classify(p_up: float, threshold: float) -> Label:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InsufficientHistoryError
+from .errors import DataError, InsufficientHistoryError
 from .features import FeatureTable
 
 
@@ -27,6 +27,7 @@ def zscore(column, window: int) -> tuple:
     values are never interpolated. A zero-variance window yields z = 0
     and its offset j is flagged: a locally constant feature carries no
     directional information, and 0 is its natural standardized value.
+    A window whose mean or variance overflows raises OverflowError(j).
     """
     if window < 2:
         raise ValueError(f"window must be at least 2 quarters, got {window}")
@@ -41,7 +42,10 @@ def zscore(column, window: int) -> tuple:
         if any(v is None for v in values):
             out.append(None)
             continue
-        mu, sigma = _window_stats(values)
+        try:
+            mu, sigma = _window_stats(values)
+        except OverflowError:
+            raise OverflowError(k - window + 1) from None
         if sigma == 0.0:
             out.append(0.0)
             flagged.append(k - window + 1)
@@ -56,10 +60,17 @@ def build_zscore_table(table: FeatureTable, window: int) -> FeatureTable:
 
     A quarter whose window held a missing value in any column is dropped:
     its row is all None. zero_variance lists the (quarter, feature) pairs
-    where sigma = 0 forced z = 0.
+    where sigma = 0 forced z = 0. Values too large to standardize are a
+    DataError naming the scope, feature and quarter.
     """
-    columns = [zscore(column, window) for column in zip(*table.rows)]
     start = table.start + (window - 1)
+    columns = []
+    for name, column in zip(table.names, zip(*table.rows)):
+        try:
+            columns.append(zscore(column, window))
+        except OverflowError as exc:
+            quarter = start + exc.args[0]
+            raise DataError(f"{table.scope.name} {name}: values too large to standardize in the window ending {quarter}") from None
     zero_variance = tuple(
         (start + j, name) for name, (_, flagged) in zip(table.names, columns) for j in flagged
     )

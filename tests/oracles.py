@@ -6,7 +6,8 @@ gradient at a given point on its own, so those evaluations live here,
 for the tests: gradient must match finite differences of log_likelihood
 (acceptance criterion 4), and the fit must lower the initial gradient
 norm (criterion 5). Both take one window, features z (n, d) and 0/1
-labels y (n,), and use pesignal.logit's stable sigmoid and likelihood.
+labels y (n,), and use the stable sigmoid and softplus below, which the
+sequential fit oracles in tests/test_fit_kernel.py share.
 
 planted_samples draws standard-normal features and labels from a
 planted logit law, for weight recovery (acceptance criterion 7).
@@ -21,9 +22,25 @@ import numpy as np
 
 from pesignal.errors import DataError, InsufficientHistoryError
 from pesignal.features import FeatureTable
-from pesignal.logit import LogitParams, _loglik, _sigmoid, prob_up
+from pesignal.logit import LogitParams, prob_up
 from pesignal.quarters import QuarterlySeries
 from pesignal.standardize import _window_stats
+
+
+def _sigmoid(s):
+    e = np.exp(-np.abs(s))
+    return np.where(s >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _softplus(s):
+    return np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s)))
+
+
+def _loglik(z, y, w, b) -> float:
+    # overflow to inf/nan is the caller's to detect
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = z @ w + b
+        return float(np.sum(y * s) - np.sum(_softplus(s)))
 
 
 def _grad(z, y, w, b):

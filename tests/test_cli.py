@@ -260,6 +260,37 @@ class TestExitCodes:
             assert f"data error: {path}: feature table line 4: {problem}: {cell!r}" in err
             assert "Traceback" not in err
 
+    def test_feature_too_large_to_standardize_is_a_data_error(self, tmp_path, capsys):
+        # a squared deviation of 1e200 overflows; the first 6-quarter
+        # window that holds the value ends at 2001Q2
+        config = write_config(tmp_path, SMALL)
+        out = tmp_path / "out"
+        assert main(["synth", "--config", config, "--out", str(out)]) == 0
+        deals = out / "deals.csv"
+        text = deals.read_text(encoding="utf-8")
+        lines = text.splitlines(keepends=True)
+        # a quoted company name may hold commas, so count from the end
+        parts = lines[1].split(",")
+        assert parts[-4].startswith("2000-")
+        parts[-2] = "1e200"
+        deals.write_text("".join(lines[:1] + [",".join(parts)] + lines[2:]), encoding="utf-8")
+        message = "data error: Market avg_aum: values too large to standardize in the window ending 2001Q2"
+        capsys.readouterr()
+        assert main(["features", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        deals.write_text(text, encoding="utf-8")
+        assert main(["features", "--config", config, "--out", str(out)]) == 0
+        path = out / "features_market.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        parts = lines[3].split(",")
+        parts[3] = "1e200"
+        path.write_text("".join(lines[:3] + [",".join(parts)] + lines[4:]), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["backtest", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "command, key, value, message",
         [

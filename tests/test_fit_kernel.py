@@ -1,91 +1,92 @@
-"""The batched fit kernel against the sequential one-window fit it replaced.
+"""The batched fit kernel against sequential one-window fits.
 
-oracle_fit is that sequential gradient-ascent loop, kept here with the
-helpers it used and its start fixed at zero as the kernel's is, so the kernel is checked against the
-implementation whose outputs the CLI's byte-identical tables pin. It
-takes one window as features z (n, d) and 0/1 labels y (n,). Every
-window the kernel fits must report exactly (==, not approx) what the
-oracle reports for that window alone.
+oracle_fit is a sequential gradient-ascent loop in the kernel's own
+order, with the bias as a trailing feature of ones: a score adds the
+features, then the bias, and a gradient adds the rows, one slice at a
+time in index order. It takes one window as features z (n, d) and 0/1
+labels y (n,), starting at zero as the kernel does. Every window the
+kernel fits must report exactly (==, not approx) what the oracle
+reports for that window alone, and what the kernel reports for it alone
+or inside any other batch.
 
-Given a list as trace, oracle_fit also appends the log-likelihood at
-every step for the likelihood-ascent tests to read; the kernel keeps
-no trace.
+blas_fit is the loop the kernel replaced, scores ``z @ w + b`` and
+gradient ``z.T @ resid``, whose order is the BLAS build's. The CLI's
+pinned outputs were made with it; at the default learning rate the
+kernel stays within a stated rounding bound of it.
+
+Given a list as trace, the fits also append the log-likelihood at every
+step for the likelihood-ascent tests to read; the kernel keeps no trace.
 """
-
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import _sigmoid, _softplus
 from pesignal.errors import NumericalError
 from pesignal.backtest import BacktestConfig
 from pesignal.logit import FitReport, LogitParams, fit, fit_windows
 
 
-def _sigmoid(s):
-    e = np.exp(-np.abs(s))
-    return np.where(s >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+def _explicit_order(zb):
+    def score(wb):
+        s = zb[:, 0] * wb[0]
+        for j in range(1, len(wb)):
+            s = s + zb[:, j] * wb[j]
+        return s
+
+    def grad(resid):
+        g = zb[0] * resid[0]
+        for i in range(1, len(zb)):
+            g = g + zb[i] * resid[i]
+        return g
+
+    return score, grad
 
 
-def _softplus(s):
-    return np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s)))
+def _blas_order(zb):
+    z = zb[:, :-1]
+    return lambda wb: z @ wb[:-1] + wb[-1], lambda resid: np.append(z.T @ resid, resid.sum())
 
 
-def _loglik(z, y, w, b) -> float:
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = z @ w + b
-        return float(np.sum(y * s) - np.sum(_softplus(s)))
-
-
-def _max_norm(dw, db) -> float:
-    head = float(np.max(np.abs(dw))) if dw.size else 0.0
-    return max(head, abs(db))
-
-
-def oracle_fit(z, y, config: BacktestConfig = BacktestConfig(), trace: list | None = None) -> FitReport:
-    w = np.zeros(z.shape[1])
-    b = 0.0
-    eta = config.learning_rate
+def _ascent(order, z, y, config, trace) -> FitReport:
+    zb = np.column_stack([z, np.ones(len(z))])
+    score, grad = order(zb)
+    wb = np.zeros(zb.shape[1])
     iterations = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            s = z @ w + b
-            if trace is not None:
-                ll = float(np.sum(y * s) - np.sum(_softplus(s)))
-                healthy = math.isfinite(ll)
-            else:
-                ll = None
-                healthy = bool(np.isfinite(s).all())
-            resid = y - _sigmoid(s)
-            dw = z.T @ resid
-            db = float(resid.sum())
-            if not (healthy and math.isfinite(db) and np.all(np.isfinite(dw))):
-                raise NumericalError(
-                    f"non-finite likelihood or gradient after {iterations} iterations"
-                )
+            s = score(wb)
+            ll = float(np.sum(y * s) - np.sum(_softplus(s)))
+            g = grad(y - _sigmoid(s))
+            # a finite score gives a finite softplus, so the kernel, like
+            # this loop, checks the scores in place of the likelihood
+            if not (np.isfinite(s).all() and np.isfinite(g).all()):
+                raise NumericalError(f"non-finite likelihood or gradient after {iterations} iterations")
             if trace is not None:
                 trace.append(ll)
-            grad_norm = _max_norm(dw, db)
-            if grad_norm <= config.tolerance:
-                converged = True
+            grad_norm = float(np.abs(g).max())
+            converged = grad_norm <= config.tolerance
+            if converged or iterations >= config.max_iter:
                 break
-            if iterations >= config.max_iter:
-                converged = False
-                break
-            w = w + eta * dw
-            b = b + eta * db
+            wb = wb + config.learning_rate * g
             iterations += 1
-    if ll is None:
-        ll = _loglik(z, y, w, b)
     return FitReport(
-        params=LogitParams(tuple(float(v) for v in w), float(b)),
+        params=LogitParams(tuple(float(v) for v in wb[:-1]), float(wb[-1])),
         iterations=iterations,
         final_gradient_norm=grad_norm,
         final_log_likelihood=ll,
         converged=converged,
     )
+
+
+def oracle_fit(z, y, config: BacktestConfig = BacktestConfig(), trace: list | None = None) -> FitReport:
+    return _ascent(_explicit_order, z, y, config, trace)
+
+
+def blas_fit(z, y, config: BacktestConfig = BacktestConfig()) -> FitReport:
+    return _ascent(_blas_order, z, y, config, None)
 
 
 def oracle_outcome(z, y, config):
@@ -123,8 +124,8 @@ def draw_windows(rng, count, n, dim, coarse):
 @settings(max_examples=60, deadline=None)
 @given(
     count=st.integers(1, 60),
-    dim=st.integers(1, 6),
-    n=st.integers(2, 20),
+    dim=st.integers(0, 10),
+    n=st.integers(1, 20),
     seed=st.integers(0, 2**32 - 1),
     coarse=st.booleans(),
     learning_rate=st.sampled_from([1e-3, 0.05, 0.5]),
@@ -138,8 +139,8 @@ def test_every_window_matches_the_sequential_oracle(
     rng = np.random.default_rng(seed)
     z, y = draw_windows(rng, count, n, dim, coarse)
     if poison is not None:
-        # huge features overflow the scores after one step (1e200) or the
-        # gradient at once (1e300); only this window may fail
+        # huge features overflow the scores after one step; only this
+        # window may fail
         k, scale = poison
         z[k % count] *= scale
     config = BacktestConfig(learning_rate=learning_rate, tolerance=tolerance, max_iter=max_iter)
@@ -147,6 +148,61 @@ def test_every_window_matches_the_sequential_oracle(
     assert len(got) == count
     for k, outcome in enumerate(got):
         assert_same(outcome, oracle_outcome(z[k], y[k], config))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    count=st.integers(1, 12),
+    dim=st.integers(0, 10),
+    n=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+    coarse=st.booleans(),
+    learning_rate=st.sampled_from([1e-3, 0.05, 0.5]),
+    tolerance=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    max_iter=st.integers(0, 150),
+    poison=st.one_of(st.none(), st.integers(0, 11)),
+)
+def test_each_window_fits_alike_alone_and_in_any_batch(
+    count, dim, n, seed, coarse, learning_rate, tolerance, max_iter, poison
+):
+    # the reduced axes reach 8 and more, where numpy may sum in blocks; a
+    # lone window (alone, or the last one left) has n = 1 or d = 0 in some
+    # draws; and windows stop at different iterations, so the batch shrinks
+    rng = np.random.default_rng(seed)
+    z, y = draw_windows(rng, count, n, dim, coarse)
+    if poison is not None:
+        z[poison % count] *= 1e200
+    config = BacktestConfig(learning_rate=learning_rate, tolerance=tolerance, max_iter=max_iter)
+    got = fit_windows(z, y, config)
+    subset = rng.permutation(count)[: rng.integers(1, count + 1)]
+    for k, outcome in zip(subset, fit_windows(z[subset], y[subset], config)):
+        assert_same(outcome, got[k])
+    for k in range(count):
+        assert_same(fit_windows(z[k : k + 1], y[k : k + 1], config)[0], got[k])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    count=st.integers(1, 20),
+    dim=st.integers(0, 10),
+    n=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+    coarse=st.booleans(),
+    tolerance=st.sampled_from([0.0, 1e-6, 0.05, 0.3, 1.0]),
+    max_iter=st.integers(0, 300),
+)
+def test_blas_order_fit_agrees_within_rounding(count, dim, n, seed, coarse, tolerance, max_iter):
+    # only at the paper's learning rate: at a large one (0.5, say) the two
+    # orders can stop at different iterations, and their weights then part
+    rng = np.random.default_rng(seed)
+    z, y = draw_windows(rng, count, n, dim, coarse)
+    config = BacktestConfig(learning_rate=1e-3, tolerance=tolerance, max_iter=max_iter)
+    for k, got in enumerate(fit_windows(z, y, config)):
+        want = blas_fit(z[k], y[k], config)
+        wb_got = np.array(got.params.weights + (got.params.bias,))
+        wb_want = np.array(want.params.weights + (want.params.bias,))
+        gap = np.abs(wb_got - wb_want).max() / max(1.0, np.abs(wb_want).max())
+        assert gap <= 1e-13, (k, gap)
 
 
 def test_windows_stop_at_their_own_iterations():
@@ -166,6 +222,19 @@ def test_poisoned_window_fails_alone():
     config = BacktestConfig(max_iter=50)
     got = fit_windows(z, y, config)
     assert [isinstance(outcome, NumericalError) for outcome in got] == [k == 2 for k in range(8)]
+    for k, outcome in enumerate(got):
+        assert_same(outcome, oracle_outcome(z[k], y[k], config))
+
+
+def test_gradient_overflow_on_finite_scores_fails_at_once():
+    # the scores start at 0 but the first gradient sums past the largest
+    # float, so the window fails before its first step
+    z = np.full((2, 7, 3), 1e308)
+    z[1] = np.random.default_rng(7).normal(size=(7, 3))
+    y = np.ones((2, 7))
+    config = BacktestConfig(max_iter=50)
+    got = fit_windows(z, y, config)
+    assert str(got[0]) == "non-finite likelihood or gradient after 0 iterations"
     for k, outcome in enumerate(got):
         assert_same(outcome, oracle_outcome(z[k], y[k], config))
 
