@@ -124,11 +124,20 @@ def _mean(values) -> float | None:
     return sum(n * (den // d) for n, d in ratios) / (den * len(ratios))
 
 
+def unit_scaled(values) -> tuple:
+    """(e, [v * 2**-e for v in values]), e the frexp exponent of the largest |v|:
+    exact wherever a scaled value stays normal, and no square of one overflows."""
+    e = math.frexp(max(map(abs, values)))[1]
+    return e, list(map(math.ldexp, values, [-e] * len(values)))
+
+
 def _weighted_mean(aums) -> float | None:
     """Size-weighted mean AUM, normalized by the weight sum."""
     if not aums:
         return None
-    return math.fsum(aum_weight(a) * a for a in aums) / math.fsum(aum_weight(a) for a in aums)
+    e, scaled = unit_scaled(aums)
+    weights = [aum_weight(a) for a in aums]
+    return math.ldexp(math.fsum(w * s for w, s in zip(weights, scaled)) / math.fsum(weights), e)
 
 
 def build_feature_table(

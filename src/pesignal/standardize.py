@@ -4,20 +4,28 @@ Each quarter's feature value is centered and scaled by the sample mean
 and standard deviation (T-1 denominator) of the trailing T quarters,
 window inclusive of the quarter itself. The first standardized quarter
 is therefore T-1 quarters after the series start.
+
+The statistics are exact under the power-of-two scaling of
+features.unit_scaled and square by multiplication, so no finite window
+is too large or too small to standardize.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul
 
-from .errors import DataError, InsufficientHistoryError
-from .features import FeatureTable
+from .errors import InsufficientHistoryError
+from .features import FeatureTable, unit_scaled
 
 
-def _window_stats(window) -> tuple:
-    mu = math.fsum(window) / len(window)
-    var = math.fsum((v - mu) ** 2 for v in window) / (len(window) - 1)
-    return mu, math.sqrt(var)
+def _window_z(window) -> float | None:
+    """z of the window's last value, in scaled units (z has none); None at zero variance."""
+    _, scaled = unit_scaled(window)
+    mu = math.fsum(scaled) / len(scaled)
+    deviations = [v - mu for v in scaled]
+    sigma = math.sqrt(math.fsum(map(mul, deviations, deviations)) / (len(scaled) - 1))
+    return deviations[-1] / sigma if sigma else None
 
 
 def zscore(column, window: int) -> tuple:
@@ -27,7 +35,8 @@ def zscore(column, window: int) -> tuple:
     values are never interpolated. A zero-variance window yields z = 0
     and its offset j is flagged: a locally constant feature carries no
     directional information, and 0 is its natural standardized value.
-    A window whose mean or variance overflows raises OverflowError(j).
+    The statistics are exact under power-of-two scaling and square by
+    multiplication, so no finite window is too large or too small.
     """
     if window < 2:
         raise ValueError(f"window must be at least 2 quarters, got {window}")
@@ -42,15 +51,10 @@ def zscore(column, window: int) -> tuple:
         if any(v is None for v in values):
             out.append(None)
             continue
-        try:
-            mu, sigma = _window_stats(values)
-        except OverflowError:
-            raise OverflowError(k - window + 1) from None
-        if sigma == 0.0:
-            out.append(0.0)
+        z = _window_z(values)
+        if z is None:
             flagged.append(k - window + 1)
-        else:
-            out.append((column[k] - mu) / sigma)
+        out.append(0.0 if z is None else z)
     return tuple(out), tuple(flagged)
 
 
@@ -60,17 +64,10 @@ def build_zscore_table(table: FeatureTable, window: int) -> FeatureTable:
 
     A quarter whose window held a missing value in any column is dropped:
     its row is all None. zero_variance lists the (quarter, feature) pairs
-    where sigma = 0 forced z = 0. Values too large to standardize are a
-    DataError naming the scope, feature and quarter.
+    where sigma = 0 forced z = 0.
     """
     start = table.start + (window - 1)
-    columns = []
-    for name, column in zip(table.names, zip(*table.rows)):
-        try:
-            columns.append(zscore(column, window))
-        except OverflowError as exc:
-            quarter = start + exc.args[0]
-            raise DataError(f"{table.scope.name} {name}: values too large to standardize in the window ending {quarter}") from None
+    columns = [zscore(column, window) for column in zip(*table.rows)]
     zero_variance = tuple(
         (start + j, name) for name, (_, flagged) in zip(table.names, columns) for j in flagged
     )

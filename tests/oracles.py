@@ -14,9 +14,17 @@ planted logit law, for weight recovery (acceptance criterion 7).
 
 series_zscore_table is the z table as built before standardization
 worked on the columns of a FeatureTable: one QuarterlySeries per
-feature (feature_series), each standardized on its own (series_zscore)
-and zipped back into rows. build_zscore_table must equal it.
+feature (feature_series), each standardized on its own (series_zscore,
+with the library's window statistic standardize._window_z) and zipped
+back into rows. build_zscore_table must equal it.
+
+unscaled_window_z restates standardize._window_z without the
+power-of-two scaling, squaring each deviation by multiplication as
+the library does; the two must agree wherever the restatement neither
+overflows nor underflows.
 """
+
+import math
 
 import numpy as np
 
@@ -24,7 +32,7 @@ from pesignal.errors import DataError, InsufficientHistoryError
 from pesignal.features import FeatureTable
 from pesignal.logit import LogitParams, prob_up
 from pesignal.quarters import QuarterlySeries
-from pesignal.standardize import _window_stats
+from pesignal.standardize import _window_z
 
 
 def _sigmoid(s):
@@ -114,12 +122,12 @@ def series_zscore(x: QuarterlySeries, window: int) -> tuple:
         if any(v is None for v in values):
             out.append(None)
             continue
-        mu, sigma = _window_stats(values)
-        if sigma == 0.0:
+        z = _window_z(values)
+        if z is None:
             out.append(0.0)
             flagged.append(x.start + k)
         else:
-            out.append((x.values[k] - mu) / sigma)
+            out.append(z)
     return QuarterlySeries(x.start + (window - 1), tuple(out)), tuple(flagged)
 
 
@@ -133,3 +141,11 @@ def series_zscore_table(table: FeatureTable, window: int) -> FeatureTable:
     rows = zip(*(standardized[name][0].values for name in table.names))
     z = tuple((None,) * len(table.names) if None in row else row for row in rows)
     return FeatureTable(table.scope, start, tuple(f"z_{n}" for n in table.names), z, zero_variance)
+
+
+def unscaled_window_z(window):
+    """z of the window's last value from the unscaled values, None when
+    the window's variance is 0."""
+    mu = math.fsum(window) / len(window)
+    sigma = math.sqrt(math.fsum((v - mu) * (v - mu) for v in window) / (len(window) - 1))
+    return (window[-1] - mu) / sigma if sigma else None

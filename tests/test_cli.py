@@ -260,36 +260,52 @@ class TestExitCodes:
             assert f"data error: {path}: feature table line 4: {problem}: {cell!r}" in err
             assert "Traceback" not in err
 
-    def test_feature_too_large_to_standardize_is_a_data_error(self, tmp_path, capsys):
-        # a squared deviation of 1e200 overflows; the first 6-quarter
-        # window that holds the value ends at 2001Q2
+    def _study_with_first_aum(self, tmp_path, capsys, aum):
+        """Run synth, give the first deal this AUM, then run features and
+        backtest; both must exit 0 and write only finite numbers."""
         config = write_config(tmp_path, SMALL)
         out = tmp_path / "out"
         assert main(["synth", "--config", config, "--out", str(out)]) == 0
         deals = out / "deals.csv"
-        text = deals.read_text(encoding="utf-8")
-        lines = text.splitlines(keepends=True)
+        lines = deals.read_text(encoding="utf-8").splitlines(keepends=True)
         # a quoted company name may hold commas, so count from the end
         parts = lines[1].split(",")
         assert parts[-4].startswith("2000-")
-        parts[-2] = "1e200"
+        parts[-2] = aum
         deals.write_text("".join(lines[:1] + [",".join(parts)] + lines[2:]), encoding="utf-8")
-        message = "data error: Market avg_aum: values too large to standardize in the window ending 2001Q2"
         capsys.readouterr()
-        assert main(["features", "--config", config, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert message in err and "Traceback" not in err
-        deals.write_text(text, encoding="utf-8")
-        assert main(["features", "--config", config, "--out", str(out)]) == 0
-        path = out / "features_market.csv"
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        parts = lines[3].split(",")
-        parts[3] = "1e200"
-        path.write_text("".join(lines[:3] + [",".join(parts)] + lines[4:]), encoding="utf-8")
-        capsys.readouterr()
-        assert main(["backtest", "--config", config, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert message in err and "Traceback" not in err
+        for command in ("features", "backtest"):
+            assert main([command, "--config", config, "--out", str(out)]) == 0, command
+            assert "Traceback" not in capsys.readouterr().err
+        written = sorted(set(out.glob("*.csv")) - {deals, out / "prices.csv", out / "pe.csv"})
+        assert {path.name for path in written} >= {"features_market.csv", "zscores_market.csv"}
+        for path in written:
+            for line in path.read_text(encoding="utf-8").splitlines()[1:]:
+                for cell in line.split(","):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue
+                    assert math.isfinite(value), (path.name, line)
+        return out
+
+    def test_feature_too_large_for_unscaled_squares_standardizes(self, tmp_path, capsys):
+        # unscaled, a squared deviation of 1e200 overflows; the window is
+        # scaled by a power of two first, so the z exists and is finite
+        out = self._study_with_first_aum(tmp_path, capsys, "1e200")
+        header, *rows = (out / "zscores_market.csv").read_text(encoding="utf-8").splitlines()
+        column = header.split(",").index("z_avg_aum")
+        # the first 6-quarter window, which ends at 2001Q2, opens with the
+        # value; beside it the other five are negligible, so z = -1/sqrt(6)
+        assert rows[0].split(",")[1] == "2001-06-30"
+        assert float(rows[0].split(",")[column]) == pytest.approx(-1 / math.sqrt(6), abs=1e-6)
+
+    def test_aum_whose_weight_overflows_is_aggregated(self, tmp_path, capsys):
+        # 1.5 * 1.5e308 is inf; the weighted mean is taken in scaled units
+        out = self._study_with_first_aum(tmp_path, capsys, "1.5e308")
+        header, first, *_ = (out / "features_market.csv").read_text(encoding="utf-8").splitlines()
+        cells = dict(zip(header.split(","), first.split(",")))
+        assert 1e307 < float(cells["weighted_avg_aum"]) < 1.5e308
 
     @pytest.mark.parametrize(
         "command, key, value, message",

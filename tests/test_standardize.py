@@ -1,5 +1,6 @@
 """Rolling z-scores against brute-force statistics."""
 
+import math
 import random
 
 import numpy as np
@@ -7,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import series_zscore_table
+from oracles import series_zscore_table, unscaled_window_z
 from pesignal.errors import InsufficientHistoryError
 from pesignal.features import BROAD_FEATURES, BROAD_SCOPE, FeatureTable, Scope, feature_names, write_feature_table
 from pesignal.quarters import Quarter
-from pesignal.standardize import build_zscore_table, zscore
+from pesignal.standardize import _window_z, build_zscore_table, zscore
 
 START = Quarter(2000, 1)
 
@@ -54,6 +55,25 @@ class TestRollingStats:
     def test_window_below_two_rejected(self):
         with pytest.raises(ValueError):
             zscore((1.0, 2.0), 1)
+
+    def test_tiny_distinct_values_are_not_flagged(self):
+        # unscaled, every squared deviation (1e-330) is below the
+        # smallest subnormal and the variance would read 0
+        (z,), flagged = zscore([1e-165, 2e-165, 3e-165], 3)
+        assert flagged == ()
+        assert abs(z - 1.0) <= math.ulp(1.0)
+
+    def test_subnormal_deviation_is_not_flagged(self):
+        # unscaled, the squared deviations underflow to 0
+        (z,), flagged = zscore([0.0, 5.001986363585299e-303], 2)
+        assert flagged == ()
+        assert z == pytest.approx(math.sqrt(0.5), rel=1e-15)
+
+    def test_huge_values_standardize(self):
+        # unscaled, the squared deviations overflow
+        (z,), flagged = zscore([-1e300, 1e300, 1.7e308], 3)
+        assert flagged == ()
+        assert math.isfinite(z) and z > 0
 
 
 class TestZScore:
@@ -178,8 +198,9 @@ class TestZScoreTable:
         assert lines[1].split(",")[0] == "Market"
 
     def test_infinite_z_rejected(self, monkeypatch):
-        # a sigma this small overflows every z that is not exactly 0
-        monkeypatch.setattr("pesignal.standardize._window_stats", lambda window: (0.0, 5e-324))
+        # |z| <= (n - 1) / sqrt(n) for any window, so only a faulty
+        # statistic gives inf; the table's own check still rejects it
+        monkeypatch.setattr("pesignal.standardize._window_z", lambda window: math.inf)
         with pytest.raises(ValueError, match="non-finite value at 2000Q3: inf"):
             build_zscore_table(self.make_rows(), 3)
 
@@ -204,3 +225,37 @@ def test_build_zscore_table_equals_the_series_oracle(scope, window, extra, data)
     columns += [data.draw(runs(values, n)) for _ in feature_names(scope)[1:]]
     table = FeatureTable(scope, START, feature_names(scope), tuple(zip(*columns)))
     assert build_zscore_table(table, window) == series_zscore_table(table, window)
+
+
+def signed(magnitudes):
+    return st.tuples(magnitudes, st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    window=st.integers(2, 6),
+    extra=st.integers(0, 8),
+    k=st.integers(-1000, 1000),
+    data=st.data(),
+)
+def test_power_of_two_scaling_changes_no_z(window, extra, k, data):
+    # magnitudes in [2**-20, 2**20) times 2**k stay normal and finite
+    # for |k| <= 1000, so the scaled column holds the same values in
+    # another unit; unscaled squares of 2**1000 would overflow
+    values = st.none() | st.just(0.0) | signed(st.floats(2.0**-20, 2.0**20, exclude_max=True))
+    column = data.draw(runs(values, window + extra))
+    scaled = [None if v is None else math.ldexp(v, k) for v in column]
+    assert zscore(scaled, window) == zscore(column, window)
+
+
+@settings(max_examples=300, deadline=None)
+@given(window=st.integers(2, 12), data=st.data())
+def test_window_z_equals_the_unscaled_restatement(window, data):
+    # Domain: 0 or magnitudes in [2**-150, 2**150]. Every value is then a
+    # multiple of 2**-202, so the mean is 0 or at least 2**-206 and a
+    # nonzero deviation lies in [2**-258, 2**151]: unscaled, no square
+    # underflows and no sum of squares overflows, and scaled by 2**-e
+    # with e <= 151, every value, mean and square stays normal.
+    values = st.just(0.0) | signed(st.floats(2.0**-150, 2.0**150))
+    window_values = data.draw(runs(values, window))
+    assert _window_z(window_values) == unscaled_window_z(window_values)
