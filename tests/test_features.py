@@ -71,9 +71,13 @@ def weighted_avg_aum(deals, scope: Scope, quarter: Quarter) -> float | None:
     aums = _usable_aums(deals, scope, quarter)
     if not aums:
         return None
-    weighted = math.fsum(aum_weight(a) * a for a in aums)
+    # in units of 2**e, e the exponent of the largest AUM, so that no
+    # weighted term underflows (a lone 5e-324 AUM is its own mean) or
+    # overflows (a 1.5e308 AUM times 1.5)
+    e = math.frexp(max(map(abs, aums)))[1]
+    weighted = math.fsum(aum_weight(a) * math.ldexp(a, -e) for a in aums)
     denom = math.fsum(aum_weight(a) for a in aums)
-    return weighted / denom
+    return math.ldexp(weighted / denom, e)
 
 
 def avg_fund_ranking(deals, quarter: Quarter) -> float | None:
@@ -232,6 +236,11 @@ class TestAumFeatures:
     def test_weighted_single(self):
         assert weighted_avg_aum([deal(aum=15.0)], BROAD_SCOPE, Q) == 15.0
         assert weighted_avg_aum([deal(aum=5.0)], BROAD_SCOPE, Q) == 5.0
+
+    def test_weighted_mean_of_one_extreme_aum_is_itself(self):
+        for aum in (5e-324, 1.5e308):
+            table = build_feature_table(deals_by_quarter([deal(aum=aum)]), BROAD_SCOPE, Q, Q, pe_series(Q, 1))
+            assert by_name(table, 0)["weighted_avg_aum"] == aum
 
     def test_weighted_pair(self):
         deals = [deal(aum=1.0), deal(aum=15.0)]
