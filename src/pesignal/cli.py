@@ -191,6 +191,8 @@ def load_config_file(path) -> dict:
         raw = Path(path).read_bytes()
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path}: {exc.strerror}") from None
     try:
         data = json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
@@ -236,6 +238,8 @@ class _Files:
             data = path.read_bytes()
         except FileNotFoundError:
             raise UsageError(f"input file not found: {path}") from None
+        except OSError as exc:
+            raise UsageError(f"cannot read input file {path}: {exc.strerror}") from None
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -259,10 +263,13 @@ class _Files:
         writer(*args, buffer, **kwargs)
         data = buffer.getvalue().encode("utf-8")
         self.outputs[str(path)] = hashlib.sha256(data).hexdigest()
-        path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.parent / (path.name + ".tmp")
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_bytes(data)
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
     def manifest(self, command: str):
         manifest = {
@@ -314,8 +321,8 @@ def cmd_features(config: RunConfig) -> int:
     buckets = deals_by_quarter(first_deals(parsed.records))
     pe_map = parse_prices(files.read(pe_path), config.price_format())
     market_pe = _series_for(pe_map, BROAD_INDEX_NAME, pe_path)
-    first = Quarter.parse(config.first) if config.first else market_pe.start
-    last = Quarter.parse(config.last) if config.last else market_pe.end
+    first = Quarter.parse(config.first) if config.first else min(market_pe)
+    last = Quarter.parse(config.last) if config.last else max(market_pe)
     out = config.out_dir()
     for scope in config.scope_list():
         sector_pe = None if scope.is_broad else _series_for(pe_map, scope.name, pe_path)

@@ -12,7 +12,7 @@ import math
 from ._record import NamedTuple, checked
 from .errors import DataError
 from .ingest import BROAD_INDEX_NAME, SECTOR_NAMES, AumBucket
-from .quarters import Quarter, QuarterlySeries, quarter_range
+from .quarters import Quarter, quarter_range
 
 BROAD_FEATURES = ("deal_count", "avg_aum", "weighted_avg_aum", "avg_fund_ranking", "market_pe")
 SECTOR_FEATURES = (
@@ -145,14 +145,15 @@ def build_feature_table(
     scope: Scope,
     first_quarter: Quarter,
     last_quarter: Quarter,
-    market_pe: QuarterlySeries,
-    sector_pe: QuarterlySeries | None = None,
+    market_pe: dict,
+    sector_pe: dict | None = None,
 ) -> FeatureTable:
     """The scope's features for every quarter in [first_quarter, last_quarter].
 
     buckets maps each quarter to its first deals (deals_by_quarter), so
-    one grouping serves every scope. market_pe must cover every quarter;
-    sector scopes additionally need sector_pe coverage. Raises DataError
+    one grouping serves every scope. market_pe and sector_pe are
+    {Quarter: P/E} maps; market_pe must cover every quarter, and sector
+    scopes additionally need sector_pe coverage. Raises DataError
     naming the first bare quarter. deal_count is an int; avg_aum and
     weighted_avg_aum are None exactly when no deal in the quarter and
     scope carries a usable AUM.

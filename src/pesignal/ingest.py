@@ -14,7 +14,7 @@ from datetime import date
 
 from ._record import NamedTuple, checked
 from .errors import DataError
-from .quarters import Quarter, QuarterlySeries, iso_date
+from .quarters import Quarter, iso_date
 
 SECTOR_NAMES = (
     "Commercial Services",
@@ -297,7 +297,7 @@ def first_deals(records) -> list:
 
 
 def parse_prices(stream, fmt: PriceFileFormat = PriceFileFormat()) -> dict:
-    """Parse quarter-end index levels into one gap-free series per index.
+    """Parse quarter-end index levels into one gap-free {Quarter: level} map per index.
 
     All defects are fatal here: a broken price history poisons every
     label downstream, so there is no lenient mode.
@@ -327,14 +327,16 @@ def parse_prices(stream, fmt: PriceFileFormat = PriceFileFormat()) -> dict:
                 f"price file line {line}: cannot parse index level {row.get(fmt.value)!r}"
             ) from None
         if not (math.isfinite(value) and value > 0):
-            raise DataError(f"price file line {line}: index level must be > 0, got {value!r}")
+            raise DataError(f"price file line {line}: index level must be finite and > 0, got {value!r}")
         by_index.setdefault(name, []).append((quarter, value))
     series = {}
     for name, items in sorted(by_index.items()):
-        try:
-            series[name] = QuarterlySeries.from_items(items)
-        except DataError as exc:
-            raise DataError(f"price index {name!r}: {exc}") from None
+        items.sort()
+        start = items[0][0]
+        for k, (quarter, _) in enumerate(items):
+            if quarter - start != k:
+                raise DataError(f"price index {name!r}: non-contiguous quarters: gap or duplicate at {quarter}")
+        series[name] = dict(items)
     return series
 
 
@@ -374,6 +376,4 @@ def write_prices(series_by_index, stream, fmt: PriceFileFormat = PriceFileFormat
     writer.writerow([fmt.index_name, fmt.date, fmt.value])
     for name in sorted(series_by_index):
         for quarter, value in series_by_index[name].items():
-            if value is None:
-                continue
             writer.writerow([name, quarter.end_date().isoformat(), repr(float(value))])

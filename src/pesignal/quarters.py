@@ -1,14 +1,12 @@
-"""Calendar-quarter arithmetic and gap-free quarterly series.
+"""Calendar-quarter arithmetic.
 
 Quarters are keyed by (year, index) and identified with their end date
 (2004Q3 <-> 2004-09-30). All joins are exact on (year, index), never on
-raw dates. Missing observations are explicit None markers, never
-sentinel numbers.
+raw dates.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from datetime import MAXYEAR, MINYEAR, date
 
@@ -88,53 +86,3 @@ def quarter_count(first: Quarter, last: Quarter) -> int:
 
 def quarter_range(first: Quarter, last: Quarter) -> list[Quarter]:
     return [first + k for k in range(quarter_count(first, last))]
-
-
-@checked
-class QuarterlySeries(NamedTuple):
-    """Gap-free quarterly observations; values[k] belongs to start + k.
-
-    A value may be None (missing); present values must be finite.
-    """
-
-    start: Quarter
-    values: tuple
-
-    def _check(self):
-        values = tuple(self.values)
-        for k, v in enumerate(values):
-            if v is None:
-                continue
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite value at {self.start + k}: {v!r}")
-        return self.start, values
-
-    @property
-    def end(self) -> Quarter:
-        if not self.values:
-            raise ValueError("empty series has no end quarter")
-        return self.start + (len(self.values) - 1)
-
-    def get(self, quarter: Quarter):
-        """Value at the quarter, or None when missing or out of range."""
-        offset = quarter - self.start
-        if 0 <= offset < len(self.values):
-            return self.values[offset]
-        return None
-
-    def items(self):
-        return [(self.start + k, v) for k, v in enumerate(self.values)]
-
-    @classmethod
-    def from_items(cls, items) -> "QuarterlySeries":
-        """Build from (quarter, value) pairs; quarters must be consecutive."""
-        items = sorted(items, key=lambda kv: kv[0])
-        if not items:
-            raise DataError("cannot build a series from no observations")
-        start = items[0][0]
-        values = []
-        for k, (q, v) in enumerate(items):
-            if q - start != k:
-                raise DataError(f"non-contiguous quarters: gap or duplicate at {q}")
-            values.append(v)
-        return cls(start, tuple(values))

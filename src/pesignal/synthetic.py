@@ -22,7 +22,7 @@ from ._record import NamedTuple, checked
 from .features import BROAD_FEATURES, BROAD_SCOPE, FeatureTable, Scope, build_feature_table, deals_by_quarter, feature_names
 from .ingest import AumBucket, DealRecord, SECTOR_NAMES
 from .logit import LogitParams, prob_up
-from .quarters import Quarter, QuarterlySeries
+from .quarters import Quarter
 from .response import Label, ann_forward_return, build_labels
 from .standardize import build_zscore_table
 
@@ -157,7 +157,7 @@ def generate_pe(spec: SyntheticSpec) -> dict:
     for scope in spec.scopes():
         index = _stream_index(scope)
         path = pe_path(spec, index, 7 if scope.is_broad else index)
-        series[scope.name] = QuarterlySeries(spec.start, tuple(float(v) for v in path))
+        series[scope.name] = {spec.start + k: float(v) for k, v in enumerate(path)}
     return series
 
 
@@ -235,7 +235,7 @@ def generate_labels(
     params: LogitParams,
     spec: SyntheticSpec,
     scope: Scope,
-    market_prices: QuarterlySeries | None = None,
+    market_prices: dict | None = None,
 ) -> tuple:
     """Draw labels from the planted law and back out a price series.
 
@@ -264,7 +264,7 @@ def generate_labels(
         else:
             ann = ann_forward_return(market_prices, quarter) + sign * (6.0 + 22.0 * u_mag)
         values.append(values[-1] * (1.0 + ann / 100.0) ** 0.25)
-    prices = QuarterlySeries(spec.start, tuple(values))
+    prices = {spec.start + k: v for k, v in enumerate(values)}
     labels = build_labels(scope, market_prices or prices, None if scope.is_broad else prices)
     if list(labels.values()) != drawn:
         raise AssertionError("synthesized prices failed to reproduce the drawn labels")

@@ -13,10 +13,11 @@ planted_samples draws standard-normal features and labels from a
 planted logit law, for weight recovery (acceptance criterion 7).
 
 series_zscore_table is the z table as built before standardization
-worked on the columns of a FeatureTable: one QuarterlySeries per
-feature (feature_series), each standardized on its own (series_zscore,
-with the library's window statistic standardize._window_z) and zipped
-back into rows. build_zscore_table must equal it.
+worked on the columns of a FeatureTable: one (start, values) series
+per feature (feature_series), each standardized on its own
+(series_zscore, with the library's window statistic
+standardize._window_z) and zipped back into rows. build_zscore_table
+must equal it.
 
 unscaled_window_z restates standardize._window_z without the
 power-of-two scaling, squaring each deviation by multiplication as
@@ -31,7 +32,6 @@ import numpy as np
 from pesignal.errors import DataError, InsufficientHistoryError
 from pesignal.features import FeatureTable
 from pesignal.logit import LogitParams, prob_up
-from pesignal.quarters import QuarterlySeries
 from pesignal.standardize import _window_z
 
 
@@ -97,38 +97,41 @@ def planted_samples(params: LogitParams, n: int, seed: int) -> tuple:
 
 
 def feature_series(table: FeatureTable) -> dict:
-    """Per-feature QuarterlySeries of a feature table, values as floats."""
+    """Per-feature (start, values) series of a feature table: values[k]
+    belongs to start + k, as a float, or None where the cell is missing."""
     if not table.rows:
         raise DataError("empty feature table")
     return {
-        name: QuarterlySeries(table.start, tuple(None if v is None else float(v) for v in column))
+        name: (table.start, tuple(None if v is None else float(v) for v in column))
         for name, column in zip(table.names, zip(*table.rows))
     }
 
 
-def series_zscore(x: QuarterlySeries, window: int) -> tuple:
-    """(z series covering x.start + window - 1 through x.end, the
-    quarters where sigma was 0 and z was set to 0)."""
+def series_zscore(x: tuple, window: int) -> tuple:
+    """((start, z values) covering the (start, values) series x from its
+    window-th quarter on, the quarters where sigma was 0 and z was set
+    to 0)."""
+    start, series = x
     if window < 2:
         raise ValueError(f"window must be at least 2 quarters, got {window}")
-    if len(x.values) < window:
+    if len(series) < window:
         raise InsufficientHistoryError(
-            f"standardization needs {window} quarters, series has {len(x.values)}"
+            f"standardization needs {window} quarters, series has {len(series)}"
         )
     out = []
     flagged = []
-    for k in range(window - 1, len(x.values)):
-        values = x.values[k - window + 1 : k + 1]
+    for k in range(window - 1, len(series)):
+        values = series[k - window + 1 : k + 1]
         if any(v is None for v in values):
             out.append(None)
             continue
         z = _window_z(values)
         if z is None:
             out.append(0.0)
-            flagged.append(x.start + k)
+            flagged.append(start + k)
         else:
             out.append(z)
-    return QuarterlySeries(x.start + (window - 1), tuple(out)), tuple(flagged)
+    return (start + (window - 1), tuple(out)), tuple(flagged)
 
 
 def series_zscore_table(table: FeatureTable, window: int) -> FeatureTable:
@@ -138,7 +141,7 @@ def series_zscore_table(table: FeatureTable, window: int) -> FeatureTable:
         (quarter, name) for name in table.names for quarter in standardized[name][1]
     )
     start = table.start + (window - 1)
-    rows = zip(*(standardized[name][0].values for name in table.names))
+    rows = zip(*(standardized[name][0][1] for name in table.names))
     z = tuple((None,) * len(table.names) if None in row else row for row in rows)
     return FeatureTable(table.scope, start, tuple(f"z_{n}" for n in table.names), z, zero_variance)
 

@@ -14,7 +14,7 @@ from pesignal.cli import main
 from pesignal.evaluation import roc, scored_pairs
 from pesignal.features import BROAD_SCOPE, Scope
 from pesignal.logit import LogitParams, fit
-from pesignal.quarters import Quarter, QuarterlySeries
+from pesignal.quarters import Quarter
 from pesignal.response import Label, build_labels, sector_spread, ann_forward_return
 from pesignal.synthetic import SyntheticSpec, generate_dataset
 from oracles import gradient, log_likelihood, planted_samples
@@ -26,11 +26,11 @@ def prices_from_ann(*anns):
     values = [100.0]
     for ann in anns:
         values.append(values[-1] * (1.0 + ann / 100.0) ** 0.25)
-    return QuarterlySeries(Quarter(2008, 1), tuple(values))
+    return {Quarter(2008, 1) + k: v for k, v in enumerate(values)}
 
 
 def test_criterion_1_forward_returns_and_labels():
-    prices = QuarterlySeries(Quarter(2008, 1), (66.43170, 64.41500, 74.60800))
+    prices = {Quarter(2008, 1): 66.43170, Quarter(2008, 2): 64.41500, Quarter(2008, 3): 74.60800}
     first, second = Quarter(2008, 1), Quarter(2008, 2)
     for quarter, quarterly in ((first, -3.04), (second, 15.82)):
         simple = 100.0 * (prices.get(quarter + 1) / prices.get(quarter) - 1.0)

@@ -21,7 +21,7 @@ from pesignal.evaluation import report
 from pesignal.features import BROAD_FEATURES, BROAD_SCOPE, FeatureTable, build_feature_table, deals_by_quarter
 from pesignal.ingest import AumBucket, first_deals
 from pesignal.logit import fit, fit_windows
-from pesignal.quarters import Quarter, QuarterlySeries, quarter_range
+from pesignal.quarters import Quarter, quarter_range
 from pesignal.response import Label, build_labels
 from pesignal.standardize import build_zscore_table
 from pesignal.synthetic import SyntheticSpec, generate_dataset
@@ -228,9 +228,8 @@ def after(series: dict, q, rng) -> dict:
     """Each series with every value strictly after q rescaled."""
     out = {}
     for name, s in series.items():
-        scale = np.exp(rng.normal(0, 0.3, len(s.values)))
-        values = [v * float(f) if s.start + k > q else v for k, (v, f) in enumerate(zip(s.values, scale))]
-        out[name] = QuarterlySeries(s.start, tuple(values))
+        scale = np.exp(rng.normal(0, 0.3, len(s)))
+        out[name] = {quarter: v * float(f) if quarter > q else v for (quarter, v), f in zip(s.items(), scale)}
     return out
 
 

@@ -1,8 +1,10 @@
 """End-to-end command behavior: composition, exit codes, manifests."""
 
+import errno
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -202,6 +204,26 @@ class TestExitCodes:
     def test_missing_input_file_is_a_usage_error(self, tmp_path, capsys):
         assert main(["features", "--out", str(tmp_path / "nowhere")]) == 1
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["config_is_a_directory", "input_is_a_directory", "out_is_a_file"])
+    def test_unusable_path_is_a_usage_error(self, tmp_path, case):
+        if case == "config_is_a_directory":
+            path = tmp_path / "settings"
+            path.mkdir()
+            argv, code = ["synth", "--config", str(path)], errno.EISDIR
+        elif case == "input_is_a_directory":
+            path = tmp_path / "d" / "deals.csv"
+            path.mkdir(parents=True)
+            argv, code = ["features", "--out", str(path.parent)], errno.EISDIR
+        else:
+            path = tmp_path / "afile"
+            path.write_text("")
+            argv, code = ["synth", "--config", write_config(tmp_path, SMALL), "--out", str(path)], errno.EEXIST
+        result = subprocess.run([sys.executable, "-m", "pesignal", *argv], capture_output=True, text=True, check=False)
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert "usage error" in result.stderr and str(path) in result.stderr
+        assert os.strerror(code) in result.stderr
 
     def test_input_that_is_not_utf8_is_a_data_error(self, tmp_path, capsys):
         config = write_config(tmp_path, SMALL)

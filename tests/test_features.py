@@ -28,7 +28,7 @@ from pesignal.features import (
     write_feature_table,
 )
 from pesignal.ingest import AumBucket, DealRecord, SECTOR_NAMES
-from pesignal.quarters import Quarter, QuarterlySeries, quarter_range
+from pesignal.quarters import Quarter, quarter_range
 
 Q = Quarter(2008, 1)
 
@@ -278,7 +278,7 @@ class TestFundRanking:
 
 
 def pe_series(start, n, base=15.0):
-    return QuarterlySeries(start, tuple(base + 0.1 * k for k in range(n)))
+    return {start + k: base + 0.1 * k for k in range(n)}
 
 
 class TestBuildFeatureTable:
@@ -344,9 +344,9 @@ class TestBuildFeatureTable:
         )
         series = feature_series(table)
         assert set(series) == set(BROAD_FEATURES)
-        assert series["deal_count"].values == (1.0, 0.0, 0.0)
-        assert series["avg_aum"].values == (4.0, None, None)
-        assert series["market_pe"].get(Quarter(2008, 2)) == pytest.approx(15.1)
+        assert series["deal_count"] == (Quarter(2008, 1), (1.0, 0.0, 0.0))
+        assert series["avg_aum"] == (Quarter(2008, 1), (4.0, None, None))
+        assert series["market_pe"][1][1] == pytest.approx(15.1)
 
     def test_write_table(self):
         deals = [deal("Finance", date(2008, 2, 1), aum=4.0, rank=1.5)]

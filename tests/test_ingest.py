@@ -25,7 +25,7 @@ from pesignal.ingest import (
     write_deals,
     write_prices,
 )
-from pesignal.quarters import Quarter, QuarterlySeries
+from pesignal.quarters import Quarter
 
 DEAL_HEADER = (
     "company_id,company_name,sector,first_investment_date,investor_aum,investor_performance"
@@ -268,9 +268,20 @@ class TestParsePrices:
         with pytest.raises(DataError, match="quarter-end"):
             parse_prices(prices_io("MARKET,2002-12-30,1.0"))
 
+    def test_rows_out_of_order_parse_as_sorted(self):
+        rows = ["MARKET,2002-12-31,1.0", "MARKET,2003-03-31,2.0", "MARKET,2003-06-30,3.0"]
+        shuffled = parse_prices(prices_io(rows[1], rows[2], rows[0]))
+        assert shuffled == parse_prices(prices_io(*rows))
+        assert list(shuffled["MARKET"].items()) == [(Quarter(2002, 4), 1.0), (Quarter(2003, 1), 2.0), (Quarter(2003, 2), 3.0)]
+
     def test_non_positive_value_fatal(self):
         with pytest.raises(DataError, match="> 0"):
             parse_prices(prices_io("MARKET,2002-12-31,0.0"))
+
+    @pytest.mark.parametrize("level", ["nan", "inf", "-inf"])
+    def test_non_finite_value_fatal(self, level):
+        with pytest.raises(DataError, match=f"line 3: index level must be finite and > 0, got {level}"):
+            parse_prices(prices_io("MARKET,2002-12-31,1.0", f"MARKET,2003-03-31,{level}"))
 
     def test_missing_column_fatal(self):
         with pytest.raises(DataError, match="missing columns"):
@@ -328,13 +339,13 @@ deal_records = st.builds(
     investor=cells,
 )
 price_series = st.builds(
-    QuarterlySeries,
+    lambda start, values: {start + k: v for k, v in enumerate(values)},
     st.builds(Quarter, st.integers(1900, 2100), st.integers(1, 4)),
     st.lists(
         st.floats(min_value=1e-6, max_value=1e9, allow_nan=False, allow_infinity=False),
         min_size=1,
         max_size=12,
-    ).map(tuple),
+    ),
 )
 
 

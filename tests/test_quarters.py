@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pesignal.errors import DataError
-from pesignal.quarters import Quarter, QuarterlySeries, quarter_count, quarter_range
+from pesignal.quarters import Quarter, quarter_count, quarter_range
 
 quarters = st.builds(Quarter, st.integers(1000, 9000), st.integers(1, 4))
 
@@ -105,37 +105,3 @@ class TestQuarterCount:
             Quarter(2001, 2),
         ]
 
-
-class TestQuarterlySeries:
-    def test_lookup(self):
-        s = QuarterlySeries(Quarter(2000, 1), (1.0, 2.0, None, 4.0))
-        assert s.get(Quarter(2000, 1)) == 1.0
-        assert s.get(Quarter(2000, 3)) is None
-        assert s.get(Quarter(1999, 4)) is None
-        assert s.get(Quarter(2001, 1)) is None
-        assert s.get(Quarter(2000, 4)) == 4.0
-
-    def test_end_and_covers(self):
-        s = QuarterlySeries(Quarter(2000, 1), (1.0, 2.0, 3.0))
-        assert s.end == Quarter(2000, 3)
-        assert s.get(s.end) == 3.0
-        assert s.get(s.end + 1) is None
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            QuarterlySeries(Quarter(2000, 1), (1.0, float("nan")))
-        with pytest.raises(ValueError):
-            QuarterlySeries(Quarter(2000, 1), (float("inf"),))
-
-    def test_from_items_sorts(self):
-        s = QuarterlySeries.from_items(
-            [(Quarter(2000, 2), 2.0), (Quarter(2000, 1), 1.0), (Quarter(2000, 3), 3.0)]
-        )
-        assert s.start == Quarter(2000, 1)
-        assert s.values == (1.0, 2.0, 3.0)
-
-    def test_from_items_rejects_gap_and_duplicate(self):
-        with pytest.raises(DataError):
-            QuarterlySeries.from_items([(Quarter(2000, 1), 1.0), (Quarter(2000, 3), 3.0)])
-        with pytest.raises(DataError):
-            QuarterlySeries.from_items([(Quarter(2000, 1), 1.0), (Quarter(2000, 1), 2.0)])

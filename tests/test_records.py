@@ -15,7 +15,7 @@ from pesignal.evaluation import RocCurve, ScoreReport
 from pesignal.features import BROAD_FEATURES, BROAD_SCOPE, FeatureTable, Scope
 from pesignal.ingest import DealRecord
 from pesignal.logit import LogitParams
-from pesignal.quarters import Quarter, QuarterlySeries
+from pesignal.quarters import Quarter
 from pesignal.response import Label
 from pesignal.synthetic import SyntheticSpec
 
@@ -24,7 +24,6 @@ Q = Quarter(2004, 3)
 # a valid record of each checking class, and a field change it rejects
 CASES = [
     (Q, {"index": 5}),
-    (QuarterlySeries(Q, (1.0, None)), {"values": (1.0, math.nan)}),
     (LogitParams((1.0, -2.0), 0.5), {"bias": math.inf}),
     (BacktestConfig(), {"learning_rate": 0.0}),
     (BacktestConfig(), {"threshold": 1.5}),
@@ -68,5 +67,3 @@ def test_every_checking_record_is_covered():
 def test_replace_normalizes_as_construction_does():
     params = LogitParams((1.0,), 0.0)._replace(weights=[2], bias=1)
     assert params.weights == (2.0,) and type(params.weights[0]) is float and type(params.bias) is float
-    series = QuarterlySeries(Q, (1.0,))._replace(values=[2.0, None])
-    assert series.values == (2.0, None) and len(series.values) == 2

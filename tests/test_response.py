@@ -1,4 +1,4 @@
-"""Forward-return labels from price series."""
+"""Forward-return labels from {Quarter: level} price maps."""
 
 import random
 
@@ -6,7 +6,7 @@ import pytest
 
 from pesignal.errors import DataError
 from pesignal.features import BROAD_SCOPE, Scope
-from pesignal.quarters import Quarter, QuarterlySeries, quarter_range
+from pesignal.quarters import Quarter, quarter_range
 from pesignal.response import Label, ann_forward_return, build_labels, label_of, sector_spread
 
 START = Quarter(2002, 4)
@@ -17,13 +17,13 @@ LEVELS = (66.43170, 64.41500, 74.60800)
 
 
 def prices(*values, start=START):
-    return QuarterlySeries(start, tuple(values))
+    return {start + k: v for k, v in enumerate(values)}
 
 
 def prices_with_ann_return(ann_pct, start=START, base=100.0):
-    """Two-quarter series whose annualized forward return is ann_pct."""
+    """Two-quarter prices whose annualized forward return is ann_pct."""
     ratio = (1.0 + ann_pct / 100.0) ** 0.25
-    return QuarterlySeries(start, (base, base * ratio))
+    return prices(base, base * ratio, start=start)
 
 
 class TestForwardReturns:
@@ -130,6 +130,11 @@ class TestBuildLabels:
         assert list(labels) == [START + 1]
         with pytest.raises(DataError):
             build_labels(Scope("Finance"), market)
+
+    def test_empty_prices_label_nothing(self):
+        assert build_labels(BROAD_SCOPE, {}) == {}
+        assert build_labels(Scope("Finance"), {}, prices(*LEVELS)) == {}
+        assert build_labels(Scope("Finance"), prices(*LEVELS), {}) == {}
 
     def test_label_consistency_enforced(self):
         # each label is the sign of the return that decides it: the

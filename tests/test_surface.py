@@ -9,9 +9,12 @@ name, except that an attribute of a module bound by ``import`` (``np.zeros``,
 ``math.fsum``) belongs to that module and refers to nothing here. A name
 that only tests reach is dead weight in the library; it goes, and a test
 oracle lives in tests/.
+
+The "Library use" example also runs as written.
 """
 
 import ast
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -47,6 +50,14 @@ def _library_example() -> str:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library use", 1)[1]
     return section.split("```python", 1)[1].split("```", 1)[0]
+
+
+def test_library_example_runs(capsys):
+    exec(compile(_library_example(), "README.md", "exec"), {})
+    label, line = capsys.readouterr().out.splitlines()
+    assert label == "Label.UP"
+    report = json.loads(line)
+    assert (report["scope"], report["n"], report["unscored"]) == ("Market", 50, 0)
 
 
 def _definitions(tree):

@@ -151,9 +151,8 @@ def test_pe_series_positive_and_complete():
     pe = generate_pe(SMALL)
     assert set(pe) == {BROAD_SCOPE.name, "Commercial Services", "Communications"}
     for series in pe.values():
-        assert series.start == SMALL.start
-        assert series.end == SMALL.last
-        assert all(v > 0 for v in series.values)
+        assert list(series) == [SMALL.start + k for k in range(SMALL.n_quarters)]
+        assert all(v > 0 for v in series.values())
 
 
 def test_planted_params_shapes():
@@ -170,7 +169,7 @@ def test_planted_params_shapes():
 def test_labels_round_trip_through_prices():
     data = generate_dataset(SMALL)
     market = data.prices[BROAD_SCOPE.name]
-    assert market.end == SMALL.last + 1
+    assert max(market) == SMALL.last + 1
     again = build_labels(BROAD_SCOPE, market)
     assert again == data.labels[BROAD_SCOPE.name]
     scope = Scope("Communications")

@@ -28,7 +28,7 @@ from pesignal.errors import DataError, InsufficientHistoryError, NumericalError
 from oracles import feature_series, series_zscore
 from pesignal.features import BROAD_SCOPE, FeatureTable, Scope, feature_names
 from pesignal.logit import classify, fit_windows, prob_up
-from pesignal.quarters import Quarter, QuarterlySeries, quarter_count, quarter_range
+from pesignal.quarters import Quarter, quarter_count, quarter_range
 from pesignal.response import Label, ann_forward_return, build_labels, label_of, sector_spread
 from pesignal.standardize import build_zscore_table
 
@@ -71,7 +71,7 @@ def oracle_zscore_table(features: FeatureTable, window: int) -> OracleTable:
     rows = []
     dropped = []
     for quarter in quarter_range(start, end):
-        zs = tuple(standardized[name][0].get(quarter) for name in names)
+        zs = tuple(standardized[name][0][1][quarter - start] for name in names)
         if any(z is None for z in zs):
             dropped.append(quarter)
         else:
@@ -132,7 +132,7 @@ class ResponseLabel:
             raise ValueError(f"label {self.y} contradicts its return {decided_by!r}")
 
 
-def broad_label(prices: QuarterlySeries, t: Quarter) -> ResponseLabel:
+def broad_label(prices: dict, t: Quarter) -> ResponseLabel:
     ret = ann_forward_return(prices, t)
     return ResponseLabel(t, BROAD_SCOPE, ret, label_of(ret))
 
@@ -148,8 +148,10 @@ def oracle_labels(scope: Scope, market_prices, sector_prices=None) -> list:
     if not scope.is_broad and sector_prices is None:
         raise DataError(f"sector scope {scope.name} needs sector prices")
     needed = [market_prices] if scope.is_broad else [market_prices, sector_prices]
-    lo = max(s.start for s in needed)
-    hi = min(s.end for s in needed) - 1
+    if not all(needed):
+        return []
+    lo = max(map(min, needed))
+    hi = min(map(max, needed)) - 1
     labels = []
     t = lo
     while t <= hi:
@@ -325,13 +327,15 @@ def test_zscore_table_matches_the_tuple_rows(scope, window, extra, seed, coarse,
 
 
 def draw_prices(rng, start, n, hole_rate):
-    """n quarter-end levels from start; a level may be missing, and some
-    steps are flat, so some forward returns and spreads are exactly 0."""
-    values = []
-    for _ in range(n):
+    """Quarter-end levels for the n quarters from start; a level may be
+    missing, so the map may have holes or be empty, and some steps are
+    flat, so some forward returns and spreads are exactly 0."""
+    prices = {}
+    for k in range(n):
         level = float(rng.choice([50.0, 60.0, rng.uniform(40, 80)]))
-        values.append(None if rng.random() < hole_rate else level)
-    return QuarterlySeries(start, tuple(values))
+        if rng.random() >= hole_rate:
+            prices[start + k] = level
+    return prices
 
 
 @settings(max_examples=120, deadline=None)
