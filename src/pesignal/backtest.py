@@ -15,7 +15,7 @@ from ._numpy import np
 from ._record import NamedTuple, checked
 from .errors import DataError, InsufficientHistoryError, NumericalError
 from .features import FeatureTable, Scope
-from .logit import FitReport, classify, fit_windows, prob_up
+from .logit import FitReport, LogitParams, classify, fit_windows, prob_up
 from .logit import fit  # noqa: F401  (bench/test_bench.py checks the tracer wraps it here)
 from .quarters import Quarter
 from .response import Label
@@ -84,18 +84,43 @@ class BacktestResult(NamedTuple):
 
 
 def run(features: FeatureTable, labels, config: BacktestConfig = BacktestConfig()) -> BacktestResult:
-    """Walk one-ahead windows over a single-scope feature table.
+    """Walk one-ahead windows over a single-scope feature table: run_scopes on one.
 
     labels maps quarters to the scope's Labels; estimation windows
     missing a z row or a label are skipped with a diagnostic, never
     imputed. The predicted quarter's own label may be absent, which
     leaves that record unscored.
-
-    The first std_window - 1 quarters only feed standardization, so
-    z-table row k is quarter table.start + k. Window k fits rows
-    k .. k+ne-1 and predicts row k+ne, which makes
-    quarter_count - std_window - est_window + 1 windows.
     """
+    (result,) = run_scopes([(features, labels)], config)
+    return result
+
+
+def run_scopes(scoped, config: BacktestConfig) -> list:
+    """run on each (features, labels) pair: plan every scope, fit all
+    windows in one fit_windows batch, zero-padded to the widest scope's
+    features ahead of the bias, which changes no bit (see logit), and
+    assemble each scope with its weights trimmed back to its features."""
+    plans = [_plan(features, labels, config) for features, labels in scoped]
+    width = max(p.z.shape[1] for p in plans)
+    z = np.concatenate([np.pad(p.z, ((0, 0), (0, width - p.z.shape[1])))[p.rows] for p in plans])
+    y = np.concatenate([np.array([lab is Label.UP for lab in p.actual], dtype=float)[p.rows] for p in plans])
+    outcomes = iter(fit_windows(z, y, config))
+    return [_assemble(p, outcomes, config) for p in plans]
+
+
+class _Plan(NamedTuple):
+    table: FeatureTable  # the z table
+    z: object  # its rows as an array, NaN in a dropped row
+    actual: list  # each row's Label or None
+    steps: list  # each window's skip reason, None when it is fitted
+    rows: object  # each fitted window's rows
+
+
+def _plan(features: FeatureTable, labels, config: BacktestConfig) -> _Plan:
+    # The first std_window - 1 quarters only feed standardization, so
+    # z-table row k is quarter table.start + k. Window k fits rows
+    # k .. k+ne-1 and predicts row k+ne, which makes
+    # quarter_count - std_window - est_window + 1 windows.
     table = build_zscore_table(features, config.std_window)
     z = np.array(table.rows, dtype=float)  # a dropped row's None reads as NaN
     ne = config.est_window
@@ -109,43 +134,46 @@ def run(features: FeatureTable, labels, config: BacktestConfig = BacktestConfig(
     actual = [labels.get(table.start + k) for k in range(len(table.rows))]
     has_z = ~np.isnan(z).any(axis=1)
     usable = has_z & np.array([y is not None for y in actual])
-    # each window gets its skip reason, or None when it is fitted in the batch
-    plan = []
+    steps = []
     for k in range(windows):
         gap = k + int(np.argmin(usable[k : k + ne]))
         if not has_z[k + ne]:
-            plan.append(f"no z-score row at predicted quarter {table.start + k + ne}")
+            steps.append(f"no z-score row at predicted quarter {table.start + k + ne}")
         elif not usable[gap]:
             missing = "label" if has_z[gap] else "z-score row"
-            plan.append(f"no {missing} at {table.start + gap} inside the estimation window")
+            steps.append(f"no {missing} at {table.start + gap} inside the estimation window")
         else:
-            plan.append(None)
-    rows = np.flatnonzero([step is None for step in plan])[:, None] + np.arange(ne)
-    y = np.array([lab is Label.UP for lab in actual], dtype=float)
-    outcomes = iter(fit_windows(z[rows], y[rows], config))
-    records = []
-    skipped = []
-    for k, step in enumerate(plan):
-        quarter = table.start + k + ne
+            steps.append(None)
+    rows = np.flatnonzero([step is None for step in steps])[:, None] + np.arange(ne)
+    return _Plan(table, z, actual, steps, rows)
+
+
+def _assemble(plan: _Plan, outcomes, config: BacktestConfig) -> BacktestResult:
+    # records and skips in schedule order, taking each fitted window's outcome from the iterator
+    ne = config.est_window
+    records, skipped = [], []
+    for k, step in enumerate(plan.steps):
+        quarter = plan.table.start + k + ne
         outcome = next(outcomes) if step is None else step
         if isinstance(outcome, NumericalError):
             outcome = f"estimation failed: {outcome}"
         if isinstance(outcome, str):
             skipped.append(SkippedWindow(quarter, outcome))
             continue
-        p = prob_up(z[k + ne], outcome.params)
+        params = LogitParams(outcome.params.weights[: plan.z.shape[1]], outcome.params.bias)
+        p = prob_up(plan.z[k + ne], params)
         records.append(
             PredictionRecord(
-                scope=table.scope,
+                scope=plan.table.scope,
                 quarter=quarter,
                 p_up=p,
                 # classify the cell the table holds, which evaluate reads back
                 predicted=classify(float(_p_up_cell(p)), config.threshold),
-                actual=actual[k + ne],
-                fit=outcome,
+                actual=plan.actual[k + ne],
+                fit=outcome._replace(params=params),
             )
         )
-    return BacktestResult(table.scope, tuple(records), tuple(skipped))
+    return BacktestResult(plan.table.scope, tuple(records), tuple(skipped))
 
 
 PREDICTION_COLUMNS = ("scope", "quarter_end", "p_up", "predicted", "actual", "correct")

@@ -12,6 +12,7 @@ accepted as --config for reruns.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import io
 import json
@@ -20,7 +21,8 @@ import sys
 from pathlib import Path
 
 from ._record import NamedTuple
-from .backtest import BacktestConfig, run, write_predictions, read_predictions
+from .backtest import BacktestConfig, read_predictions, run_scopes, write_predictions
+from .backtest import run  # noqa: F401  (bench/test_bench.py checks the tracer wraps it here)
 from .errors import DataError, InsufficientHistoryError, NumericalError, UsageError
 from .evaluation import report, write_roc_points, write_scatter, write_score_reports
 from .features import Scope, build_feature_table, deals_by_quarter, read_feature_table, write_feature_table
@@ -224,13 +226,15 @@ def _slug(name: str) -> str:
 
 
 class _Files:
-    """The files one command reads and writes, each recorded by the
-    SHA-256 of exactly the bytes it parsed or wrote."""
+    """The files one command reads and writes, each recorded by the SHA-256
+    of exactly the bytes it parsed or wrote. manifest writes them all, so
+    a command that fails first leaves the last run's files as they were."""
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.inputs = {}
         self.outputs = {}
+        self.rendered = []
 
     def read(self, path: Path):
         """The file as a text stream to parse, read from disk once."""
@@ -258,18 +262,12 @@ class _Files:
             raise DataError(f"{path}: {exc}") from None
 
     def write(self, path: Path, writer, *args, **kwargs):
-        """writer(*args, stream, **kwargs) rendered, then written atomically."""
+        """writer(*args, stream, **kwargs) rendered, for manifest to write atomically."""
         buffer = io.StringIO()
         writer(*args, buffer, **kwargs)
         data = buffer.getvalue().encode("utf-8")
         self.outputs[str(path)] = hashlib.sha256(data).hexdigest()
-        tmp = path.parent / (path.name + ".tmp")
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(data)
-            os.replace(tmp, path)
-        except OSError as exc:
-            raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+        self.rendered.append((path, data))
 
     def manifest(self, command: str):
         manifest = {
@@ -283,6 +281,14 @@ class _Files:
             self.config.out_dir() / f"manifest_{command}.json",
             lambda stream: stream.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n"),
         )
+        for path, data in self.rendered:
+            tmp = path.parent / (path.name + ".tmp")
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                tmp.write_bytes(data)
+                os.replace(tmp, path)
+            except OSError as exc:
+                raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _series_for(series_map: dict, name: str, path: Path):
@@ -345,19 +351,20 @@ def cmd_backtest(config: RunConfig) -> int:
     price_map = parse_prices(files.read(prices_path), config.price_format())
     market_prices = _series_for(price_map, BROAD_INDEX_NAME, prices_path)
     out = config.out_dir()
+    scoped = []
     for scope in config.scope_list():
         path = out / f"features_{_slug(scope.name)}.csv"
         table = files.parse(path, read_feature_table)
         if table.scope != scope:
             raise DataError(f"{path} holds {table.scope.name} features, not {scope.name}'s")
         sector_prices = None if scope.is_broad else _series_for(price_map, scope.name, prices_path)
-        labels = build_labels(scope, market_prices, sector_prices)
-        result = run(table, labels, bt_config)
+        scoped.append((table, build_labels(scope, market_prices, sector_prices)))
+    for result in run_scopes(scoped, bt_config):
         for skip in result.skipped:
-            _log("%s %s: skipped, %s", scope.name, skip.predicted, skip.reason)
+            _log("%s %s: skipped, %s", result.scope.name, skip.predicted, skip.reason)
         for record in result.records:
-            _log("%s %s %s", scope.name, record.quarter, fit_report_line(record.fit))
-        files.write(out / f"predictions_{_slug(scope.name)}.csv", write_predictions, result.records)
+            _log("%s %s %s", result.scope.name, record.quarter, fit_report_line(record.fit))
+        files.write(out / f"predictions_{_slug(result.scope.name)}.csv", write_predictions, result.records)
     files.manifest("backtest")
     return 0
 
@@ -456,5 +463,14 @@ def main(argv=None) -> int:
         return 3
 
 
+def entry():
+    """main as a process that never runs the cycle collector, which would walk every
+    live object, numpy's too, to find the few cycles of one bounded run."""
+    gc.disable()
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

@@ -15,7 +15,8 @@ over a leading axis of a C-ordered copy, so numpy adds one slice at a
 time in index order: a score sums the features, then the bias; a
 gradient sums the rows. No BLAS product is left, so the bits do not
 depend on the BLAS build, and a window's result does not depend on the
-batch around it. Two limits remain: ``np.exp`` dispatches by CPU, so
+batch around it, nor on zero features padded in ahead of the bias: their
+weights stay +0.0 and add nothing to a score. Two limits remain: ``np.exp`` dispatches by CPU, so
 its last bits may still differ between machines; and this order rounds
 differently from the stacked ``np.matmul`` kernel it replaced, which is
 harmless at the default learning rate (relative weight gaps near 1e-16)

@@ -1,20 +1,27 @@
 """End-to-end command behavior: composition, exit codes, manifests."""
 
+import ast
 import errno
+import gc
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from pesignal.backtest import BacktestConfig, read_predictions, run
+import pesignal.cli
+from pesignal.backtest import BacktestConfig, read_predictions, run, run_scopes
 from pesignal.cli import RunConfig, main, resolve_config
 from pesignal.errors import NumericalError, UsageError
 from pesignal.evaluation import roc, scored_pairs
+from pesignal.features import read_feature_table
+from pesignal.ingest import SECTOR_NAMES, parse_prices
+from pesignal.response import build_labels
 from pesignal.synthetic import SyntheticSpec, generate_dataset
 
 SMALL = {
@@ -27,6 +34,8 @@ SMALL = {
 }
 
 SMALL_SCOPES = ["Market", "Commercial Services", "Communications"]
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, settings, name="config.json"):
@@ -200,6 +209,27 @@ class TestExitCodes:
         study = ["backtest", "--config", str(tmp_path / "config.json"), "--out", str(out), "--scopes", "Market"]
         assert main(study) == 2
         assert f"data error: {market} holds Commercial Services features, not Market's" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["features", "backtest"])
+    def test_rerun_that_fails_on_a_later_scope_leaves_every_output(self, tmp_path, capsys, command):
+        # the second scope's input breaks, and the rerun changes a setting
+        # that would rewrite the first scope's output had it been written
+        out = run_pipeline(tmp_path, SMALL)
+        if command == "features":
+            pe = out / "pe.csv"
+            lines = pe.read_text().splitlines(keepends=True)
+            pe.write_text("".join(line for line in lines if not line.startswith("Commercial Services,")))
+            changed, message = ["--t", "5"], "has no series named 'Commercial Services'"
+        else:
+            table = out / "features_commercial_services.csv"
+            table.write_text("".join(table.read_text().splitlines(keepends=True)[:9]))
+            changed, message = ["--eta", "0.002"], "insufficient history"
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        study = [command, "--config", str(tmp_path / "config.json"), "--out", str(out), "--scopes", ",".join(SMALL_SCOPES)]
+        assert main(study + changed) == 2
+        assert message in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_missing_input_file_is_a_usage_error(self, tmp_path, capsys):
         assert main(["features", "--out", str(tmp_path / "nowhere")]) == 1
@@ -570,6 +600,35 @@ class TestCliMatchesLibrary:
         assert compared == 200
 
 
+    def test_pooled_backtest_gives_each_scope_its_run_records(self, tmp_path, monkeypatch):
+        # backtest fits Market (5 features) and the sectors (6) in one
+        # zero-padded batch; each scope's records, fit reports included,
+        # must be what run gives that scope alone
+        out = run_pipeline(tmp_path, SMALL)
+        results = []
+
+        def spy(scoped, config):
+            results.extend(run_scopes(scoped, config))
+            return results
+
+        monkeypatch.setattr(pesignal.cli, "run_scopes", spy)
+        config = resolve_config(SMALL, {})
+        study = ["backtest", "--config", str(tmp_path / "config.json"), "--out", str(out)]
+        assert main(study + ["--scopes", ",".join(SMALL_SCOPES)]) == 0
+        with open(out / "prices.csv", encoding="utf-8") as handle:
+            prices = parse_prices(handle)
+        assert [result.scope.name for result in results] == SMALL_SCOPES
+        for result in results:
+            scope = result.scope
+            slug = scope.name.lower().replace(" ", "_")
+            with open(out / f"features_{slug}.csv", encoding="utf-8") as handle:
+                table = read_feature_table(handle)
+            labels = build_labels(scope, prices["Market"], None if scope.is_broad else prices[scope.name])
+            alone = run(table, labels, config.backtest_config())
+            assert result.records == alone.records and result.skipped == alone.skipped, scope.name
+            assert {len(r.fit.params.weights) for r in result.records} == {len(table.names)}
+
+
 class TestDefaultIterationCap:
     def test_market_at_default_max_iter_matches_pinned_predictions(self, tmp_path):
         # max_iter stays at its default of 100000: 15 Market windows of 4
@@ -708,3 +767,41 @@ def test_module_entry_point_runs(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "out" / "deals.csv").is_file()
+
+
+def test_commands_leave_the_same_cyclic_garbage_at_any_study_size(tmp_path):
+    # the console script runs a command with the cycle collector off; what
+    # one command leaves for a collection must not grow with the study
+    def garbage(n_sectors, scopes, out):
+        config = write_config(tmp_path, dict(SMALL, n_sectors=n_sectors), name=f"config_{n_sectors}.json")
+        counts = []
+        for command in ("synth", "features", "backtest", "evaluate"):
+            gc.collect()
+            gc.disable()
+            try:
+                assert main([command, "--config", config, "--out", str(out), "--scopes", ",".join(scopes)]) == 0
+                counts.append(gc.collect())
+            finally:
+                gc.enable()
+        return counts
+
+    # the first run's imports leave cycles of their own
+    garbage(1, ["Market"], tmp_path / "warm")
+    assert garbage(1, ["Market"], tmp_path / "one") == garbage(3, ["Market", *SECTOR_NAMES[:3]], tmp_path / "four")
+
+
+def _called_function(body) -> str:
+    (call,) = [node.value for node in body if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)]
+    return call.func.id
+
+
+def test_console_script_and_module_entries_call_one_function():
+    # pyproject.toml is read as text: Python 3.10 has no tomllib
+    scripts = (ROOT / "pyproject.toml").read_text(encoding="utf-8").split("[project.scripts]", 1)[1]
+    module, function = re.search(r'^pesignal = "([\w.]+):(\w+)"$', scripts, re.MULTILINE).groups()
+    assert module == "pesignal.cli"
+    main_module = ast.parse((ROOT / "src" / "pesignal" / "__main__.py").read_text(encoding="utf-8"))
+    assert _called_function(main_module.body) == function
+    cli_module = ast.parse((ROOT / "src" / "pesignal" / "cli.py").read_text(encoding="utf-8"))
+    (guard,) = [node for node in cli_module.body if isinstance(node, ast.If) and "__main__" in ast.unparse(node.test)]
+    assert _called_function(guard.body) == function

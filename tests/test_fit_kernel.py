@@ -18,6 +18,8 @@ Given a list as trace, the fits also append the log-likelihood at every
 step for the likelihood-ascent tests to read; the kernel keeps no trace.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,6 +181,39 @@ def test_each_window_fits_alike_alone_and_in_any_batch(
         assert_same(outcome, got[k])
     for k in range(count):
         assert_same(fit_windows(z[k : k + 1], y[k : k + 1], config)[0], got[k])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 6), min_size=1, max_size=12),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    coarse=st.booleans(),
+    learning_rate=st.sampled_from([1e-3, 0.05, 0.5]),
+    tolerance=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    max_iter=st.integers(0, 150),
+    poison=st.one_of(st.none(), st.integers(0, 11)),
+)
+def test_zero_padded_features_change_no_bit(dims, n, seed, coarse, learning_rate, tolerance, max_iter, poison):
+    # windows of mixed d share one batch, zero-padded to the widest d
+    # ahead of the bias, as backtest pools the scopes
+    rng = np.random.default_rng(seed)
+    windows = [draw_windows(rng, 1, n, d, coarse) for d in dims]
+    if poison is not None:
+        windows[poison % len(dims)][0][:] *= 1e200
+    z = np.zeros((len(dims), n, max(dims)))
+    for k, (zk, _) in enumerate(windows):
+        z[k, :, : dims[k]] = zk[0]
+    y = np.concatenate([yk for _, yk in windows])
+    config = BacktestConfig(learning_rate=learning_rate, tolerance=tolerance, max_iter=max_iter)
+    for d, (zk, yk), got in zip(dims, windows, fit_windows(z, y, config)):
+        (alone,) = fit_windows(zk, yk, config)
+        if isinstance(alone, NumericalError):
+            assert_same(got, alone)
+            continue
+        padded = got.params.weights[d:]
+        assert all(w == 0.0 and math.copysign(1.0, w) == 1.0 for w in padded), padded
+        assert got._replace(params=LogitParams(got.params.weights[:d], got.params.bias)) == alone
 
 
 @settings(max_examples=40, deadline=None)
