@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 
-from ._numpy import np
 from ._record import NamedTuple, checked
 from .errors import DataError, InsufficientHistoryError, NumericalError
 from .features import FeatureTable, Scope
@@ -100,7 +99,11 @@ def run_scopes(scoped, config: BacktestConfig) -> list:
     windows in one fit_windows batch, zero-padded to the widest scope's
     features ahead of the bias, which changes no bit (see logit), and
     assemble each scope with its weights trimmed back to its features."""
+    import numpy as np
+
     plans = [_plan(features, labels, config) for features, labels in scoped]
+    if not plans:
+        return []
     width = max(p.z.shape[1] for p in plans)
     z = np.concatenate([np.pad(p.z, ((0, 0), (0, width - p.z.shape[1])))[p.rows] for p in plans])
     y = np.concatenate([np.array([lab is Label.UP for lab in p.actual], dtype=float)[p.rows] for p in plans])
@@ -121,6 +124,8 @@ def _plan(features: FeatureTable, labels, config: BacktestConfig) -> _Plan:
     # z-table row k is quarter table.start + k. Window k fits rows
     # k .. k+ne-1 and predicts row k+ne, which makes
     # quarter_count - std_window - est_window + 1 windows.
+    import numpy as np
+
     table = build_zscore_table(features, config.std_window)
     z = np.array(table.rows, dtype=float)  # a dropped row's None reads as NaN
     ne = config.est_window

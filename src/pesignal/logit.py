@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 
-from ._numpy import np
 from ._record import NamedTuple, checked
 from .errors import NumericalError
 from .response import Label
@@ -102,11 +101,15 @@ def fit_windows(z, y, config) -> list:
     window that stops leaves the active arrays, which shrink only on
     iterations where some window stopped.
     """
+    import numpy as np
+
     z, y = np.asarray(z, dtype=float), np.asarray(y, dtype=float)
     if z.ndim != 3 or y.shape != z.shape[:2] or not z.shape[1]:
         raise ValueError(f"need windows of n >= 1 feature rows and n labels, got z {z.shape} and y {y.shape}")
     if not np.isfinite(z).all():
         raise ValueError("training features must be finite")
+    if not ((y == 0.0) | (y == 1.0)).all():
+        raise ValueError("training labels must be 0 or 1")
     if not len(z):
         return []  # the loop never stops on zero windows
     eta, tol, cap, d = config.learning_rate, config.tolerance, config.max_iter, z.shape[2]
@@ -165,7 +168,7 @@ def _columns(cols, arrays) -> list:
     # pairwise, not in order, once every other axis has length 1, so a
     # lone window rides with a copy of itself
     cols = cols.repeat(2) if len(cols) == 1 else cols
-    return [np.take(a, cols, axis=-1) for a in arrays]
+    return [a.take(cols, axis=-1) for a in arrays]
 
 
 def classify(p_up: float, threshold: float) -> Label:

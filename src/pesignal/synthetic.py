@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 from datetime import MAXYEAR, MINYEAR, timedelta
+from typing import TYPE_CHECKING
 
-from ._numpy import np
 from ._record import NamedTuple, checked
 from .features import BROAD_FEATURES, BROAD_SCOPE, FeatureTable, Scope, build_feature_table, deals_by_quarter, feature_names
 from .ingest import AumBucket, DealRecord, SECTOR_NAMES
@@ -25,6 +25,9 @@ from .logit import LogitParams, prob_up
 from .quarters import Quarter
 from .response import Label, ann_forward_return, build_labels
 from .standardize import build_zscore_table
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # stream purposes (tests/oracles.py keys its samples with 6); the market uses index _BROAD_STREAM
 _P_INTENSITY = 1
@@ -37,6 +40,8 @@ _BROAD_STREAM = 0xFFFFFFFF
 
 
 def _stream(seed: int, purpose: int, index: int = 0) -> np.random.Generator:
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(key=[seed, (purpose << 32) | index]))
 
 
@@ -100,6 +105,8 @@ def _roughen(spec: SyntheticSpec, base: np.ndarray, purpose: int, index: int, sc
     """base times exp(scale * noise_scale * x) for the AR(1) path
     x_k = 0.8 x_(k-1) + 0.6 e_k, e standard normal from the (purpose,
     index) stream; exactly base when noise_scale is 0."""
+    import numpy as np
+
     eps = _stream(spec.seed, purpose, index).normal(size=spec.n_quarters)
     ar = np.empty(spec.n_quarters)
     level = 0.0
@@ -109,28 +116,31 @@ def _roughen(spec: SyntheticSpec, base: np.ndarray, purpose: int, index: int, sc
     return base * np.exp(scale * spec.noise_scale * ar)
 
 
+def _wave(spec: SyntheticSpec, shift: int, period: int) -> np.ndarray:
+    """sin(2 pi (k + shift) / period) for quarters k = 0 .. n_quarters - 1."""
+    import numpy as np
+
+    return np.sin(2 * np.pi * (np.arange(spec.n_quarters) + shift) / period)
+
+
 def deal_intensity_path(spec: SyntheticSpec, sector_idx: int) -> np.ndarray:
     """Expected deals per quarter for one sector; positive and smooth."""
-    k = np.arange(spec.n_quarters)
-    base = spec.base_deal_intensity * (1.0 + 0.4 * np.sin(2 * np.pi * (k + 2 * sector_idx) / 12))
+    base = spec.base_deal_intensity * (1.0 + 0.4 * _wave(spec, 2 * sector_idx, 12))
     return _roughen(spec, base, _P_INTENSITY, sector_idx, 0.25)
 
 
 def aum_level_path(spec: SyntheticSpec, sector_idx: int) -> np.ndarray:
     """Per-sector AUM level in $B around which deal AUMs scatter."""
-    k = np.arange(spec.n_quarters)
-    base = 4.0 * (1.0 + 0.5 * np.sin(2 * np.pi * (k + 3 * sector_idx) / 10))
+    base = 4.0 * (1.0 + 0.5 * _wave(spec, 3 * sector_idx, 10))
     return _roughen(spec, base, _P_AUM, sector_idx, 0.25)
 
 
 def rank_level_path(spec: SyntheticSpec, sector_idx: int) -> np.ndarray:
-    k = np.arange(spec.n_quarters)
-    return 2.5 + 1.0 * np.sin(2 * np.pi * (k + sector_idx) / 9)
+    return 2.5 + 1.0 * _wave(spec, sector_idx, 9)
 
 
 def pe_path(spec: SyntheticSpec, stream_idx: int, phase: int) -> np.ndarray:
-    k = np.arange(spec.n_quarters)
-    base = 17.0 + 6.0 * np.sin(2 * np.pi * (k + 2 * phase) / 16)
+    base = 17.0 + 6.0 * _wave(spec, 2 * phase, 16)
     return _roughen(spec, base, _P_PE, stream_idx, 0.15)
 
 
@@ -170,8 +180,8 @@ def generate_deals(spec: SyntheticSpec) -> list:
     deals = []
     for s, sector in enumerate(SECTOR_NAMES[: spec.n_sectors]):
         counts = quarter_deal_counts(spec, s)
-        aum_level = aum_level_path(spec, s)
-        rank_level = rank_level_path(spec, s)
+        aum_level = aum_level_path(spec, s).tolist()
+        rank_level = rank_level_path(spec, s).tolist()
         rng = _stream(spec.seed, _P_DEALS, s)
         for k in range(spec.n_quarters):
             quarter = spec.start + k
@@ -183,8 +193,8 @@ def generate_deals(spec: SyntheticSpec) -> list:
                 if j % 3 == 0:
                     name += ", Inc."
                 when = quarter_start + timedelta(days=(j * 7) % 85)
-                aum: object = float(aum_level[k])
-                rank: float | None = float(np.clip(rank_level[k], 1.0, 4.0))
+                aum: object = aum_level[k]
+                rank: float | None = min(max(rank_level[k], 1.0), 4.0)
                 if spec.noise_scale > 0:
                     u_bucket, u_missing, g_aum, u_rank, g_rank = (
                         rng.random(),
@@ -193,7 +203,7 @@ def generate_deals(spec: SyntheticSpec) -> list:
                         rng.random(),
                         rng.normal(),
                     )
-                    value = float(aum_level[k]) * math.exp(0.3 * spec.noise_scale * g_aum)
+                    value = aum_level[k] * math.exp(0.3 * spec.noise_scale * g_aum)
                     if j > 0 and u_missing < 0.05:
                         aum = None
                     elif u_bucket < 0.25:
@@ -203,7 +213,7 @@ def generate_deals(spec: SyntheticSpec) -> list:
                     if j > 0 and u_rank < 0.2:
                         rank = None
                     else:
-                        rank = float(np.clip(rank_level[k] + 0.4 * g_rank, 1.0, 4.0))
+                        rank = min(max(rank_level[k] + 0.4 * g_rank, 1.0), 4.0)
                 deals.append(
                     DealRecord(
                         company_id=company,

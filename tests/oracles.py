@@ -23,16 +23,23 @@ unscaled_window_z restates standardize._window_z without the
 power-of-two scaling, squaring each deviation by multiplication as
 the library does; the two must agree wherever the restatement neither
 overflows nor underflows.
+
+numpy_generate_deals is synthetic.generate_deals as it was while it
+indexed the AUM and rank paths as numpy scalars and clipped ranks with
+np.clip; the library, which now works on Python floats, must equal it.
 """
 
 import math
+from datetime import timedelta
 
 import numpy as np
 
 from pesignal.errors import DataError, InsufficientHistoryError
 from pesignal.features import FeatureTable
+from pesignal.ingest import SECTOR_NAMES, AumBucket, DealRecord
 from pesignal.logit import LogitParams, prob_up
 from pesignal.standardize import _window_z
+from pesignal.synthetic import _P_DEALS, _stream, aum_level_path, quarter_deal_counts, rank_level_path
 
 
 def _sigmoid(s):
@@ -152,3 +159,51 @@ def unscaled_window_z(window):
     mu = math.fsum(window) / len(window)
     sigma = math.sqrt(math.fsum((v - mu) * (v - mu) for v in window) / (len(window) - 1))
     return (window[-1] - mu) / sigma if sigma else None
+
+
+def numpy_generate_deals(spec) -> list:
+    deals = []
+    for s, sector in enumerate(SECTOR_NAMES[: spec.n_sectors]):
+        counts = quarter_deal_counts(spec, s)
+        aum_level = aum_level_path(spec, s)
+        rank_level = rank_level_path(spec, s)
+        rng = _stream(spec.seed, _P_DEALS, s)
+        for k in range(spec.n_quarters):
+            quarter_start = (spec.start + k).end_date() - timedelta(days=89)
+            for j in range(counts[k]):
+                name = f"Synthetic Co {s}-{k}-{j}"
+                if j % 3 == 0:
+                    name += ", Inc."
+                aum = float(aum_level[k])
+                rank = float(np.clip(rank_level[k], 1.0, 4.0))
+                if spec.noise_scale > 0:
+                    u_bucket, u_missing, g_aum, u_rank, g_rank = (
+                        rng.random(),
+                        rng.random(),
+                        rng.normal(),
+                        rng.random(),
+                        rng.normal(),
+                    )
+                    value = float(aum_level[k]) * math.exp(0.3 * spec.noise_scale * g_aum)
+                    if j > 0 and u_missing < 0.05:
+                        aum = None
+                    elif u_bucket < 0.25:
+                        aum = AumBucket.of(value)
+                    else:
+                        aum = value
+                    if j > 0 and u_rank < 0.2:
+                        rank = None
+                    else:
+                        rank = float(np.clip(rank_level[k] + 0.4 * g_rank, 1.0, 4.0))
+                deals.append(
+                    DealRecord(
+                        company_id=f"SYN-{s:02d}-{k:03d}-{j:03d}",
+                        company_name=name,
+                        sector=sector,
+                        investment_date=quarter_start + timedelta(days=(j * 7) % 85),
+                        investor_aum=aum,
+                        investor_rank=rank,
+                        investor=f"Fund {(j + s) % 9:02d}",
+                    )
+                )
+    return deals

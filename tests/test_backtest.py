@@ -14,6 +14,7 @@ from pesignal.backtest import (
     PredictionRecord,
     read_predictions,
     run,
+    run_scopes,
     write_predictions,
 )
 from pesignal.errors import DataError, InsufficientHistoryError, NumericalError
@@ -108,6 +109,9 @@ class TestSchedule:
             BacktestConfig(std_window=1, est_window=7)
         with pytest.raises(ValueError):
             BacktestConfig(std_window=12, est_window=1)
+
+    def test_no_scopes_no_results(self):
+        assert run_scopes([], FAST) == []
 
 
 class TestRun:

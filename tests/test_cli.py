@@ -734,7 +734,7 @@ from pesignal.cli import main
 def loaded():
     return sorted(
         name for name in sys.modules
-        if name.startswith("numpy.") or name in ("dataclasses", "logging", "statistics")
+        if name.split(".")[0] == "numpy" or name in ("dataclasses", "logging", "statistics")
     )
 
 study = sys.argv[1:]
@@ -756,6 +756,27 @@ assert any(name.startswith("numpy.") for name in loaded())
     result = subprocess.run([sys.executable, "-c", script, *study], capture_output=True, text=True, check=False)
     assert result.returncode == 0, result.stderr
     assert "usage error: seed must be >= 0" in result.stderr
+
+
+def test_reading_every_module_attribute_after_features_and_evaluate_loads_no_numpy(tmp_path):
+    # tools that walk sys.modules, a tracer or a debugger, read each
+    # module's attributes; a lazily bound numpy would load on that read
+    out = run_pipeline(tmp_path, SMALL)
+    script = """
+import sys
+from pesignal.cli import main
+
+study = sys.argv[1:]
+assert main(["features", *study]) == 0
+assert main(["evaluate", *study]) == 0
+names = [getattr(module, "__name__", "") for module in list(sys.modules.values())]
+assert "pesignal.cli" in names
+numpy = sorted(name for name in sys.modules if name.split(".")[0] == "numpy")
+assert not numpy, numpy
+"""
+    study = ["--config", str(tmp_path / "config.json"), "--out", str(out), "--scopes", ",".join(SMALL_SCOPES)]
+    result = subprocess.run([sys.executable, "-c", script, *study], capture_output=True, text=True, check=False)
+    assert result.returncode == 0, result.stderr
 
 
 def test_module_entry_point_runs(tmp_path):

@@ -298,3 +298,11 @@ def test_non_finite_features_rejected():
         poisoned[1, 2, 0] = poison
         with pytest.raises(ValueError, match="finite"):
             fit_windows(poisoned, y, BacktestConfig())
+
+
+@pytest.mark.parametrize("coding", ["plus_minus_1", "zero_two", "nan"])
+def test_labels_other_than_0_and_1_rejected(coding):
+    z, y = draw_windows(np.random.default_rng(23), 3, 4, 2, False)
+    bad = {"plus_minus_1": 2 * y - 1, "zero_two": 2 * y, "nan": np.where(y > 0, np.nan, y)}[coding]
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        fit_windows(z, bad, BacktestConfig())

@@ -28,7 +28,7 @@ from pesignal.synthetic import (
     planted_params,
     quarter_deal_counts,
 )
-from oracles import planted_samples
+from oracles import numpy_generate_deals, planted_samples
 
 SMALL = SyntheticSpec(seed=7, n_quarters=20, n_sectors=2, std_window=6)
 
@@ -129,6 +129,14 @@ def test_feature_counts_match_the_drawn_counts():
     for s, name in enumerate(name for name in features if name != BROAD_SCOPE.name):
         counts = quarter_deal_counts(SMALL, s)
         assert [row["deal_count"] for row in named_rows(features[name])] == counts
+
+
+@pytest.mark.parametrize("n_sectors", [1, 3])
+@pytest.mark.parametrize("noise_scale", [0.0, 1.0])
+@pytest.mark.parametrize("seed", range(6))
+def test_deals_equal_the_numpy_scalar_oracle(seed, noise_scale, n_sectors):
+    spec = SyntheticSpec(seed=seed, n_sectors=n_sectors, noise_scale=noise_scale)
+    assert generate_deals(spec) == numpy_generate_deals(spec)
 
 
 def test_deal_dates_fall_inside_their_quarter():
