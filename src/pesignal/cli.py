@@ -168,8 +168,12 @@ def _coerce(key: str, value):
         if key == "scopes":
             if isinstance(value, str):
                 value = [part.strip() for part in value.split(",") if part.strip()]
-            return tuple(str(v) for v in value)
+            if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+                raise ValueError
+            return tuple(value)
         if key == "planted_w":
+            if not isinstance(value, (list, tuple)) or any(isinstance(v, (bool, str)) for v in value):
+                raise ValueError
             return tuple(float(v) for v in value)
         if key in _COLUMN_KEYS:
             if not isinstance(value, dict):
@@ -180,7 +184,7 @@ def _coerce(key: str, value):
             return tuple(sorted((str(k), str(v)) for k, v in value.items()))
         if isinstance(value, str) and key in ("first", "last", "start"):
             Quarter.parse(value)
-        if value is None or isinstance(value, str):
+        if isinstance(value, str) or (value is None and kind is type(None)):
             return value
         raise ValueError
     except (TypeError, ValueError, OverflowError, DataError):

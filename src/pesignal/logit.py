@@ -9,19 +9,20 @@ so saturated scores never overflow.
 A training window is a (n, d) float array of z-scored features with a
 (n,) vector of 0/1 labels, 1 for UP. One kernel fits a whole stack of
 windows at once, z of shape (W, n, d) with y of shape (W, n), and a
-single fit is the batch of one. The kernel lays the stack out window
-last, with the bias as a trailing feature of ones, and reduces only
-over a leading axis of a C-ordered copy, so numpy adds one slice at a
-time in index order: a score sums the features, then the bias; a
-gradient sums the rows. No BLAS product is left, so the bits do not
-depend on the BLAS build, and a window's result does not depend on the
-batch around it, nor on zero features padded in ahead of the bias: their
-weights stay +0.0 and add nothing to a score. Two limits remain: ``np.exp`` dispatches by CPU, so
-its last bits may still differ between machines; and this order rounds
-differently from the stacked ``np.matmul`` kernel it replaced, which is
-harmless at the default learning rate (relative weight gaps near 1e-16)
-but at a large one (0.5, say) can move the iteration where a window
-stops. No pinned output uses such a rate.
+single fit is the batch of one. The kernel holds the stack as one
+C-ordered array of shape (d+1, n, W), the bias a trailing feature of
+ones. A score sums the first axis (the features, then the bias) and a
+gradient the second (the rows); neither is the last, contiguous axis, so
+numpy adds one slice at a time in index order. No BLAS product is left,
+so the bits do not depend on the BLAS build, and a window's result does
+not depend on the batch around it, nor on zero features padded in ahead
+of the bias: their weights stay +0.0 and add nothing to a score. Two
+limits remain: ``np.exp`` dispatches by CPU, so its last bits may still
+differ between machines; and this order rounds differently from the
+stacked ``np.matmul`` kernel it replaced, which is harmless at the
+default learning rate (relative weight gaps near 1e-16) but at a large
+one (0.5, say) can move the iteration where a window stops. No pinned
+output uses such a rate.
 """
 
 from __future__ import annotations
@@ -114,24 +115,23 @@ def fit_windows(z, y, config) -> list:
         return []  # the loop never stops on zero windows
     eta, tol, cap, d = config.learning_rate, config.tolerance, config.max_iter, z.shape[2]
     outcomes = [None] * len(z)
-    zb = np.concatenate([z, np.ones(z.shape[:2] + (1,))], axis=2)  # the bias is feature d
-    # zs (d+1, n, W) gives the scores, zg (n, d+1, W) the gradients
+    x = np.concatenate([z, np.ones(z.shape[:2] + (1,))], axis=2).T  # the bias is feature d
     everything = np.arange(len(z))
-    active, zs, zg, y = _columns(everything, (everything, zb.T, zb.transpose(1, 2, 0), y.T))
-    wb = np.zeros((d + 1, zs.shape[-1]))
+    active, x, y = _columns(everything, (everything, x, y.T))
+    wb = np.zeros((d + 1, x.shape[-1]))
     iterations = 0
     # non-finite values are detected explicitly below; score finiteness
     # stands in for the likelihood's, since the stable softplus cannot
     # overflow on finite scores
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            s = np.add.reduce(zs * wb[:, None, :], axis=0)
+            s = np.add.reduce(x * wb[:, None, :], axis=0)
             a = np.abs(s)
             e = np.exp(-a)
             # 1 / (1 + e) where s >= 0 and e / (1 + e) below, since e <= 1;
             # cheaper than np.where(s >= 0, 1, e), with the same bits
             resid = y - np.maximum(e, np.sign(s)) / (1.0 + e)
-            g = np.add.reduce(zg * resid[:, None, :], axis=0)
+            g = np.add.reduce(x * resid, axis=1)
             # ufunc reduces skip the array methods' Python wrapper; NaN
             # propagates through max, so a finite norm means a finite gradient
             norm = np.maximum.reduce(np.abs(g), axis=0)
@@ -158,15 +158,15 @@ def fit_windows(z, y, config) -> list:
                 cols = np.flatnonzero(~stop)
                 if not len(cols):
                     return outcomes
-                active, zs, zg, y, wb, g = _columns(cols, (active, zs, zg, y, wb, g))
+                active, x, y, wb, g = _columns(cols, (active, x, y, wb, g))
             wb += eta * g
             iterations += 1
 
 
 def _columns(cols, arrays) -> list:
-    # C-ordered copies of the given windows; numpy sums a reduced axis
-    # pairwise, not in order, once every other axis has length 1, so a
-    # lone window rides with a copy of itself
+    # C-ordered copies of the given windows, window last. Alone, a window's
+    # rows (with one row, its features) would be innermost, which numpy sums
+    # pairwise, not in order; so a lone window rides with a copy of itself
     cols = cols.repeat(2) if len(cols) == 1 else cols
     return [a.take(cols, axis=-1) for a in arrays]
 

@@ -312,6 +312,41 @@ class TestExitCodes:
             assert f"data error: {path}: feature table line 4: {problem}: {cell!r}" in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "scope, levels, message",
+        [
+            # (P1 / P0) ** 4 is past the float range
+            pytest.param(
+                "Market",
+                {"Market": ("1", "1e100")},
+                "forward return of Market at 2000Q3 overflows: level 1.0 to 1e+100",
+                id="market-power",
+            ),
+            # P1 / P0 is inf in both series; inf - inf made the label DOWN
+            pytest.param(
+                "Commercial Services",
+                {"Market": ("1e-200", "1e200"), "Commercial Services": ("1e-200", "1e200")},
+                "forward return of Commercial Services at 2000Q3 overflows: level 1e-200 to 1e+200",
+                id="sector-ratio",
+            ),
+        ],
+    )
+    def test_overflowing_forward_return_is_a_data_error(self, tmp_path, capsys, scope, levels, message):
+        out = run_pipeline(tmp_path, SMALL)
+        path = out / "prices.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        for index, (before, after) in levels.items():
+            for date, value in (("2000-09-30", before), ("2000-12-31", after)):
+                at = lines.index(next(line for line in lines if line.startswith(f"{index},{date},")))
+                lines[at] = f"{index},{date},{value}\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        study = ["backtest", "--config", str(tmp_path / "config.json"), "--out", str(out), "--scopes", scope]
+        assert main(study) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {message}" in err
+        assert "Traceback" not in err
+
     def _study_with_first_aum(self, tmp_path, capsys, aum):
         """Run synth, give the first deal this AUM, then run features and
         backtest; both must exit 0 and write only finite numbers."""
@@ -380,6 +415,14 @@ class TestExitCodes:
             pytest.param("backtest", "tolerance", math.inf, "tolerance must be finite", id="tolerance-inf"),
             pytest.param("evaluate", "threshold", math.nan, "threshold must lie in [0, 1]", id="threshold-nan"),
             pytest.param("evaluate", "threshold", 7, "threshold must lie in [0, 1]", id="threshold-7"),
+            pytest.param("synth", "out", None, "bad value for 'out': None", id="out-null"),
+            pytest.param("synth", "start", None, "bad value for 'start': None", id="start-null"),
+            pytest.param("synth", "planted_w", "12345", "bad value for 'planted_w': '12345'", id="planted_w-string"),
+            pytest.param(
+                "synth", "planted_w", [True, False, 1, 2, 3], "bad value for 'planted_w': [True, False, 1, 2, 3]",
+                id="planted_w-booleans",
+            ),
+            pytest.param("synth", "scopes", {"Market": 3}, "bad value for 'scopes': {'Market': 3}", id="scopes-object"),
         ],
     )
     def test_bad_setting_is_a_usage_error(self, tmp_path, capsys, command, key, value, message):
@@ -545,6 +588,15 @@ class TestConfigResolution:
             resolve_config({"strict": "yes"}, {})
         with pytest.raises(UsageError):
             resolve_config({"planted_w": "strong"}, {})
+        for settings in (
+            {"out": None},
+            {"start": None},
+            {"planted_w": "12345"},
+            {"planted_w": [True, False, 1, 2, 3]},
+            {"scopes": {"Market": 3}},
+        ):
+            with pytest.raises(UsageError):
+                resolve_config(settings, {})
 
 
 class TestPaperShapedRun:

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import _sigmoid, _softplus
@@ -135,6 +135,10 @@ def draw_windows(rng, count, n, dim, coarse):
     max_iter=st.integers(0, 120),
     poison=st.one_of(st.none(), st.tuples(st.integers(0, 59), st.sampled_from([1e200, 1e300]))),
 )
+# lone windows whose reduced axis would be innermost without the copy in
+# logit._columns: the rows (n = 12) or the features and bias (d + 1 = 10)
+@example(count=1, dim=3, n=12, seed=0, coarse=False, learning_rate=0.05, tolerance=0.0, max_iter=20, poison=None)
+@example(count=1, dim=9, n=1, seed=0, coarse=False, learning_rate=0.05, tolerance=0.0, max_iter=20, poison=None)
 def test_every_window_matches_the_sequential_oracle(
     count, dim, n, seed, coarse, learning_rate, tolerance, max_iter, poison
 ):
@@ -164,6 +168,9 @@ def test_every_window_matches_the_sequential_oracle(
     max_iter=st.integers(0, 150),
     poison=st.one_of(st.none(), st.integers(0, 11)),
 )
+# the same shapes fitted alone and as a pair
+@example(count=2, dim=3, n=12, seed=0, coarse=False, learning_rate=0.05, tolerance=0.0, max_iter=20, poison=None)
+@example(count=2, dim=9, n=1, seed=0, coarse=False, learning_rate=0.05, tolerance=0.0, max_iter=20, poison=None)
 def test_each_window_fits_alike_alone_and_in_any_batch(
     count, dim, n, seed, coarse, learning_rate, tolerance, max_iter, poison
 ):

@@ -52,6 +52,25 @@ class TestForwardReturns:
         with pytest.raises(DataError):
             ann_forward_return(p, START - 1)
 
+    @pytest.mark.parametrize(
+        "p0, p1",
+        [
+            pytest.param(1.0, 1e100, id="power"),  # (P1 / P0) ** 4 raises OverflowError
+            pytest.param(1e-200, 1e200, id="ratio"),  # P1 / P0 is inf
+            pytest.param(1.0, 1e307**0.25, id="percent"),  # the power is finite, 100 times it is not
+        ],
+    )
+    def test_overflow_is_a_data_error(self, p0, p1):
+        with pytest.raises(DataError, match=f"forward return of Finance at {START} overflows"):
+            ann_forward_return(prices(p0, p1), START, "Finance")
+        with pytest.raises(DataError, match=f"forward return of Market at {START} overflows"):
+            build_labels(BROAD_SCOPE, prices(p0, p1))
+        # a sector's label needs the market's return as well as its own
+        with pytest.raises(DataError, match=f"forward return of Finance at {START} overflows"):
+            build_labels(Scope("Finance"), prices(*LEVELS), prices(p0, p1))
+        with pytest.raises(DataError, match=f"forward return of Market at {START} overflows"):
+            build_labels(Scope("Finance"), prices(p0, p1), prices(*LEVELS))
+
     def test_signs_agree(self):
         rng = random.Random(23)
         for _ in range(200):
