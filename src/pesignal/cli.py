@@ -16,6 +16,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -37,7 +38,6 @@ from .ingest import (
     write_deals,
     write_prices,
 )
-from .logit import fit_report_line
 from .quarters import Quarter
 from .response import build_labels
 from .standardize import build_zscore_table
@@ -146,6 +146,12 @@ class RunConfig(NamedTuple):
         return out
 
 
+def _finite(value) -> float:
+    if isinstance(value, (bool, str)) or not math.isfinite(value):
+        raise ValueError
+    return float(value)
+
+
 def _coerce(key: str, value):
     kind = type(RunConfig._field_defaults[key])
     try:
@@ -154,9 +160,7 @@ def _coerce(key: str, value):
                 raise ValueError
             return int(value)
         if kind is float:
-            if isinstance(value, bool):
-                raise ValueError
-            return float(value)
+            return _finite(value)
         if key == "delimiter":
             if not isinstance(value, str) or len(value) != 1:
                 raise ValueError
@@ -172,9 +176,9 @@ def _coerce(key: str, value):
                 raise ValueError
             return tuple(value)
         if key == "planted_w":
-            if not isinstance(value, (list, tuple)) or any(isinstance(v, (bool, str)) for v in value):
+            if not isinstance(value, (list, tuple)):
                 raise ValueError
-            return tuple(float(v) for v in value)
+            return tuple(map(_finite, value))
         if key in _COLUMN_KEYS:
             if not isinstance(value, dict):
                 raise ValueError
@@ -240,8 +244,9 @@ class _Files:
         self.outputs = {}
         self.rendered = []
 
-    def read(self, path: Path):
-        """The file as a text stream to parse, read from disk once."""
+    def parse(self, path: Path, reader, *args, **kwargs):
+        """reader(stream, *args, **kwargs) on the file, read from disk once;
+        its DataError names the file."""
         try:
             data = path.read_bytes()
         except FileNotFoundError:
@@ -255,13 +260,8 @@ class _Files:
         self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
         # a stream over the bytes holds the file once; a StringIO would
         # hold it again at four bytes a character
-        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
-
-    def parse(self, path: Path, reader):
-        """reader's result on the file; its DataError names the file."""
-        stream = self.read(path)
         try:
-            return reader(stream)
+            return reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""), *args, **kwargs)
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
 
@@ -325,11 +325,11 @@ def cmd_features(config: RunConfig) -> int:
     files = _Files(config)
     deals_path = config.input_path("deals")
     pe_path = config.input_path("pe")
-    parsed = parse_deals(files.read(deals_path), config.deal_format(), strict=config.strict)
+    parsed = files.parse(deals_path, parse_deals, config.deal_format(), strict=config.strict)
     for issue in parsed.issues:
         _log("%s %s", deals_path, issue)
     buckets = deals_by_quarter(first_deals(parsed.records))
-    pe_map = parse_prices(files.read(pe_path), config.price_format())
+    pe_map = files.parse(pe_path, parse_prices, config.price_format())
     market_pe = _series_for(pe_map, BROAD_INDEX_NAME, pe_path)
     first = Quarter.parse(config.first) if config.first else min(market_pe)
     last = Quarter.parse(config.last) if config.last else max(market_pe)
@@ -352,7 +352,7 @@ def cmd_backtest(config: RunConfig) -> int:
     bt_config = config.backtest_config()
     files = _Files(config)
     prices_path = config.input_path("prices")
-    price_map = parse_prices(files.read(prices_path), config.price_format())
+    price_map = files.parse(prices_path, parse_prices, config.price_format())
     market_prices = _series_for(price_map, BROAD_INDEX_NAME, prices_path)
     out = config.out_dir()
     scoped = []
@@ -364,11 +364,15 @@ def cmd_backtest(config: RunConfig) -> int:
         sector_prices = None if scope.is_broad else _series_for(price_map, scope.name, prices_path)
         scoped.append((table, build_labels(scope, market_prices, sector_prices)))
     for result in run_scopes(scoped, bt_config):
+        name = result.scope.name
         for skip in result.skipped:
-            _log("%s %s: skipped, %s", result.scope.name, skip.predicted, skip.reason)
-        for record in result.records:
-            _log("%s %s %s", result.scope.name, record.quarter, fit_report_line(record.fit))
-        files.write(out / f"predictions_{_slug(result.scope.name)}.csv", write_predictions, result.records)
+            _log("%s %s: skipped, %s", name, skip.predicted, skip.reason)
+        capped = sum(not record.fit.converged for record in result.records)
+        _log(
+            "%s: %d windows fitted, %d stopped at the iteration cap, %d skipped",
+            name, len(result.records), capped, len(result.skipped),
+        )
+        files.write(out / f"predictions_{_slug(name)}.csv", write_predictions, result.records)
     files.manifest("backtest")
     return 0
 

@@ -179,15 +179,3 @@ def classify(p_up: float, threshold: float) -> Label:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold!r}")
     return Label.UP if p_up >= threshold else Label.DOWN
 
-
-def fit_report_line(report: FitReport) -> str:
-    """One-line log record of an estimation."""
-    weights = "|".join(f"{w:.6g}" for w in report.params.weights)
-    return (
-        f"converged={'yes' if report.converged else 'no'}"
-        f" iterations={report.iterations}"
-        f" grad_norm={report.final_gradient_norm:.6g}"
-        f" log_likelihood={report.final_log_likelihood:.6g}"
-        f" bias={report.params.bias:.6g}"
-        f" weights={weights}"
-    )

@@ -15,13 +15,13 @@ from pathlib import Path
 import pytest
 
 import pesignal.cli
-from pesignal.backtest import BacktestConfig, read_predictions, run, run_scopes
+from pesignal.backtest import BacktestConfig, read_predictions, run, run_scopes, write_predictions
 from pesignal.cli import RunConfig, main, resolve_config
 from pesignal.errors import NumericalError, UsageError
 from pesignal.evaluation import roc, scored_pairs
 from pesignal.features import read_feature_table
 from pesignal.ingest import SECTOR_NAMES, parse_prices
-from pesignal.response import build_labels
+from pesignal.response import Label, build_labels
 from pesignal.synthetic import SyntheticSpec, generate_dataset
 
 SMALL = {
@@ -122,6 +122,16 @@ class TestSmokePath:
             assert sorted(path for path in opened if path != config) == sorted(manifest["inputs"]), command
             for path, digest in {**manifest["inputs"], **manifest["outputs"]}.items():
                 assert hashlib.sha256(read_bytes(Path(path))).hexdigest() == digest, path
+
+    def test_every_manifest_is_strict_json(self, tmp_path):
+        # NaN and Infinity are not JSON (RFC 8259)
+        out = run_pipeline(tmp_path, SMALL)
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        for command in ("synth", "features", "backtest", "evaluate"):
+            json.loads((out / f"manifest_{command}.json").read_text(encoding="utf-8"), parse_constant=refuse)
 
     def test_downstream_stage_can_use_its_own_out_dir(self, tmp_path):
         config = write_config(tmp_path, SMALL)
@@ -313,6 +323,58 @@ class TestExitCodes:
             assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "command, name, column, cell, message",
+        [
+            pytest.param(
+                "features", "pe.csv", 2, "-4", "price file line 3: index level must be finite and > 0, got -4.0",
+                id="pe-level",
+            ),
+            pytest.param(
+                "backtest", "prices.csv", 2, "-4", "price file line 3: index level must be finite and > 0, got -4.0",
+                id="prices-level",
+            ),
+            pytest.param(
+                "backtest", "prices.csv", 2, "abc", "price file line 3: cannot parse index level 'abc'",
+                id="prices-level-text",
+            ),
+            pytest.param("backtest", "prices.csv", 0, "", "price file line 3: empty index name", id="prices-name"),
+            pytest.param(
+                "backtest", "prices.csv", 1, "2000-13-45", "price file line 3: cannot parse date '2000-13-45'",
+                id="prices-date",
+            ),
+            # the cell None deletes the column's cell
+            pytest.param(
+                "evaluate", "predictions_market.csv", 5, None, "prediction table line 3: expected 6 columns",
+                id="prediction-five-cells",
+            ),
+            # the column None empties the file
+            pytest.param("features", "deals.csv", None, None, "deal file has no header row", id="deals-headerless"),
+        ],
+    )
+    def test_defective_input_is_a_data_error_naming_the_file(
+        self, tmp_path, capsys, command, name, column, cell, message
+    ):
+        out = run_pipeline(tmp_path, SMALL)
+        path = out / name
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        if column is None:
+            lines = []
+        else:
+            parts = lines[2].rstrip("\n").split(",")
+            if cell is None:
+                del parts[column]
+            else:
+                parts[column] = cell
+            lines[2] = ",".join(parts) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        study = [command, "--config", str(tmp_path / "config.json"), "--out", str(out), "--scopes", ",".join(SMALL_SCOPES)]
+        assert main(study) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {path}: {message}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "scope, levels, message",
         [
             # (P1 / P0) ** 4 is past the float range
@@ -400,20 +462,20 @@ class TestExitCodes:
             pytest.param("synth", "n_quarters", 4, "need at least std_window + 2 = 8 quarters", id="n_quarters-4"),
             pytest.param("synth", "n_quarters", 1e30, "quarters 2000Q1 to 2500000", id="n_quarters-1e30"),
             pytest.param("synth", "seed", math.inf, "bad value for 'seed': inf", id="seed-inf"),
-            pytest.param("synth", "noise_scale", math.nan, "noise_scale must be finite", id="noise_scale-nan"),
+            pytest.param("synth", "noise_scale", math.nan, "bad value for 'noise_scale': nan", id="noise_scale-nan"),
             pytest.param(
-                "synth", "base_deal_intensity", math.nan, "base_deal_intensity must be finite",
+                "synth", "base_deal_intensity", math.nan, "bad value for 'base_deal_intensity': nan",
                 id="base_deal_intensity-nan",
             ),
             pytest.param(
-                "synth", "planted_w", [math.inf, 0, 0, 0, 0], "planted_w and planted_b must be finite",
+                "synth", "planted_w", [math.inf, 0, 0, 0, 0], "bad value for 'planted_w': [inf, 0, 0, 0, 0]",
                 id="planted_w-inf",
             ),
-            pytest.param("synth", "planted_b", math.nan, "planted_w and planted_b must be finite", id="planted_b-nan"),
+            pytest.param("synth", "planted_b", math.nan, "bad value for 'planted_b': nan", id="planted_b-nan"),
             pytest.param("features", "t", 1, "std_window must be at least 2 quarters", id="t-1"),
-            pytest.param("backtest", "eta", math.nan, "learning_rate must be finite", id="eta-nan"),
-            pytest.param("backtest", "tolerance", math.inf, "tolerance must be finite", id="tolerance-inf"),
-            pytest.param("evaluate", "threshold", math.nan, "threshold must lie in [0, 1]", id="threshold-nan"),
+            pytest.param("backtest", "eta", math.nan, "bad value for 'eta': nan", id="eta-nan"),
+            pytest.param("backtest", "tolerance", math.inf, "bad value for 'tolerance': inf", id="tolerance-inf"),
+            pytest.param("evaluate", "threshold", math.nan, "bad value for 'threshold': nan", id="threshold-nan"),
             pytest.param("evaluate", "threshold", 7, "threshold must lie in [0, 1]", id="threshold-7"),
             pytest.param("synth", "out", None, "bad value for 'out': None", id="out-null"),
             pytest.param("synth", "start", None, "bad value for 'start': None", id="start-null"),
@@ -423,6 +485,14 @@ class TestExitCodes:
                 id="planted_w-booleans",
             ),
             pytest.param("synth", "scopes", {"Market": 3}, "bad value for 'scopes': {'Market': 3}", id="scopes-object"),
+            # a float setting takes a finite JSON number only, so no manifest holds NaN or Infinity
+            pytest.param("backtest", "eta", "1e-3", "bad value for 'eta': '1e-3'", id="eta-string"),
+            pytest.param("features", "planted_b", math.nan, "bad value for 'planted_b': nan", id="features-planted_b-nan"),
+            pytest.param(
+                "features", "noise_scale", "inf", "bad value for 'noise_scale': 'inf'", id="features-noise_scale-string"
+            ),
+            pytest.param("backtest", "max_iter", True, "bad value for 'max_iter': True", id="max_iter-true"),
+            pytest.param("backtest", "eta", True, "bad value for 'eta': True", id="eta-true"),
         ],
     )
     def test_bad_setting_is_a_usage_error(self, tmp_path, capsys, command, key, value, message):
@@ -430,6 +500,22 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main([command, "--config", config, "--out", str(out)]) == 1
         assert f"usage error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            pytest.param(None, "config file not found: {path}", id="missing"),
+            pytest.param("[1]", "config file {path} must hold a JSON object", id="list"),
+        ],
+    )
+    def test_config_file_that_is_missing_or_not_an_object_is_a_usage_error(self, tmp_path, capsys, content, message):
+        path = tmp_path / "config.json"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(path), "--out", str(out)]) == 1
+        assert f"usage error: {message.format(path=path)}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
@@ -479,6 +565,59 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main(["--help"])
         assert info.value.code == 0
+
+
+class TestCommandLog:
+    def test_backtest_logs_one_line_of_counts_per_scope_and_one_per_skipped_window(self, tmp_path, capsys):
+        # prices cut to start at 2003Q4 leave the first windows without
+        # labels; a large step and a loose tolerance stop some fits early
+        settings = {"seed": 0, "n_sectors": 1, "max_iter": 20, "eta": 0.5, "tolerance": 0.05}
+        scopes = ["Market", "Commercial Services"]
+        out = tmp_path / "out"
+        study = ["--config", write_config(tmp_path, settings), "--out", str(out), "--scopes", ",".join(scopes)]
+        assert main(["synth", *study]) == 0
+        assert main(["features", *study]) == 0
+        path = out / "prices.csv"
+        header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        kept = [row for row in rows if row.split(",")[-2] >= "2003-12-31"]
+        path.write_text("".join([header, *kept]), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["backtest", *study]) == 0
+        err = capsys.readouterr().err
+        with open(path, encoding="utf-8") as handle:
+            prices = parse_prices(handle)
+        expected = []
+        for name in scopes:
+            with open(out / f"features_{name.lower().replace(' ', '_')}.csv", encoding="utf-8") as handle:
+                table = read_feature_table(handle)
+            labels = build_labels(table.scope, prices["Market"], None if table.scope.is_broad else prices[name])
+            result = run(table, labels, resolve_config(settings, {}).backtest_config())
+            fitted, skipped = len(result.records), len(result.skipped)
+            capped = sum(not record.fit.converged for record in result.records)
+            assert (fitted + skipped, skipped) == (50, 4) and 0 < capped < fitted, name
+            expected += [f"{name} {skip.predicted}: skipped, {skip.reason}" for skip in result.skipped]
+            expected.append(f"{name}: {fitted} windows fitted, {capped} stopped at the iteration cap, {skipped} skipped")
+        assert err.splitlines() == expected
+        assert "converged=" not in err
+
+    def test_evaluate_scores_a_single_class_scope_without_a_roc_curve(self, tmp_path, capsys):
+        out = run_pipeline(tmp_path, SMALL)
+        path = out / "predictions_market.csv"
+        with open(path, encoding="utf-8") as handle:
+            records = read_predictions(handle)
+        assert any(record.actual is Label.DOWN for record in records)
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            write_predictions([r._replace(actual=None if r.actual is None else Label.UP) for r in records], handle)
+        (out / "roc_market.csv").unlink()
+        capsys.readouterr()
+        study = ["evaluate", "--config", str(tmp_path / "config.json"), "--out", str(out), "--scopes", "Market"]
+        assert main(study) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert "Market: single_class_auc" in err
+        assert "Market: no ROC curve, AUC undefined: need at least one UP and one DOWN outcome" in err
+        assert not (out / "roc_market.csv").exists()
+        (row,) = [json.loads(line) for line in (out / "scores.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert row["scope"] == "Market" and row["auc"] is None
 
 
 class TestStrictMode:
@@ -594,6 +733,10 @@ class TestConfigResolution:
             {"planted_w": "12345"},
             {"planted_w": [True, False, 1, 2, 3]},
             {"scopes": {"Market": 3}},
+            {"eta": "1e-3"},
+            {"planted_b": math.nan},
+            {"noise_scale": "inf"},
+            {"planted_w": [math.inf, 0, 0, 0, 0]},
         ):
             with pytest.raises(UsageError):
                 resolve_config(settings, {})

@@ -12,7 +12,6 @@ from pesignal.logit import (
     LogitParams,
     classify,
     fit,
-    fit_report_line,
     prob_up,
 )
 from pesignal.response import Label
@@ -244,12 +243,6 @@ class TestFit:
         samples = [sample((1e200,), True), sample((-1e200,), False)]
         with pytest.raises(NumericalError):
             fit(*arrays(samples), BacktestConfig(max_iter=5))
-
-    def test_report_line(self):
-        samples = [sample((0.5,), True), sample((0.5,), False)]
-        line = fit_report_line(fit(*arrays(samples), BacktestConfig()))
-        assert line.startswith("converged=yes iterations=")
-        assert "grad_norm=" in line and "weights=" in line
 
 
 class TestClassify:
