@@ -219,10 +219,10 @@ def read_predictions(stream) -> list:
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) != 6:
-            raise DataError(f"prediction table line {line_no}: expected 6 columns")
-        scope_name, quarter_end, p_up, predicted, actual, correct = parts
         try:
+            if len(parts) != 6:
+                raise ValueError("expected 6 columns")
+            scope_name, quarter_end, p_up, predicted, actual, correct = parts
             rec = PredictionRecord(
                 scope=Scope.of_name(scope_name),
                 quarter=Quarter.parse(quarter_end),

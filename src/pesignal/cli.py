@@ -24,7 +24,7 @@ from pathlib import Path
 from ._record import NamedTuple
 from .backtest import BacktestConfig, read_predictions, run_scopes, write_predictions
 from .backtest import run  # noqa: F401  (bench/test_bench.py checks the tracer wraps it here)
-from .errors import DataError, InsufficientHistoryError, NumericalError, UsageError
+from .errors import DataError, PesignalError, UsageError
 from .evaluation import report, write_roc_points, write_scatter, write_score_reports
 from .features import Scope, build_feature_table, deals_by_quarter, read_feature_table, write_feature_table
 from .ingest import (
@@ -53,6 +53,14 @@ _COLUMN_KEYS = {
     key: set(fmt._fields) - {"delimiter"}
     for key, fmt in (("deal_columns", DealFileFormat), ("price_columns", PriceFileFormat))
 }
+
+
+def _checked(record, **fields):
+    """record(**fields); a bad setting's ValueError is a UsageError here."""
+    try:
+        return record(**fields)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 class RunConfig(NamedTuple):
@@ -111,33 +119,29 @@ class RunConfig(NamedTuple):
         return scopes
 
     def backtest_config(self) -> BacktestConfig:
-        try:
-            return BacktestConfig(
-                std_window=self.t,
-                est_window=self.ne,
-                learning_rate=self.eta,
-                tolerance=self.tolerance,
-                max_iter=self.max_iter,
-                threshold=self.threshold,
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        return _checked(
+            BacktestConfig,
+            std_window=self.t,
+            est_window=self.ne,
+            learning_rate=self.eta,
+            tolerance=self.tolerance,
+            max_iter=self.max_iter,
+            threshold=self.threshold,
+        )
 
     def synthetic_spec(self) -> SyntheticSpec:
-        try:
-            return SyntheticSpec(
-                seed=self.seed,
-                n_quarters=self.n_quarters,
-                n_sectors=self.n_sectors,
-                start=Quarter.parse(self.start),
-                std_window=self.t,
-                planted_w=tuple(self.planted_w),
-                planted_b=self.planted_b,
-                noise_scale=self.noise_scale,
-                base_deal_intensity=self.base_deal_intensity,
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        return _checked(
+            SyntheticSpec,
+            seed=self.seed,
+            n_quarters=self.n_quarters,
+            n_sectors=self.n_sectors,
+            start=Quarter.parse(self.start),
+            std_window=self.t,
+            planted_w=tuple(self.planted_w),
+            planted_b=self.planted_b,
+            noise_scale=self.noise_scale,
+            base_deal_intensity=self.base_deal_intensity,
+        )
 
     def to_dict(self) -> dict:
         out = self._asdict()
@@ -204,7 +208,8 @@ def load_config_file(path) -> dict:
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc.strerror}") from None
     try:
-        data = json.loads(raw.decode("utf-8"))
+        # drops the BOM of Excel's UTF-8 exports; utf-8-sig would misplace a bad byte's offset
+        data = json.loads(raw.decode("utf-8").removeprefix("\ufeff"))
     except UnicodeDecodeError as exc:
         raise UsageError(f"config file {path} is not UTF-8: byte {raw[exc.start]:#04x} at offset {exc.start}") from None
     except json.JSONDecodeError as exc:
@@ -258,10 +263,11 @@ class _Files:
         except UnicodeDecodeError as exc:
             raise DataError(f"{path} is not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start}") from None
         self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
-        # a stream over the bytes holds the file once; a StringIO would
-        # hold it again at four bytes a character
+        # a stream over the bytes holds the file once, where a StringIO would
+        # hold it again at four bytes a character; utf-8-sig drops the
+        # byte-order mark of Excel's UTF-8 exports, which the digest keeps
         try:
-            return reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""), *args, **kwargs)
+            return reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""), *args, **kwargs)
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
 
@@ -325,7 +331,9 @@ def cmd_features(config: RunConfig) -> int:
     files = _Files(config)
     deals_path = config.input_path("deals")
     pe_path = config.input_path("pe")
-    parsed = files.parse(deals_path, parse_deals, config.deal_format(), strict=config.strict)
+    parsed = files.parse(deals_path, parse_deals, config.deal_format())
+    if config.strict and parsed.issues:
+        raise DataError(f"{deals_path}: {parsed.issues[0]}")
     for issue in parsed.issues:
         _log("%s %s", deals_path, issue)
     buckets = deals_by_quarter(first_deals(parsed.records))
@@ -457,18 +465,9 @@ def main(argv=None) -> int:
         }
         config = resolve_config(file_settings, overrides)
         return _COMMANDS[args.command](config)
-    except UsageError as exc:
-        print(f"pesignal: usage error: {exc}", file=sys.stderr)
-        return 1
-    except InsufficientHistoryError as exc:
-        print(f"pesignal: insufficient history: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"pesignal: data error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"pesignal: numerical failure: {exc}", file=sys.stderr)
-        return 3
+    except PesignalError as exc:
+        print(f"pesignal: {exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 def entry():

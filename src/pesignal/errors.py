@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the pipeline.
 
-Exit-code mapping in the CLI: UsageError -> 1, DataError -> 2,
-NumericalError -> 3.
+Each class carries the CLI's exit code and the label its one stderr
+line opens with, so cli.main reads both from the error it catches.
 """
 
 
@@ -12,14 +12,22 @@ class PesignalError(Exception):
 class UsageError(PesignalError):
     """Bad command line or configuration file."""
 
+    exit_code, label = 1, "usage error"
+
 
 class DataError(PesignalError):
     """Malformed, inconsistent, or insufficient input data."""
+
+    exit_code, label = 2, "data error"
 
 
 class InsufficientHistoryError(DataError):
     """Not enough quarters to standardize, estimate, and predict."""
 
+    label = "insufficient history"
+
 
 class NumericalError(PesignalError):
     """Non-finite values encountered during estimation."""
+
+    exit_code, label = 3, "numerical failure"

@@ -50,9 +50,6 @@ class Scope(NamedTuple):
     def of_name(cls, name: str) -> "Scope":
         return cls(None if name == BROAD_INDEX_NAME else name)
 
-    def __str__(self) -> str:
-        return self.name
-
 
 BROAD_SCOPE = Scope()
 
@@ -202,7 +199,8 @@ def write_feature_table(table: FeatureTable, stream):
 def _cell(name: str, cell: str):
     """One feature table cell: deal_count a count, any other column NA or a finite float."""
     if name == "deal_count":
-        if not cell.isdigit():
+        # ASCII digits only: str.isdigit also takes other scripts' digits
+        if not (cell.isascii() and cell.isdigit()):
             raise ValueError(f"deal_count is not a count: {cell!r}")
         return int(cell)
     if cell == "NA":

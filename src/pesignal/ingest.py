@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import re
 from datetime import date
 
 from ._record import NamedTuple, checked
@@ -43,6 +44,9 @@ BROAD_INDEX_NAME = "Market"
 _VALID_SECTORS = frozenset(SECTOR_NAMES) | {BROAD_INDEX_NAME}
 
 _NA_TOKENS = frozenset({"", "n/a", "na", "none"})
+
+# digits are ASCII: str.isdigit and int also take other scripts' digits
+_MMM_DD_YY_RE = re.compile(r"([A-Za-z]{3})-([0-9]+)-([0-9]{2})")
 
 _MONTHS = {
     "jan": 1, "feb": 2, "mar": 3, "apr": 4, "may": 5, "jun": 6,
@@ -169,14 +173,9 @@ def parse_date(text: str) -> date:
         return iso_date(raw)
     except ValueError:
         pass
-    parts = raw.split("-")
-    if len(parts) == 3 and parts[0].lower() in _MONTHS and len(parts[2]) == 2 and parts[2].isdigit():
-        month = _MONTHS[parts[0].lower()]
-        try:
-            day = int(parts[1])
-            year = int(parts[2])
-        except ValueError:
-            raise DataError(f"cannot parse date {text!r}") from None
+    match = _MMM_DD_YY_RE.fullmatch(raw)
+    if match and match[1].lower() in _MONTHS:
+        month, day, year = _MONTHS[match[1].lower()], int(match[2]), int(match[3])
         # Two-digit years pivot at 69: 00-68 -> 2000s, 69-99 -> 1900s.
         year += 2000 if year < 69 else 1900
         try:
@@ -242,12 +241,11 @@ def _sector(text: str) -> str:
     return text.strip()
 
 
-def parse_deals(stream, fmt: DealFileFormat = DealFileFormat(), strict: bool = False) -> ParsedDeals:
+def parse_deals(stream, fmt: DealFileFormat = DealFileFormat()) -> ParsedDeals:
     """Parse a deal export.
 
     Rows whose fields fail to parse are rejected with a RowIssue naming
-    the line and the first failing column; strict mode turns the first
-    such row into a DataError. A malformed header is always fatal.
+    the line and the first failing column. A malformed header is fatal.
     """
     # DealRecord's fields in order, each parsed from its column; the last,
     # investor, is optional, and a missing cell reads as ""
@@ -269,10 +267,7 @@ def parse_deals(stream, fmt: DealFileFormat = DealFileFormat(), strict: bool = F
             try:
                 values[field] = parser(row.get(column) or "")
             except DataError as exc:
-                issue = RowIssue(reader.line_num, column, str(exc))
-                if strict:
-                    raise DataError(str(issue)) from None
-                result.issues.append(issue)
+                result.issues.append(RowIssue(reader.line_num, column, str(exc)))
                 break
         else:
             result.records.append(DealRecord(**values))
@@ -306,28 +301,23 @@ def parse_prices(stream, fmt: PriceFileFormat = PriceFileFormat()) -> dict:
     _require_columns(reader.fieldnames, [fmt.index_name, fmt.date, fmt.value], "price file")
     by_index: dict = {}
     for row in reader:
-        line = reader.line_num
-        name = (row.get(fmt.index_name) or "").strip()
-        if not name:
-            raise DataError(f"price file line {line}: empty index name")
-        raw_date = (row.get(fmt.date) or "").strip()
         try:
+            name = (row.get(fmt.index_name) or "").strip()
+            if not name:
+                raise DataError("empty index name")
+            raw_date = (row.get(fmt.date) or "").strip()
             when = parse_date(raw_date)
+            quarter = Quarter.of_date(when)
+            if when != quarter.end_date():
+                raise DataError(f"{raw_date} is not a quarter-end date")
+            try:
+                value = float((row.get(fmt.value) or "").strip())
+            except ValueError:
+                raise DataError(f"cannot parse index level {row.get(fmt.value)!r}") from None
+            if not (math.isfinite(value) and value > 0):
+                raise DataError(f"index level must be finite and > 0, got {value!r}")
         except DataError as exc:
-            raise DataError(f"price file line {line}: {exc}") from None
-        quarter = Quarter.of_date(when)
-        if when != quarter.end_date():
-            raise DataError(
-                f"price file line {line}: {raw_date} is not a quarter-end date"
-            )
-        try:
-            value = float((row.get(fmt.value) or "").strip())
-        except ValueError:
-            raise DataError(
-                f"price file line {line}: cannot parse index level {row.get(fmt.value)!r}"
-            ) from None
-        if not (math.isfinite(value) and value > 0):
-            raise DataError(f"price file line {line}: index level must be finite and > 0, got {value!r}")
+            raise DataError(f"price file line {reader.line_num}: {exc}") from None
         by_index.setdefault(name, []).append((quarter, value))
     series = {}
     for name, items in sorted(by_index.items()):

@@ -15,7 +15,7 @@ from .errors import DataError
 
 _QUARTER_END = {1: (3, 31), 2: (6, 30), 3: (9, 30), 4: (12, 31)}
 
-_QUARTER_RE = re.compile(r"^(\d{4})\s*[Qq]\s*([1-4])$")
+_QUARTER_RE = re.compile(r"^([0-9]{4})\s*[Qq]\s*([1-4])$")
 
 _ISO_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 

@@ -346,6 +346,12 @@ class TestPredictionIO:
         scores = report(back, FAST.threshold)
         assert (scores.tp, scores.fp, scores.tn, scores.fn) == (0, len(back), 0, 0)
 
+    def test_read_skips_a_blank_line(self):
+        rows = ["Market,2004-09-30,0.700000,UP,DOWN,0\n", "Market,2004-12-31,0.800000,UP,NA,NA\n"]
+        plain = read_predictions(io.StringIO(self.HEADER + "".join(rows)))
+        assert len(plain) == 2
+        assert read_predictions(io.StringIO(self.HEADER + rows[0] + "\n" + rows[1] + "\n")) == plain
+
     def test_read_rejects_bad_header(self):
         with pytest.raises(DataError, match="header"):
             read_predictions(io.StringIO("nope\n"))

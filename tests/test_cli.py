@@ -292,8 +292,11 @@ class TestExitCodes:
         assert f'usage error: config file {config}: a manifest\'s "config" must be a JSON object' in err
 
     @pytest.mark.parametrize("key", ["first", "last", "start"])
-    # year 0 matches the quarter pattern but has no end date
-    @pytest.mark.parametrize("value", ["2001Q5", "garbage", 2001, "0000Q1"])
+    # year 0 matches the quarter pattern but has no end date; a year in
+    # fullwidth or Arabic-Indic digits is no quarter
+    @pytest.mark.parametrize(
+        "value", ["2001Q5", "garbage", 2001, "0000Q1", "\uff12\uff10\uff10\uff14Q3", "\u0662\u0660\u0660\u0664Q3"]
+    )
     def test_quarter_that_does_not_parse_is_a_usage_error(self, tmp_path, capsys, key, value):
         config = write_config(tmp_path, dict(SMALL, **{key: value}))
         for command in ("synth", "features"):
@@ -561,6 +564,62 @@ class TestExitCodes:
         assert main(["backtest"]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "case, code, line",
+        [
+            pytest.param("usage", 1, "pesignal: usage error: unknown scope 'Tulips'", id="usage"),
+            pytest.param(
+                "history",
+                2,
+                "pesignal: insufficient history: walk-forward needs at least 26 quarters"
+                " (6 to standardize, 20 to estimate, predicting the one after), got 24",
+                id="insufficient-history",
+            ),
+            pytest.param(
+                "data", 2, "pesignal: data error: {path} holds Communications features, not Market's", id="data"
+            ),
+            pytest.param("numerical", 3, "pesignal: numerical failure: boom", id="numerical"),
+            pytest.param(
+                "prices", 2, "pesignal: data error: {path}: price file line 3: 2000-05-31 is not a quarter-end date",
+                id="prices-row",
+            ),
+            pytest.param(
+                "strict", 2, "pesignal: data error: {path}: line 3, column sector: unknown sector 'Zeppelins'",
+                id="strict-deal-row",
+            ),
+        ],
+    )
+    def test_failing_command_prints_one_line_and_its_exit_code(self, tmp_path, capsys, monkeypatch, case, code, line):
+        out = run_pipeline(tmp_path, SMALL)
+        study = ["--config", str(tmp_path / "config.json"), "--out", str(out), "--scopes", "Market"]
+        path = out
+        if case == "usage":
+            argv = ["features", *study[:-1], "Tulips"]
+        elif case == "history":
+            argv = ["backtest", *study, "--ne", "20"]
+        elif case == "data":
+            path = out / "features_market.csv"
+            path.write_bytes((out / "features_communications.csv").read_bytes())
+            argv = ["backtest", *study]
+        elif case == "numerical":
+            monkeypatch.setitem(pesignal.cli._COMMANDS, "backtest", lambda config: (_ for _ in ()).throw(NumericalError("boom")))
+            argv = ["backtest", *study]
+        else:
+            path = out / ("prices.csv" if case == "prices" else "deals.csv")
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            parts = lines[2].split(",")
+            if case == "prices":
+                parts[1] = "2000-05-31"
+                argv = ["backtest", *study]
+            else:
+                parts[2] = "Zeppelins"
+                argv = ["features", *study, "--strict"]
+            lines[2] = ",".join(parts)
+            path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main(argv) == code
+        assert capsys.readouterr().err == line.format(path=path) + "\n"
+
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as info:
             main(["--help"])
@@ -643,6 +702,33 @@ class TestStrictMode:
         self._break_a_row(tmp_path / "out")
         assert main(["features", "--config", config, "--out", out, "--strict"]) == 2
         assert "data error" in capsys.readouterr().err
+
+
+class TestByteOrderMark:
+    def test_inputs_and_config_with_a_bom_give_the_same_outputs(self, tmp_path, capsys):
+        # Excel's "CSV UTF-8" export opens with the UTF-8 byte-order mark
+        out = run_pipeline(tmp_path, SMALL)
+        produced = sorted(out.glob("features_*")) + sorted(out.glob("zscores_*")) + sorted(out.glob("predictions_*"))
+        assert len(produced) == 3 * len(SMALL_SCOPES)
+        before = {path.name: path.read_bytes() for path in produced}
+        marked = [out / "deals.csv", out / "prices.csv", out / "pe.csv", tmp_path / "config.json"]
+        for path in marked:
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        for path in produced:
+            path.unlink()
+        study = ["--config", str(tmp_path / "config.json"), "--out", str(out), "--scopes", ",".join(SMALL_SCOPES)]
+        for command in ("features", "backtest"):
+            assert main([command, *study]) == 0, command
+        assert {path.name: path.read_bytes() for path in produced} == before
+        # manifests hash the bytes read, mark included
+        inputs = json.loads((out / "manifest_features.json").read_text(encoding="utf-8"))["inputs"]
+        assert inputs[str(out / "deals.csv")] == hashlib.sha256((out / "deals.csv").read_bytes()).hexdigest()
+        # a bad byte's offset counts from the start of the file, mark included
+        (tmp_path / "config.json").write_bytes(b'\xef\xbb\xbf{"seed": "caf\xe9"}')
+        capsys.readouterr()
+        assert main(["synth", *study]) == 1
+        err = capsys.readouterr().err
+        assert err == f"pesignal: usage error: config file {tmp_path / 'config.json'} is not UTF-8: byte 0xe9 at offset 16\n"
 
 
 class TestColumnMappings:

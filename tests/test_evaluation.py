@@ -141,6 +141,8 @@ class TestRoc:
             RocCurve(((0.0, 0.0), (0.5, 0.5)), 0.25)
         with pytest.raises(ValueError):
             RocCurve(((0.0, 0.0), (1.0, 1.0)), 0.75)
+        with pytest.raises(ValueError, match="fpr must be non-decreasing"):
+            RocCurve(((0.0, 0.0), (0.5, 0.5), (0.25, 1.0), (1.0, 1.0)), 0.75)
 
 
 class TestPooledRoc:
@@ -253,6 +255,10 @@ class TestReport:
     def test_json_null_auc(self):
         parsed = json.loads(score_report_json(report([record(0, 0.9, UP)], 0.5)))
         assert parsed["auc"] is None
+
+    def test_no_records_and_no_scope_name_is_a_data_error(self):
+        with pytest.raises(DataError, match="cannot infer a scope name from no records"):
+            report([], 0.5)
 
     def test_explicit_scope_name(self):
         rep = report([record(0, 0.9, UP), record(1, 0.2, DOWN)], 0.5, scope_name="ALL")

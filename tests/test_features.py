@@ -333,6 +333,11 @@ class TestBuildFeatureTable:
                 {}, Scope("Finance"), Quarter(2008, 1), Quarter(2008, 1), pe_series(Quarter(2008, 1), 1)
             )
 
+    def test_sector_pe_that_ends_early_names_the_sector_and_quarter(self):
+        first, last = Quarter(2008, 1), Quarter(2008, 2)
+        with pytest.raises(DataError, match="^sector P/E series for Finance does not cover 2008Q2$"):
+            build_feature_table({}, Scope("Finance"), first, last, pe_series(first, 2), pe_series(first, 1))
+
     def test_feature_series_round_trip(self):
         deals = [deal("Finance", date(2008, 2, 1), aum=4.0, rank=1.5)]
         table = build_feature_table(
@@ -388,6 +393,9 @@ class TestBuildFeatureTable:
         ("Market,2008-03-31,one,NA,NA,NA,15.000000", "line 2: deal_count is not a count: 'one'"),
         ("Market,2008-03-31,NA,NA,NA,NA,15.000000", "line 2: deal_count is not a count: 'NA'"),
         ("Market,2008-03-31,-1,NA,NA,NA,15.000000", "line 2: deal_count is not a count: '-1'"),
+        # str.isdigit takes other scripts' digits, and int reads them
+        ("Market,2008-03-31,\u0663,NA,NA,NA,15.000000", "line 2: deal_count is not a count: '\u0663'"),
+        ("Market,2008-03-31,\uff13,NA,NA,NA,15.000000", "line 2: deal_count is not a count: '\uff13'"),
         ("Finance,2008-03-31,1,NA,NA,NA,15.000000", "line 2: columns .* do not fit scope Finance"),
         ("Market,2008-03-31,1,NA,NA,NA,15.0\nMarket,2008-09-3x,1,NA,NA,NA,15.0", "line 3: cannot parse quarter from '2008-09-3x'"),
         ("Market,2008-03-31,1,NA,NA,NA,15.0\nFinance,2008-06-30,1,NA,NA,NA,15.0", "line 3: scope Finance, but the table is Market's"),

@@ -51,6 +51,14 @@ class TestFieldParsers:
         parsed = parse_deals(deals_io(f"C1,Co,Finance,{text},3.5,1.0"))
         assert parsed.records == [] and len(parsed.issues) == 1
 
+    # int takes other scripts' digits and "1_2"; the day and year are ASCII digits
+    @pytest.mark.parametrize("text", ["Feb-xx-08", "Feb--08", "Feb-12-\u0660\u0668", "Feb-\u0661\u0662-08", "Feb-1_2-08"])
+    def test_month_name_dates_take_ascii_digits(self, text):
+        with pytest.raises(DataError, match=f"^cannot parse date '{text}'$"):
+            parse_date(text)
+        parsed = parse_deals(deals_io(f"C1,Co,Finance,{text},3.5,1.0"))
+        assert parsed.records == [] and len(parsed.issues) == 1
+
     def test_date_rejects_garbage(self):
         for bad in ("12 Feb 2008", "Feb-30-08", "2008-13-01", ""):
             with pytest.raises(DataError):
@@ -157,6 +165,7 @@ class TestParseDeals:
                 "a,A,Finance,someday,1.0,N/A",
                 "b,B,Finance,2008-02-12,plenty,N/A",
                 "c,C,Finance,2008-02-12,1.0,superb",
+                ",D,Finance,2008-02-12,1.0,N/A",
             )
         )
         assert parsed.records == []
@@ -164,11 +173,14 @@ class TestParseDeals:
             "first_investment_date",
             "investor_aum",
             "investor_performance",
+            "company_id",
         ]
+        assert parsed.issues[-1].message == "empty company_id"
 
-    def test_strict_mode_fatal(self):
-        with pytest.raises(DataError, match="line 2"):
-            parse_deals(deals_io("a,A,Fintech,2008-02-12,1.0,N/A"), strict=True)
+    def test_issue_reads_as_line_column_and_message(self):
+        # the text `features --strict` reports after the deal file's path
+        (issue,) = parse_deals(deals_io("a,A,Fintech,2008-02-12,1.0,N/A")).issues
+        assert str(issue) == "line 2, column sector: unknown sector 'Fintech'"
 
     def test_custom_columns_and_delimiter(self):
         fmt = DealFileFormat(
@@ -298,7 +310,8 @@ class TestRoundTrips:
         ]
         out = io.StringIO()
         write_deals(records, out)
-        reparsed = parse_deals(io.StringIO(out.getvalue()), strict=True)
+        reparsed = parse_deals(io.StringIO(out.getvalue()))
+        assert not reparsed.issues
         assert reparsed.records == records
         out2 = io.StringIO()
         write_deals(reparsed.records, out2)
@@ -355,7 +368,9 @@ class TestRoundTripProperties:
         fmt = DealFileFormat(delimiter=delimiter)
         out = io.StringIO()
         write_deals(records, out, fmt)
-        assert parse_deals(io.StringIO(out.getvalue()), fmt, strict=True).records == records
+        parsed = parse_deals(io.StringIO(out.getvalue()), fmt)
+        assert not parsed.issues
+        assert parsed.records == records
 
     @given(st.dictionaries(cells.filter(bool), price_series, max_size=4), delimiters)
     def test_prices(self, series_by_index, delimiter):

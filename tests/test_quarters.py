@@ -55,8 +55,9 @@ class TestQuarter:
             Quarter.parse("2004Q5")
         with pytest.raises(DataError):
             Quarter.parse("nonsense")
-        # forms date.fromisoformat takes from Python 3.11 on
-        for text in ("20040930", "2004-W39-4"):
+        # forms date.fromisoformat takes from Python 3.11 on, and years
+        # in other scripts' digits, which a regex \\d takes
+        for text in ("20040930", "2004-W39-4", "\uff12\uff10\uff10\uff14Q3", "\u0662\u0660\u0660\u0664Q3"):
             with pytest.raises(DataError, match="cannot parse quarter"):
                 Quarter.parse(text)
 
