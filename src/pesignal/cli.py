@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 from ._record import NamedTuple
@@ -55,42 +56,57 @@ _COLUMN_KEYS = {
 }
 
 
-def _checked(record, **fields):
-    """record(**fields); a bad setting's ValueError is a UsageError here."""
-    try:
-        return record(**fields)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+class _Setting(NamedTuple):
+    """A config key feeding field (the key unless named) of each record in feeds,
+    through parse if it holds the field as text. Its default, initial(), is the first
+    record's, as text if parsed, else default. flag: the metavar and help of --key."""
+
+    key: str
+    default: object = None
+    feeds: tuple = ()
+    field: str | None = None
+    parse: object = None
+    flag: tuple = ()
+
+    def initial(self):
+        if not self.feeds:
+            return self.default
+        value = self.feeds[0]._field_defaults[self.field or self.key]
+        return str(value) if self.parse else value
 
 
-class RunConfig(NamedTuple):
-    """Fully resolved settings for one command invocation."""
+# one row per RunConfig field; the rows with a flag come first, in the order --help lists them
+_SETTINGS = (
+    _Setting("out", "out", flag=("DIR", "output directory (default: out)")),
+    _Setting("strict", False, flag=(None, "promote row-level deal issues to errors")),
+    _Setting("seed", feeds=(SyntheticSpec,), flag=("N", "synthetic data seed")),
+    _Setting("scopes", (BROAD_INDEX_NAME,), flag=("LIST", "comma-separated scope names (Market or sector names)")),
+    _Setting("t", feeds=(BacktestConfig, SyntheticSpec), field="std_window", flag=("N", "standardization window in quarters")),
+    _Setting("ne", feeds=(BacktestConfig,), field="est_window", flag=("N", "estimation window in quarters")),
+    _Setting("eta", feeds=(BacktestConfig,), field="learning_rate", flag=("X", "gradient ascent learning rate")),
+    _Setting("threshold", feeds=(BacktestConfig,), flag=("X", "classification threshold on P(UP)")),
+    _Setting("tolerance", feeds=(BacktestConfig,)),
+    _Setting("max_iter", feeds=(BacktestConfig,)),
+    _Setting("deals"),
+    _Setting("prices"),
+    _Setting("pe"),
+    _Setting("first"),
+    _Setting("last"),
+    _Setting("n_quarters", feeds=(SyntheticSpec,)),
+    _Setting("n_sectors", feeds=(SyntheticSpec,)),
+    _Setting("start", feeds=(SyntheticSpec,), parse=Quarter.parse),
+    _Setting("noise_scale", feeds=(SyntheticSpec,)),
+    _Setting("base_deal_intensity", feeds=(SyntheticSpec,)),
+    _Setting("planted_w", feeds=(SyntheticSpec,)),
+    _Setting("planted_b", feeds=(SyntheticSpec,)),
+    _Setting("delimiter", feeds=(DealFileFormat, PriceFileFormat)),
+    _Setting("deal_columns", {}),
+    _Setting("price_columns", {}),
+)
 
-    deals: str | None = None
-    prices: str | None = None
-    pe: str | None = None
-    out: str = "out"
-    scopes: tuple = (BROAD_INDEX_NAME,)
-    first: str | None = None
-    last: str | None = None
-    t: int = 12
-    ne: int = 7
-    eta: float = 1e-3
-    tolerance: float = 1e-6
-    max_iter: int = 100_000
-    threshold: float = 0.5
-    strict: bool = False
-    seed: int = 1
-    n_quarters: int = 68
-    n_sectors: int = 3
-    start: str = "2000Q1"
-    noise_scale: float = 1.0
-    base_deal_intensity: float = 18.0
-    planted_w: tuple = (2.0, -1.5, 1.0, -1.0, 1.5)
-    planted_b: float = 0.25
-    delimiter: str = ","
-    deal_columns: tuple = ()
-    price_columns: tuple = ()
+
+class RunConfig(namedtuple("RunConfig", [row.key for row in _SETTINGS], defaults=[row.initial() for row in _SETTINGS])):
+    """Fully resolved settings for one command invocation, one field per row of _SETTINGS."""
 
     def out_dir(self) -> Path:
         return Path(self.out)
@@ -100,10 +116,10 @@ class RunConfig(NamedTuple):
         return Path(getattr(self, key) or self.out_dir() / f"{key}.csv")
 
     def deal_format(self) -> DealFileFormat:
-        return DealFileFormat(delimiter=self.delimiter, **dict(self.deal_columns))
+        return self._build(DealFileFormat, **self.deal_columns)
 
     def price_format(self) -> PriceFileFormat:
-        return PriceFileFormat(delimiter=self.delimiter, **dict(self.price_columns))
+        return self._build(PriceFileFormat, **self.price_columns)
 
     def scope_list(self) -> list:
         if not self.scopes:
@@ -119,35 +135,21 @@ class RunConfig(NamedTuple):
         return scopes
 
     def backtest_config(self) -> BacktestConfig:
-        return _checked(
-            BacktestConfig,
-            std_window=self.t,
-            est_window=self.ne,
-            learning_rate=self.eta,
-            tolerance=self.tolerance,
-            max_iter=self.max_iter,
-            threshold=self.threshold,
-        )
+        return self._build(BacktestConfig)
 
     def synthetic_spec(self) -> SyntheticSpec:
-        return _checked(
-            SyntheticSpec,
-            seed=self.seed,
-            n_quarters=self.n_quarters,
-            n_sectors=self.n_sectors,
-            start=Quarter.parse(self.start),
-            std_window=self.t,
-            planted_w=tuple(self.planted_w),
-            planted_b=self.planted_b,
-            noise_scale=self.noise_scale,
-            base_deal_intensity=self.base_deal_intensity,
-        )
+        return self._build(SyntheticSpec)
 
-    def to_dict(self) -> dict:
-        out = self._asdict()
-        out["deal_columns"] = dict(self.deal_columns)
-        out["price_columns"] = dict(self.price_columns)
-        return out
+    def _build(self, record, **fields):
+        """record from fields and the settings that feed it; a bad setting's ValueError is a UsageError here."""
+        for row in _SETTINGS:
+            if record in row.feeds:
+                value = getattr(self, row.key)
+                fields[row.field or row.key] = row.parse(value) if row.parse else value
+        try:
+            return record(**fields)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
 
 
 def _finite(value) -> float:
@@ -189,7 +191,7 @@ def _coerce(key: str, value):
             for column in value:
                 if column not in _COLUMN_KEYS[key]:
                     raise UsageError(f"unknown {key} entry {column!r}")
-            return tuple(sorted((str(k), str(v)) for k, v in value.items()))
+            return {str(k): str(v) for k, v in value.items()}
         if isinstance(value, str) and key in ("first", "last", "start"):
             Quarter.parse(value)
         if isinstance(value, str) or (value is None and kind is type(None)):
@@ -282,7 +284,7 @@ class _Files:
     def manifest(self, command: str):
         manifest = {
             "command": command,
-            "config": self.config.to_dict(),
+            "config": self.config._asdict(),
             "inputs": self.inputs,
             "outputs": self.outputs,
         }
@@ -432,16 +434,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
+    common = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--config", metavar="PATH", help="JSON settings file or a previous run manifest")
-    common.add_argument("--out", metavar="DIR", help="output directory (default: out)")
-    common.add_argument("--strict", action="store_true", default=None, help="promote row-level deal issues to errors")
-    common.add_argument("--seed", type=int, metavar="N", help="synthetic data seed")
-    common.add_argument("--scopes", metavar="LIST", help="comma-separated scope names (Market or sector names)")
-    common.add_argument("--t", type=int, metavar="N", help="standardization window in quarters")
-    common.add_argument("--ne", type=int, metavar="N", help="estimation window in quarters")
-    common.add_argument("--eta", type=float, metavar="X", help="gradient ascent learning rate")
-    common.add_argument("--threshold", type=float, metavar="X", help="classification threshold on P(UP)")
+    for row in _SETTINGS:
+        if row.flag:
+            metavar, help_text = row.flag
+            kind = type(row.initial())
+            options = {"action": "store_true"} if kind is bool else {"metavar": metavar}
+            if kind in (int, float):
+                options["type"] = kind
+            common.add_argument(f"--{row.key}", help=help_text, **options)
     parser = _Parser(prog="pesignal", description=__doc__)
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, help_text in (
@@ -456,15 +458,12 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        file_settings = load_config_file(args.config) if args.config else {}
-        overrides = {
-            key: value
-            for key, value in vars(args).items()
-            if key not in ("command", "config") and value is not None
-        }
-        config = resolve_config(file_settings, overrides)
-        return _COMMANDS[args.command](config)
+        # a flag not given is absent from the parsed settings, so the file's value stands
+        overrides = vars(_build_parser().parse_args(argv))
+        command = overrides.pop("command")
+        path = overrides.pop("config", None)
+        config = resolve_config(load_config_file(path) if path else {}, overrides)
+        return _COMMANDS[command](config)
     except PesignalError as exc:
         print(f"pesignal: {exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -221,12 +221,24 @@ def parse_rank(text: str) -> float | None:
     return value
 
 
-def _require_columns(fieldnames, wanted, what: str):
-    if fieldnames is None:
-        raise DataError(f"{what} has no header row")
-    missing = [c for c in wanted if c not in fieldnames]
-    if missing:
-        raise DataError(f"{what} header is missing columns: {', '.join(missing)}")
+def _csv_rows(stream, delimiter: str, wanted: list, what: str):
+    """(line number, {column: cell}) for each non-blank row of a CSV file
+    whose header holds the wanted columns; a short row lacks its last
+    columns. A csv.Error, from the header or a row, such as a cell over the
+    csv module's field size limit, is a DataError naming its line."""
+    reader = csv.reader(stream, delimiter=delimiter)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{what} has no header row")
+        missing = [c for c in wanted if c not in header]
+        if missing:
+            raise DataError(f"{what} header is missing columns: {', '.join(missing)}")
+        for cells in reader:
+            if cells:
+                yield reader.line_num, dict(zip(header, cells))
+    except csv.Error as exc:
+        raise DataError(f"{what} line {reader.line_num}: {exc}") from None
 
 
 def _company_id(text: str) -> str:
@@ -258,16 +270,14 @@ def parse_deals(stream, fmt: DealFileFormat = DealFileFormat()) -> ParsedDeals:
         ("investor_rank", fmt.rank, parse_rank),
         ("investor", fmt.investor, str.strip),
     )
-    reader = csv.DictReader(stream, delimiter=fmt.delimiter)
-    _require_columns(reader.fieldnames, [column for _, column, _ in fields[:-1]], "deal file")
     result = ParsedDeals([], [])
-    for row in reader:
+    for line, row in _csv_rows(stream, fmt.delimiter, [column for _, column, _ in fields[:-1]], "deal file"):
         values = {}
         for field, column, parser in fields:
             try:
                 values[field] = parser(row.get(column) or "")
             except DataError as exc:
-                result.issues.append(RowIssue(reader.line_num, column, str(exc)))
+                result.issues.append(RowIssue(line, column, str(exc)))
                 break
         else:
             result.records.append(DealRecord(**values))
@@ -297,10 +307,8 @@ def parse_prices(stream, fmt: PriceFileFormat = PriceFileFormat()) -> dict:
     All defects are fatal here: a broken price history poisons every
     label downstream, so there is no lenient mode.
     """
-    reader = csv.DictReader(stream, delimiter=fmt.delimiter)
-    _require_columns(reader.fieldnames, [fmt.index_name, fmt.date, fmt.value], "price file")
     by_index: dict = {}
-    for row in reader:
+    for line, row in _csv_rows(stream, fmt.delimiter, [fmt.index_name, fmt.date, fmt.value], "price file"):
         try:
             name = (row.get(fmt.index_name) or "").strip()
             if not name:
@@ -317,7 +325,7 @@ def parse_prices(stream, fmt: PriceFileFormat = PriceFileFormat()) -> dict:
             if not (math.isfinite(value) and value > 0):
                 raise DataError(f"index level must be finite and > 0, got {value!r}")
         except DataError as exc:
-            raise DataError(f"price file line {reader.line_num}: {exc}") from None
+            raise DataError(f"price file line {line}: {exc}") from None
         by_index.setdefault(name, []).append((quarter, value))
     series = {}
     for name, items in sorted(by_index.items()):

@@ -186,6 +186,33 @@ class TestSynth:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "file, row, command, line",
+        [
+            pytest.param("deals.csv", 2, "features", "deal file line 3", id="deal-body"),
+            pytest.param("deals.csv", 0, "features", "deal file line 1", id="deal-header"),
+            pytest.param("prices.csv", 2, "backtest", "price file line 3", id="price-body"),
+        ],
+    )
+    def test_a_cell_past_the_csv_field_limit_is_a_data_error_naming_its_line(
+        self, tmp_path, capsys, file, row, command, line
+    ):
+        # the csv module refuses a field over 131072 characters
+        config = write_config(tmp_path, SMALL)
+        out = tmp_path / "out"
+        study = ["--config", config, "--out", str(out), "--scopes", "Market"]
+        assert main(["synth", *study]) == 0
+        assert main(["features", *study]) == 0
+        path = out / file
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        parts = lines[row].split(",")
+        parts[1] = "x" * 200_000
+        lines[row] = ",".join(parts)
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, *study]) == 2
+        assert capsys.readouterr().err == f"pesignal: data error: {path}: {line}: field larger than field limit (131072)\n"
+
     def test_insufficient_history_names_required_quarters(self, tmp_path, capsys):
         settings = dict(SMALL, n_quarters=10, t=8, ne=4)
         config = write_config(tmp_path, settings)
@@ -806,6 +833,20 @@ class TestConfigResolution:
         assert RunConfig().backtest_config() == BacktestConfig()
         assert RunConfig().synthetic_spec() == SyntheticSpec()
 
+    def test_readme_configuration_names_every_flag_key_and_method_default(self, capsys):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        ticked = re.findall(r"`([^`]+)`", section)
+        with pytest.raises(SystemExit):
+            main(["synth", "--help"])
+        flags = re.findall(r"\[(--[^\]]+)\]", capsys.readouterr().out)
+        assert [tick for tick in ticked if tick.startswith("--")] == flags
+        assert set(RunConfig._fields) <= {tick.split()[0].lstrip("-") for tick in ticked}
+        paragraph = section.split("Method defaults:", 1)[1].split("\n\n", 1)[0]
+        stated = {key: json.loads(text) for key, text in re.findall(r"`(\w+) = ([^`]+)`", paragraph)}
+        assert set(stated) == {row.key for row in pesignal.cli._SETTINGS if BacktestConfig in row.feeds}
+        assert stated == {key: RunConfig._field_defaults[key] for key in stated}
+
     def test_bad_values_rejected(self):
         with pytest.raises(UsageError):
             resolve_config({"t": "a dozen"}, {})
@@ -1107,3 +1148,65 @@ def test_console_script_and_module_entries_call_one_function():
     cli_module = ast.parse((ROOT / "src" / "pesignal" / "cli.py").read_text(encoding="utf-8"))
     (guard,) = [node for node in cli_module.body if isinstance(node, ast.If) and "__main__" in ast.unparse(node.test)]
     assert _called_function(guard.body) == function
+
+
+_SETTING_OPTIONS_HELP = """
+options:
+  -h, --help     show this help message and exit
+  --config PATH  JSON settings file or a previous run manifest
+  --out DIR      output directory (default: out)
+  --strict       promote row-level deal issues to errors
+  --seed N       synthetic data seed
+  --scopes LIST  comma-separated scope names (Market or sector names)
+  --t N          standardization window in quarters
+  --ne N         estimation window in quarters
+  --eta X        gradient ascent learning rate
+  --threshold X  classification threshold on P(UP)
+"""
+
+_SUBCOMMAND_USAGE = """usage: pesignal {command} [-h] [--config PATH] [--out DIR] [--strict]
+{pad}[--seed N] [--scopes LIST] [--t N] [--ne N] [--eta X]
+{pad}[--threshold X]
+"""
+
+HELP_TEXTS = {
+    "pesignal": """usage: pesignal [-h] command ...
+
+Command-line entry point. Four file-composable commands: synth writes
+synthetic input files, features aggregates and standardizes them, backtest
+walks the windows forward, evaluate scores the predictions. Configuration
+comes from an optional JSON file plus flag overrides; flags win. Every run
+drops a manifest beside its outputs recording the resolved configuration and
+the SHA-256 of every file read or written, and a manifest is itself accepted
+as --config for reruns.
+
+positional arguments:
+  command
+    synth     write synthetic deal, price, and P/E files
+    features  aggregate deals into feature and z-score tables
+    backtest  walk windows forward and write prediction tables
+    evaluate  score predictions: reports, ROC points, scatters
+
+options:
+  -h, --help  show this help message and exit
+""",
+    "synth": """usage: pesignal synth [-h] [--config PATH] [--out DIR] [--strict] [--seed N]
+                      [--scopes LIST] [--t N] [--ne N] [--eta X]
+                      [--threshold X]
+""" + _SETTING_OPTIONS_HELP,
+    **{
+        command: _SUBCOMMAND_USAGE.format(command=command, pad=" " * len(f"usage: pesignal {command} "))
+        + _SETTING_OPTIONS_HELP
+        for command in ("features", "backtest", "evaluate")
+    },
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_TEXTS))
+def test_help_texts_are_pinned(command, monkeypatch, capsys):
+    # argparse wraps to $COLUMNS; at 80 these bytes are the same on Python 3.10-3.13
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main([*([command] if command != "pesignal" else []), "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out == HELP_TEXTS[command]
