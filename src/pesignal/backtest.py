@@ -224,7 +224,7 @@ def read_predictions(stream) -> list:
                 raise ValueError("expected 6 columns")
             scope_name, quarter_end, p_up, predicted, actual, correct = parts
             rec = PredictionRecord(
-                scope=Scope.of_name(scope_name),
+                scope=Scope(scope_name),
                 quarter=Quarter.parse(quarter_end),
                 p_up=float(p_up),
                 predicted=Label(predicted),

@@ -32,7 +32,6 @@ from .ingest import (
     BROAD_INDEX_NAME,
     DealFileFormat,
     PriceFileFormat,
-    SECTOR_NAMES,
     first_deals,
     parse_deals,
     parse_prices,
@@ -126,9 +125,10 @@ class RunConfig(namedtuple("RunConfig", [row.key for row in _SETTINGS], defaults
             raise UsageError("scope list is empty")
         scopes = []
         for name in self.scopes:
-            if name != BROAD_INDEX_NAME and name not in SECTOR_NAMES:
-                raise UsageError(f"unknown scope {name!r}")
-            scope = Scope.of_name(name)
+            try:
+                scope = Scope(name)
+            except ValueError:
+                raise UsageError(f"unknown scope {name!r}") from None
             if scope in scopes:
                 raise UsageError(f"scope {name!r} is listed more than once")
             scopes.append(scope)
@@ -194,6 +194,8 @@ def _coerce(key: str, value):
             return {str(k): str(v) for k, v in value.items()}
         if isinstance(value, str) and key in ("first", "last", "start"):
             Quarter.parse(value)
+        if value == "" and key in ("deals", "prices", "pe"):
+            raise ValueError  # input_path would read <key>.csv in out in its place
         if isinstance(value, str) or (value is None and kind is type(None)):
             return value
         raise ValueError
@@ -203,6 +205,8 @@ def _coerce(key: str, value):
 
 def load_config_file(path) -> dict:
     """JSON settings; a run manifest unwraps to its embedded config."""
+    if path == "":
+        raise UsageError("bad value for 'config': ''")
     try:
         raw = Path(path).read_bytes()
     except FileNotFoundError:
@@ -462,7 +466,7 @@ def main(argv=None) -> int:
         overrides = vars(_build_parser().parse_args(argv))
         command = overrides.pop("command")
         path = overrides.pop("config", None)
-        config = resolve_config(load_config_file(path) if path else {}, overrides)
+        config = resolve_config({} if path is None else load_config_file(path), overrides)
         return _COMMANDS[command](config)
     except PesignalError as exc:
         print(f"pesignal: {exc.label}: {exc}", file=sys.stderr)

@@ -33,7 +33,6 @@ class RocCurve(NamedTuple):
     """Threshold-sweep curve from (0,0) to (1,1), fpr non-decreasing."""
 
     points: tuple
-    auc: float
 
     def _check(self):
         if not self.points or self.points[0] != (0.0, 0.0) or self.points[-1] != (1.0, 1.0):
@@ -41,8 +40,11 @@ class RocCurve(NamedTuple):
         for (x0, _), (x1, _) in zip(self.points, self.points[1:]):
             if x1 < x0:
                 raise ValueError("fpr must be non-decreasing along the curve")
-        if abs(self.auc - _trapezoid(self.points)) > 1e-12:
-            raise ValueError("auc does not match the trapezoid area of the points")
+
+    @property
+    def auc(self) -> float:
+        """The trapezoid area under the points."""
+        return _trapezoid(self.points)
 
 
 def roc(pairs) -> RocCurve:
@@ -64,7 +66,7 @@ def roc(pairs) -> RocCurve:
         fp += y is Label.DOWN
         if k + 1 == len(ranked) or ranked[k + 1][0] != p:
             points.append((fp / n_neg, tp / n_pos))
-    return RocCurve(tuple(points), _trapezoid(points))
+    return RocCurve(tuple(points))
 
 
 def confusion(pairs, threshold: float) -> tuple:
@@ -83,71 +85,69 @@ def confusion(pairs, threshold: float) -> tuple:
     return tp, fp, tn, fn
 
 
-@checked
 class ScoreReport(NamedTuple):
-    """Scored-record summary for one scope (or the pooled 'ALL').
+    """Scored-record summary for one scope (or the pooled 'ALL'): its
+    confusion counts and, when both outcome classes appear, its ROC
+    curve, from which every score follows.
 
-    auc and curve, the ROC curve auc is the area under, are None unless
-    both outcome classes appear; degenerate F1 and missing AUC are named
+    auc is None without a curve; degenerate F1 and missing AUC are named
     in flags so sweeps over many sectors stay total.
     """
 
     scope_name: str
-    n: int
     unscored: int
-    auc: float | None
-    f1: float
-    precision: float | None
-    recall: float | None
     tp: int
     fp: int
     tn: int
     fn: int
-    flags: tuple = ()
     curve: RocCurve | None = None
 
-    def _check(self):
-        if self.tp + self.fp + self.tn + self.fn != self.n:
-            raise ValueError("confusion counts must sum to the scored count")
+    @property
+    def n(self) -> int:
+        return self.tp + self.fp + self.tn + self.fn
+
+    @property
+    def auc(self) -> float | None:
+        return None if self.curve is None else self.curve.auc
+
+    @property
+    def precision(self) -> float | None:
+        return self.tp / (self.tp + self.fp) if self.tp + self.fp > 0 else None
+
+    @property
+    def recall(self) -> float | None:
+        return self.tp / (self.tp + self.fn) if self.tp + self.fn > 0 else None
+
+    @property
+    def f1(self) -> float:
+        """0 when degenerate, which is exactly when tp is 0: one true
+        positive makes precision and recall both positive."""
+        if not self.tp:
+            return 0.0
+        return 2.0 * self.precision * self.recall / (self.precision + self.recall)
+
+    @property
+    def flags(self) -> tuple:
+        flags = ()
+        if self.curve is None:
+            flags += ("single_class_auc" if self.n else "no_scored_records",)
+        if not self.tp:
+            flags += ("degenerate_f1",)
+        return flags
 
 
 def report(records, threshold: float, scope_name: str | None = None) -> ScoreReport:
-    """Bundle ROC, F1, and confusion for a record list; total on degenerate input."""
+    """Score a record list: its confusion counts and ROC curve; total on degenerate input."""
     if scope_name is None:
         if not records:
             raise DataError("cannot infer a scope name from no records")
         scope_name = records[0].scope.name
     pairs = scored_pairs(records)
-    unscored = len(records) - len(pairs)
-    tp, fp, tn, fn = confusion(pairs, threshold)
-    flags = []
     try:
         curve = roc(pairs)
     except DataError:
         curve = None
-        flags.append("single_class_auc" if pairs else "no_scored_records")
-    precision = tp / (tp + fp) if tp + fp > 0 else None
-    recall = tp / (tp + fn) if tp + fn > 0 else None
-    if precision is None or recall is None or precision + recall == 0.0:
-        score = 0.0
-        flags.append("degenerate_f1")
-    else:
-        score = 2.0 * precision * recall / (precision + recall)
-    return ScoreReport(
-        scope_name=scope_name,
-        n=len(pairs),
-        unscored=unscored,
-        auc=None if curve is None else curve.auc,
-        f1=score,
-        precision=precision,
-        recall=recall,
-        tp=tp,
-        fp=fp,
-        tn=tn,
-        fn=fn,
-        flags=tuple(flags),
-        curve=curve,
-    )
+    return ScoreReport(scope_name, len(records) - len(pairs), *confusion(pairs, threshold), curve)
 
 
 def _json_number(value) -> str:

@@ -27,28 +27,20 @@ SECTOR_FEATURES = (
 
 @checked
 class Scope(NamedTuple):
-    """Aggregation scope: a sector name, or None for the broad market."""
+    """Aggregation scope: the broad market, by default, or one sector, by its name."""
 
-    sector: str | None = None
+    name: str = BROAD_INDEX_NAME
 
     def _check(self):
-        if self.sector is not None and self.sector not in SECTOR_NAMES:
-            raise ValueError(f"unknown sector {self.sector!r}")
+        if self.name != BROAD_INDEX_NAME and self.name not in SECTOR_NAMES:
+            raise ValueError(f"unknown sector {self.name!r}")
 
     @property
     def is_broad(self) -> bool:
-        return self.sector is None
-
-    @property
-    def name(self) -> str:
-        return BROAD_INDEX_NAME if self.sector is None else self.sector
+        return self.name == BROAD_INDEX_NAME
 
     def matches(self, deal) -> bool:
-        return self.sector is None or deal.sector == self.sector
-
-    @classmethod
-    def of_name(cls, name: str) -> "Scope":
-        return cls(None if name == BROAD_INDEX_NAME else name)
+        return self.name in (BROAD_INDEX_NAME, deal.sector)
 
 
 BROAD_SCOPE = Scope()
@@ -237,7 +229,7 @@ def read_feature_table(stream) -> FeatureTable:
                 raise ValueError(f"expected {len(columns)} columns")
             quarter = Quarter.parse(parts[1])
             if not rows:
-                scope, start = Scope.of_name(parts[0]), quarter
+                scope, start = Scope(parts[0]), quarter
                 if names != feature_names(scope):
                     raise ValueError(f"columns {names} do not fit scope {scope.name}")
             elif parts[0] != scope.name:

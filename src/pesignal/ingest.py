@@ -41,8 +41,6 @@ SECTOR_NAMES = (
 
 BROAD_INDEX_NAME = "Market"
 
-_VALID_SECTORS = frozenset(SECTOR_NAMES) | {BROAD_INDEX_NAME}
-
 _NA_TOKENS = frozenset({"", "n/a", "na", "none"})
 
 # digits are ASCII: str.isdigit and int also take other scripts' digits
@@ -112,7 +110,7 @@ class DealRecord(NamedTuple):
     def _check(self):
         if not self.company_id:
             raise ValueError("company_id must be nonempty")
-        if self.sector not in _VALID_SECTORS:
+        if self.sector not in SECTOR_NAMES:
             raise ValueError(f"unknown sector {self.sector!r}")
         aum = self.investor_aum
         if aum is not None and not isinstance(aum, AumBucket):
@@ -248,7 +246,7 @@ def _company_id(text: str) -> str:
 
 
 def _sector(text: str) -> str:
-    if text.strip() not in _VALID_SECTORS:
+    if text.strip() not in SECTOR_NAMES:
         raise DataError(f"unknown sector {text.strip()!r}")
     return text.strip()
 

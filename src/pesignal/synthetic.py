@@ -158,7 +158,7 @@ def quarter_deal_counts(spec: SyntheticSpec, sector_idx: int) -> list:
 
 
 def _stream_index(scope: Scope) -> int:
-    return _BROAD_STREAM if scope.is_broad else SECTOR_NAMES.index(scope.sector)
+    return _BROAD_STREAM if scope.is_broad else SECTOR_NAMES.index(scope.name)
 
 
 def generate_pe(spec: SyntheticSpec) -> dict:
@@ -289,7 +289,6 @@ class SyntheticDataset(NamedTuple):
     features: dict
     ztables: dict
     labels: dict
-    planted: dict
 
 
 def generate_dataset(spec: SyntheticSpec) -> SyntheticDataset:
@@ -298,11 +297,9 @@ def generate_dataset(spec: SyntheticSpec) -> SyntheticDataset:
     features, ztables = generate_features(spec, deals, pe)
     prices = {}
     labels = {}
-    planted = {}
     # spec.scopes() puts the market first, so every sector finds its prices
     for scope in spec.scopes():
-        planted[scope.name] = planted_params(spec, scope)
         labels[scope.name], prices[scope.name] = generate_labels(
-            ztables[scope.name], planted[scope.name], spec, scope, prices.get(BROAD_SCOPE.name)
+            ztables[scope.name], planted_params(spec, scope), spec, scope, prices.get(BROAD_SCOPE.name)
         )
-    return SyntheticDataset(spec, deals, prices, pe, features, ztables, labels, planted)
+    return SyntheticDataset(spec, deals, prices, pe, features, ztables, labels)

@@ -27,6 +27,11 @@ overflows nor underflows.
 numpy_generate_deals is synthetic.generate_deals as it was while it
 indexed the AUM and rank paths as numpy scalars and clipped ranks with
 np.clip; the library, which now works on Python floats, must equal it.
+
+stored_scores is the arithmetic evaluation.report ran while a
+ScoreReport stored its scores beside the confusion counts and curve
+they come from, and a RocCurve its area beside its points; the scores
+the report now derives must equal it, flag order included.
 """
 
 import math
@@ -159,6 +164,27 @@ def unscaled_window_z(window):
     mu = math.fsum(window) / len(window)
     sigma = math.sqrt(math.fsum((v - mu) * (v - mu) for v in window) / (len(window) - 1))
     return (window[-1] - mu) / sigma if sigma else None
+
+
+def stored_scores(tp: int, fp: int, tn: int, fn: int, curve) -> dict:
+    """n, auc, precision, recall, f1 and flags of the counts and the
+    curve (a RocCurve or None) as report computed and stored them."""
+    flags = []
+    if curve is None:
+        flags.append("single_class_auc" if tp + fp + tn + fn else "no_scored_records")
+    precision = tp / (tp + fp) if tp + fp > 0 else None
+    recall = tp / (tp + fn) if tp + fn > 0 else None
+    if precision is None or recall is None or precision + recall == 0.0:
+        f1 = 0.0
+        flags.append("degenerate_f1")
+    else:
+        f1 = 2.0 * precision * recall / (precision + recall)
+    if curve is None:
+        auc = None
+    else:
+        points = curve.points
+        auc = math.fsum((x1 - x0) * (y0 + y1) / 2.0 for (x0, y0), (x1, y1) in zip(points, points[1:]))
+    return {"n": tp + fp + tn + fn, "auc": auc, "precision": precision, "recall": recall, "f1": f1, "flags": tuple(flags)}
 
 
 def numpy_generate_deals(spec) -> list:

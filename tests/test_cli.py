@@ -523,6 +523,10 @@ class TestExitCodes:
             ),
             pytest.param("backtest", "max_iter", True, "bad value for 'max_iter': True", id="max_iter-true"),
             pytest.param("backtest", "eta", True, "bad value for 'eta': True", id="eta-true"),
+            # an empty path names no file; it read as <key>.csv in out
+            pytest.param("features", "deals", "", "bad value for 'deals': ''", id="deals-empty"),
+            pytest.param("backtest", "prices", "", "bad value for 'prices': ''", id="prices-empty"),
+            pytest.param("features", "pe", "", "bad value for 'pe': ''", id="pe-empty"),
         ],
     )
     def test_bad_setting_is_a_usage_error(self, tmp_path, capsys, command, key, value, message):
@@ -546,6 +550,12 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["synth", "--config", str(path), "--out", str(out)]) == 1
         assert f"usage error: {message.format(path=path)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_config_path_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["synth", "--config", "", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "pesignal: usage error: bad value for 'config': ''\n"
         assert not out.exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
@@ -614,6 +624,10 @@ class TestExitCodes:
                 "strict", 2, "pesignal: data error: {path}: line 3, column sector: unknown sector 'Zeppelins'",
                 id="strict-deal-row",
             ),
+            pytest.param(
+                "market", 2, "pesignal: data error: {path}: line 3, column sector: unknown sector 'Market'",
+                id="strict-market-deal-row",
+            ),
         ],
     )
     def test_failing_command_prints_one_line_and_its_exit_code(self, tmp_path, capsys, monkeypatch, case, code, line):
@@ -639,7 +653,7 @@ class TestExitCodes:
                 parts[1] = "2000-05-31"
                 argv = ["backtest", *study]
             else:
-                parts[2] = "Zeppelins"
+                parts[2] = "Market" if case == "market" else "Zeppelins"
                 argv = ["features", *study, "--strict"]
             lines[2] = ",".join(parts)
             path.write_text("".join(lines), encoding="utf-8")

@@ -138,11 +138,9 @@ class TestRoc:
 
     def test_curve_validation(self):
         with pytest.raises(ValueError):
-            RocCurve(((0.0, 0.0), (0.5, 0.5)), 0.25)
-        with pytest.raises(ValueError):
-            RocCurve(((0.0, 0.0), (1.0, 1.0)), 0.75)
+            RocCurve(((0.0, 0.0), (0.5, 0.5)))
         with pytest.raises(ValueError, match="fpr must be non-decreasing"):
-            RocCurve(((0.0, 0.0), (0.5, 0.5), (0.25, 1.0), (1.0, 1.0)), 0.75)
+            RocCurve(((0.0, 0.0), (0.5, 0.5), (0.25, 1.0), (1.0, 1.0)))
 
 
 class TestPooledRoc:

@@ -107,7 +107,7 @@ def oracle_feature_table(deals, scope, first_quarter, last_quarter, market_pe, s
             weighted_avg_aum=weighted_avg_aum(deals, scope, quarter),
             market_pe=market_pe.get(quarter),
             avg_fund_ranking=None if not scope.is_broad else avg_fund_ranking(deals, quarter),
-            sector_count_pct=None if scope.is_broad else sector_count_pct(deals, scope.sector, quarter),
+            sector_count_pct=None if scope.is_broad else sector_count_pct(deals, scope.name, quarter),
             sector_pe=None if scope.is_broad else sector_pe.get(quarter),
         )
         rows.append(tuple(values[name] for name in feature_names(scope)))

@@ -182,6 +182,12 @@ class TestParseDeals:
         (issue,) = parse_deals(deals_io("a,A,Fintech,2008-02-12,1.0,N/A")).issues
         assert str(issue) == "line 2, column sector: unknown sector 'Fintech'"
 
+    def test_market_is_no_deal_sector(self):
+        (issue,) = parse_deals(deals_io(f"a,A,{BROAD_INDEX_NAME},2008-02-12,1.0,N/A")).issues
+        assert str(issue) == "line 2, column sector: unknown sector 'Market'"
+        with pytest.raises(ValueError, match="unknown sector 'Market'"):
+            DealRecord("a", "A", BROAD_INDEX_NAME, date(2008, 2, 12))
+
     def test_custom_columns_and_delimiter(self):
         fmt = DealFileFormat(
             delimiter=";",
@@ -343,7 +349,7 @@ deal_records = st.builds(
     DealRecord,
     company_id=cells.filter(bool),
     company_name=cells,
-    sector=st.sampled_from((*SECTOR_NAMES, BROAD_INDEX_NAME)),
+    sector=st.sampled_from(SECTOR_NAMES),
     investment_date=st.dates(date(1900, 1, 1), date(2100, 12, 31)),
     investor_aum=st.none()
     | st.sampled_from(AumBucket)

@@ -197,7 +197,7 @@ def test_sector_label_generation_needs_market_prices():
     data = generate_dataset(SMALL)
     scope = Scope("Communications")
     with pytest.raises(ValueError, match="market price series"):
-        generate_labels(data.ztables[scope.name], data.planted[scope.name], SMALL, scope)
+        generate_labels(data.ztables[scope.name], planted_params(SMALL, scope), SMALL, scope)
 
 
 def test_huge_bias_forces_up_on_z_quarters():
