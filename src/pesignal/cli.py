@@ -168,7 +168,8 @@ def _coerce(key: str, value):
         if kind is float:
             return _finite(value)
         if key == "delimiter":
-            if not isinstance(value, str) or len(value) != 1:
+            # a line break would end the row it separates
+            if not isinstance(value, str) or len(value) != 1 or value in "\r\n":
                 raise ValueError
             return value
         if kind is bool:
@@ -194,8 +195,8 @@ def _coerce(key: str, value):
             return {str(k): str(v) for k, v in value.items()}
         if isinstance(value, str) and key in ("first", "last", "start"):
             Quarter.parse(value)
-        if value == "" and key in ("deals", "prices", "pe"):
-            raise ValueError  # input_path would read <key>.csv in out in its place
+        if value == "" and key in ("out", "deals", "prices", "pe"):
+            raise ValueError  # it would name the working directory, or <key>.csv in out
         if isinstance(value, str) or (value is None and kind is type(None)):
             return value
         raise ValueError
@@ -392,8 +393,6 @@ def cmd_backtest(config: RunConfig) -> int:
 
 
 def cmd_evaluate(config: RunConfig) -> int:
-    # the threshold is the one fit setting evaluate reads; check it as backtest does
-    RunConfig(threshold=config.threshold).backtest_config()
     files = _Files(config)
     out = config.out_dir()
     reports = []
@@ -409,7 +408,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     if len(per_scope) > 1:
         per_scope.append(("ALL", pooled_records))
     for name, records in per_scope:
-        scope_report = report(records, config.threshold, scope_name=name)
+        scope_report = report(records, scope_name=name)
         reports.append(scope_report)
         for flag in scope_report.flags:
             _log("%s: %s", name, flag)

@@ -1,15 +1,16 @@
 """Scoring of prediction tables: ROC/AUC, F1, confusion counts.
 
-The ROC sweeps the classification threshold down the distinct scores,
-classifying UP at or above the threshold. The trapezoid area under that
-curve equals the rank statistic (probability a random UP outscores a
-random DOWN, ties at half), which the tests exploit as an independent
-oracle.
+The confusion counts tally the labels the backtest predicted. The ROC
+sweeps the classification threshold down the distinct scores,
+classifying UP at or above it. The trapezoid area under that curve
+equals the rank statistic (probability a random UP outscores a random
+DOWN, ties at half), which the tests exploit as an independent oracle.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from ._record import NamedTuple, checked
 from .backtest import PREDICTION_COLUMNS, prediction_row
@@ -69,20 +70,11 @@ def roc(pairs) -> RocCurve:
     return RocCurve(tuple(points))
 
 
-def confusion(pairs, threshold: float) -> tuple:
-    """(tp, fp, tn, fn) classifying UP at p_up >= threshold."""
-    tp = fp = tn = fn = 0
-    for p, actual in pairs:
-        predicted_up = p >= threshold
-        if predicted_up and actual is Label.UP:
-            tp += 1
-        elif predicted_up:
-            fp += 1
-        elif actual is Label.DOWN:
-            tn += 1
-        else:
-            fn += 1
-    return tp, fp, tn, fn
+def confusion(records) -> tuple:
+    """(tp, fp, tn, fn) of the scored records' (predicted, actual) pairs."""
+    counts = Counter((rec.predicted, rec.actual) for rec in records if rec.actual is not None)
+    up, down = Label.UP, Label.DOWN
+    return counts[up, up], counts[up, down], counts[down, down], counts[down, up]
 
 
 class ScoreReport(NamedTuple):
@@ -136,7 +128,7 @@ class ScoreReport(NamedTuple):
         return flags
 
 
-def report(records, threshold: float, scope_name: str | None = None) -> ScoreReport:
+def report(records, scope_name: str | None = None) -> ScoreReport:
     """Score a record list: its confusion counts and ROC curve; total on degenerate input."""
     if scope_name is None:
         if not records:
@@ -147,7 +139,7 @@ def report(records, threshold: float, scope_name: str | None = None) -> ScoreRep
         curve = roc(pairs)
     except DataError:
         curve = None
-    return ScoreReport(scope_name, len(records) - len(pairs), *confusion(pairs, threshold), curve)
+    return ScoreReport(scope_name, len(records) - len(pairs), *confusion(records), curve)
 
 
 def _json_number(value) -> str:

@@ -32,6 +32,11 @@ stored_scores is the arithmetic evaluation.report ran while a
 ScoreReport stored its scores beside the confusion counts and curve
 they come from, and a RocCurve its area beside its points; the scores
 the report now derives must equal it, flag order included.
+
+threshold_confusion is evaluation.confusion as it was while evaluate
+classified each (p_up, actual) pair again at its own threshold; the
+counts of the predicted labels backtest writes must equal it at the
+backtest's threshold.
 """
 
 import math
@@ -43,6 +48,7 @@ from pesignal.errors import DataError, InsufficientHistoryError
 from pesignal.features import FeatureTable
 from pesignal.ingest import SECTOR_NAMES, AumBucket, DealRecord
 from pesignal.logit import LogitParams, prob_up
+from pesignal.response import Label
 from pesignal.standardize import _window_z
 from pesignal.synthetic import _P_DEALS, _stream, aum_level_path, quarter_deal_counts, rank_level_path
 
@@ -185,6 +191,22 @@ def stored_scores(tp: int, fp: int, tn: int, fn: int, curve) -> dict:
         points = curve.points
         auc = math.fsum((x1 - x0) * (y0 + y1) / 2.0 for (x0, y0), (x1, y1) in zip(points, points[1:]))
     return {"n": tp + fp + tn + fn, "auc": auc, "precision": precision, "recall": recall, "f1": f1, "flags": tuple(flags)}
+
+
+def threshold_confusion(pairs, threshold: float) -> tuple:
+    """(tp, fp, tn, fn) classifying UP at p_up >= threshold."""
+    tp = fp = tn = fn = 0
+    for p, actual in pairs:
+        predicted_up = p >= threshold
+        if predicted_up and actual is Label.UP:
+            tp += 1
+        elif predicted_up:
+            fp += 1
+        elif actual is Label.DOWN:
+            tn += 1
+        else:
+            fn += 1
+    return tp, fp, tn, fn
 
 
 def numpy_generate_deals(spec) -> list:

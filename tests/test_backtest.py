@@ -333,8 +333,8 @@ class TestPredictionIO:
         assert rows[2].endswith("0.500000,UP,NA,NA")
 
     def test_table_read_back_classifies_as_written(self, monkeypatch):
-        # 0.49999996 is DOWN but is written 0.500000, which evaluate's
-        # report reads back as UP at threshold 0.5
+        # 0.49999996 is DOWN but is written 0.500000, so backtest
+        # classifies it UP at threshold 0.5, as evaluate's report counts it
         monkeypatch.setattr("pesignal.backtest.prob_up", lambda z, params: 0.49999996)
         rows = broad_rows(16)
         records = run(rows, broad_labels(quarters_of(rows), force=Label.DOWN), FAST).records
@@ -343,7 +343,7 @@ class TestPredictionIO:
         assert all(line.endswith(",0.500000,UP,DOWN,0") for line in out.getvalue().splitlines()[1:])
         back = read_predictions(io.StringIO(out.getvalue()))
         assert all(rec.predicted is Label.UP and rec.p_up >= FAST.threshold for rec in back)
-        scores = report(back, FAST.threshold)
+        scores = report(back)
         assert (scores.tp, scores.fp, scores.tn, scores.fn) == (0, len(back), 0, 0)
 
     def test_read_skips_a_blank_line(self):

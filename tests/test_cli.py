@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,23 @@ class TestSmokePath:
         assert rows[-1]["auc"] == pytest.approx(roc(pooled).auc, abs=5e-7)
         assert (out / "roc_all.csv").is_file()
         assert not (out / "scatter_all.csv").exists()
+
+    def test_evaluate_scores_the_labels_backtest_predicted(self, tmp_path):
+        # backtest classifies at 0.3 and evaluate runs on the defaults; the
+        # counts in scores.jsonl are the table's, as its scatter shows them
+        config = write_config(tmp_path, SMALL)
+        out = tmp_path / "out"
+        for command, flags in (("synth", []), ("features", []), ("backtest", ["--threshold", "0.3"]), ("evaluate", [])):
+            assert main([command, "--config", config, "--out", str(out), "--scopes", "Market", *flags]) == 0, command
+        with open(out / "predictions_market.csv", encoding="utf-8") as handle:
+            records = read_predictions(handle)
+        # an UP below 0.5 is a label evaluate's default threshold would not give
+        assert any(rec.predicted is Label.UP and rec.p_up < 0.5 for rec in records if rec.actual is not None)
+        pairs = Counter((rec.predicted, rec.actual) for rec in records)
+        up, down = Label.UP, Label.DOWN
+        tally = {"tp": pairs[up, up], "fp": pairs[up, down], "tn": pairs[down, down], "fn": pairs[down, up]}
+        (row,) = [json.loads(line) for line in (out / "scores.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert {key: row[key] for key in tally} == tally
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out = run_pipeline(tmp_path, SMALL)
@@ -506,7 +524,7 @@ class TestExitCodes:
             pytest.param("backtest", "eta", math.nan, "bad value for 'eta': nan", id="eta-nan"),
             pytest.param("backtest", "tolerance", math.inf, "bad value for 'tolerance': inf", id="tolerance-inf"),
             pytest.param("evaluate", "threshold", math.nan, "bad value for 'threshold': nan", id="threshold-nan"),
-            pytest.param("evaluate", "threshold", 7, "threshold must lie in [0, 1]", id="threshold-7"),
+            pytest.param("backtest", "threshold", 7, "threshold must lie in [0, 1]", id="threshold-7"),
             pytest.param("synth", "out", None, "bad value for 'out': None", id="out-null"),
             pytest.param("synth", "start", None, "bad value for 'start': None", id="start-null"),
             pytest.param("synth", "planted_w", "12345", "bad value for 'planted_w': '12345'", id="planted_w-string"),
@@ -527,6 +545,11 @@ class TestExitCodes:
             pytest.param("features", "deals", "", "bad value for 'deals': ''", id="deals-empty"),
             pytest.param("backtest", "prices", "", "bad value for 'prices': ''", id="prices-empty"),
             pytest.param("features", "pe", "", "bad value for 'pe': ''", id="pe-empty"),
+            # an empty out names the working directory
+            pytest.param("synth", "out", "", "bad value for 'out': ''", id="out-empty"),
+            # a line break ends the row it would separate, so features could not read what synth wrote
+            pytest.param("synth", "delimiter", "\n", "bad value for 'delimiter': '\\n'", id="delimiter-newline"),
+            pytest.param("synth", "delimiter", "\r", "bad value for 'delimiter': '\\r'", id="delimiter-return"),
         ],
     )
     def test_bad_setting_is_a_usage_error(self, tmp_path, capsys, command, key, value, message):

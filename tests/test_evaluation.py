@@ -24,8 +24,11 @@ from pesignal.evaluation import (
     write_score_reports,
 )
 from pesignal.features import BROAD_SCOPE
+from pesignal.logit import classify
 from pesignal.quarters import Quarter
 from pesignal.response import Label
+
+from oracles import threshold_confusion
 
 UP, DOWN = Label.UP, Label.DOWN
 
@@ -159,13 +162,17 @@ class TestPooledRoc:
         assert 0.0 < pooled.auc < 1.0
 
 
-def f1(pairs, threshold):
-    """The F1 that report gives for records carrying these (p_up, actual) pairs."""
-    records = [
-        PredictionRecord(BROAD_SCOPE, Quarter(2004, 3) + k, p, UP if p >= threshold else DOWN, actual)
+def classified(pairs, threshold):
+    """Records carrying these (p_up, actual) pairs, predicted as backtest classifies them."""
+    return [
+        PredictionRecord(BROAD_SCOPE, Quarter(2004, 3) + k, p, classify(p, threshold), actual)
         for k, (p, actual) in enumerate(pairs)
     ]
-    return report(records, threshold, scope_name="Market").f1
+
+
+def f1(pairs, threshold):
+    """The F1 that report gives for records carrying these (p_up, actual) pairs."""
+    return report(classified(pairs, threshold), scope_name="Market").f1
 
 
 class TestF1:
@@ -179,7 +186,7 @@ class TestF1:
             + [(0.8, DOWN)]          # fp
             + [(0.1, UP)] * 2        # fn
         )
-        assert confusion(pairs, 0.5) == (3, 1, 0, 2)
+        assert confusion(classified(pairs, 0.5)) == (3, 1, 0, 2)
         assert f1(pairs, 0.5) == pytest.approx(2 / 3, abs=1e-12)
 
     def test_degenerate_zero(self):
@@ -191,7 +198,7 @@ class TestF1:
         rng = random.Random(97)
         for _ in range(200):
             pairs = random_pairs(rng, rng.randint(2, 12))
-            tp, fp, _, fn = confusion(pairs, 0.5)
+            tp, fp, _, fn = confusion(classified(pairs, 0.5))
             value = f1(pairs, 0.5)
             assert 0.0 <= value <= 1.0
             assert (value == 1.0) == (fp == 0 and fn == 0 and tp > 0)
@@ -199,7 +206,7 @@ class TestF1:
             assert value == pytest.approx(2 * tp / (2 * tp + fp + fn) if tp else 0.0, abs=1e-12)
 
     def test_threshold_boundary_counts_up(self):
-        assert confusion([(0.5, UP)], 0.5) == (1, 0, 0, 0)
+        assert confusion(classified([(0.5, UP)], 0.5)) == (1, 0, 0, 0)
 
 
 def record(quarter_offset, p, actual, predicted=None):
@@ -219,7 +226,7 @@ class TestReport:
             record(3, 0.2, DOWN),
             record(4, 0.8, None),
         ]
-        rep = report(records, 0.5)
+        rep = report(records)
         assert rep.scope_name == "Market"
         assert rep.n == 4
         assert rep.unscored == 1
@@ -231,19 +238,19 @@ class TestReport:
 
     def test_single_class_flagged(self):
         records = [record(0, 0.9, UP), record(1, 0.4, UP)]
-        rep = report(records, 0.5)
+        rep = report(records)
         assert rep.auc is None
         assert "single_class_auc" in rep.flags
 
     def test_degenerate_f1_flagged(self):
         records = [record(0, 0.1, DOWN), record(1, 0.2, DOWN)]
-        rep = report(records, 0.5)
+        rep = report(records)
         assert rep.f1 == 0.0
         assert "degenerate_f1" in rep.flags
 
     def test_json_line(self):
         records = [record(0, 0.9, UP), record(1, 0.2, DOWN)]
-        line = score_report_json(report(records, 0.5))
+        line = score_report_json(report(records))
         parsed = json.loads(line)
         assert parsed["scope"] == "Market"
         assert parsed["auc"] == 1.0
@@ -251,16 +258,39 @@ class TestReport:
         assert parsed["flags"] == []
 
     def test_json_null_auc(self):
-        parsed = json.loads(score_report_json(report([record(0, 0.9, UP)], 0.5)))
+        parsed = json.loads(score_report_json(report([record(0, 0.9, UP)])))
         assert parsed["auc"] is None
 
     def test_no_records_and_no_scope_name_is_a_data_error(self):
         with pytest.raises(DataError, match="cannot infer a scope name from no records"):
-            report([], 0.5)
+            report([])
 
     def test_explicit_scope_name(self):
-        rep = report([record(0, 0.9, UP), record(1, 0.2, DOWN)], 0.5, scope_name="ALL")
+        rep = report([record(0, 0.9, UP), record(1, 0.2, DOWN)], scope_name="ALL")
         assert rep.scope_name == "ALL"
+
+    def test_counts_the_predicted_labels_not_p_up(self):
+        # a table backtest wrote at threshold 0.3 holds UP below 0.5
+        records = [
+            record(0, 0.4, UP, predicted=UP),
+            record(1, 0.35, DOWN, predicted=UP),
+            record(2, 0.9, UP, predicted=DOWN),
+        ]
+        rep = report(records)
+        assert (rep.tp, rep.fp, rep.tn, rep.fn) == (1, 1, 0, 1)
+
+
+scores = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=st.lists(st.tuples(scores, st.sampled_from([UP, DOWN, None])), max_size=30), theta=scores)
+@example(drawn=[(0.4999996, DOWN), (0.5, UP), (0.4999994, UP)], theta=0.5)
+def test_report_counts_as_the_threshold_walk_at_the_backtest_threshold(drawn, theta):
+    # backtest classifies the 6-decimal p_up its table holds
+    records = classified([(float(f"{p:.6f}"), actual) for p, actual in drawn], theta)
+    rep = report(records, scope_name="Market")
+    assert (rep.tp, rep.fp, rep.tn, rep.fn) == threshold_confusion(scored_pairs(records), theta)
 
 
 class TestEmissions:
@@ -283,8 +313,8 @@ class TestEmissions:
     def test_reports_file(self):
         out = io.StringIO()
         reports = [
-            report([record(0, 0.9, UP), record(1, 0.2, DOWN)], 0.5),
-            report([record(0, 0.9, UP), record(1, 0.2, DOWN)], 0.5, scope_name="ALL"),
+            report([record(0, 0.9, UP), record(1, 0.2, DOWN)]),
+            report([record(0, 0.9, UP), record(1, 0.2, DOWN)], scope_name="ALL"),
         ]
         write_score_reports(reports, out)
         lines = out.getvalue().splitlines()
