@@ -73,20 +73,14 @@ class AumBucket(enum.Enum):
         return cls.HIGH
 
 
-_BUCKET_TAGS = {
-    "LOW": AumBucket.LOW,
-    "AUM<2": AumBucket.LOW,
-    "MID": AumBucket.MID,
-    "2<AUM<10": AumBucket.MID,
-    "HIGH": AumBucket.HIGH,
-    "AUM>10": AumBucket.HIGH,
-}
-
 _CANONICAL_BUCKET_TAG = {
     AumBucket.LOW: "AUM<2",
     AumBucket.MID: "2<AUM<10",
     AumBucket.HIGH: "AUM>10",
 }
+
+# parse_aum reads a bucket from its canonical tag or its name
+_BUCKET_TAGS = {tag: b for b, canonical in _CANONICAL_BUCKET_TAG.items() for tag in (b.name, canonical)}
 
 
 @checked
@@ -128,24 +122,36 @@ class DealRecord(NamedTuple):
         return float(self.investor_aum)
 
 
+def _distinct_columns(fmt):
+    """_check of a file format: a column that two fields name would be read for both and written twice."""
+    for k, column in enumerate(fmt[2:], 2):
+        if column in fmt[1:k]:
+            field = fmt._fields[fmt.index(column, 1)]
+            raise ValueError(f"{type(fmt).__name__} fields {field} and {fmt._fields[k]} both name column {column!r}")
+
+
+@checked
 class DealFileFormat(NamedTuple):
-    """Column names and delimiter of a deal export."""
+    """Delimiter and column names of a deal export, the columns in file order."""
 
     delimiter: str = ","
     company_id: str = "company_id"
     company_name: str = "company_name"
     sector: str = "sector"
     date: str = "first_investment_date"
+    investor: str = "investor"
     aum: str = "investor_aum"
     rank: str = "investor_performance"
-    investor: str = "investor"
+    _check = _distinct_columns
 
 
+@checked
 class PriceFileFormat(NamedTuple):
     delimiter: str = ","
     index_name: str = "index_name"
     date: str = "date"
     value: str = "value"
+    _check = _distinct_columns
 
 
 class RowIssue(NamedTuple):
@@ -251,27 +257,44 @@ def _sector(text: str) -> str:
     return text.strip()
 
 
+def format_aum(value) -> str:
+    if value is None:
+        return "N/A"
+    if isinstance(value, AumBucket):
+        return _CANONICAL_BUCKET_TAG[value]
+    return repr(float(value))
+
+
+def format_rank(value: float | None) -> str:
+    return "N/A" if value is None else repr(float(value))
+
+
+# one row per deal-file column, in DealFileFormat's order: the DealRecord
+# field it holds, the parser of its cell and the writer of its value
+_DEAL_COLUMNS = (
+    ("company_id", _company_id, str),
+    ("company_name", str.strip, str),
+    ("sector", _sector, str),
+    ("investment_date", parse_date, date.isoformat),
+    ("investor", str.strip, str),
+    ("investor_aum", parse_aum, format_aum),
+    ("investor_rank", parse_rank, format_rank),
+)
+
+
 def parse_deals(stream, fmt: DealFileFormat = DealFileFormat()) -> ParsedDeals:
     """Parse a deal export.
 
     Rows whose fields fail to parse are rejected with a RowIssue naming
     the line and the first failing column. A malformed header is fatal.
     """
-    # DealRecord's fields in order, each parsed from its column; the last,
-    # investor, is optional, and a missing cell reads as ""
-    fields = (
-        ("company_id", fmt.company_id, _company_id),
-        ("company_name", fmt.company_name, str.strip),
-        ("sector", fmt.sector, _sector),
-        ("investment_date", fmt.date, parse_date),
-        ("investor_aum", fmt.aum, parse_aum),
-        ("investor_rank", fmt.rank, parse_rank),
-        ("investor", fmt.investor, str.strip),
-    )
+    columns = tuple(zip(fmt[1:], _DEAL_COLUMNS))
+    # every column but investor is required; a missing cell reads as ""
+    wanted = [column for column, (field, _, _) in columns if field != "investor"]
     result = ParsedDeals([], [])
-    for line, row in _csv_rows(stream, fmt.delimiter, [column for _, column, _ in fields[:-1]], "deal file"):
+    for line, row in _csv_rows(stream, fmt.delimiter, wanted, "deal file"):
         values = {}
-        for field, column, parser in fields:
+        for column, (field, parser, _) in columns:
             try:
                 values[field] = parser(row.get(column) or "")
             except DataError as exc:
@@ -306,7 +329,7 @@ def parse_prices(stream, fmt: PriceFileFormat = PriceFileFormat()) -> dict:
     label downstream, so there is no lenient mode.
     """
     by_index: dict = {}
-    for line, row in _csv_rows(stream, fmt.delimiter, [fmt.index_name, fmt.date, fmt.value], "price file"):
+    for line, row in _csv_rows(stream, fmt.delimiter, fmt[1:], "price file"):
         try:
             name = (row.get(fmt.index_name) or "").strip()
             if not name:
@@ -336,40 +359,15 @@ def parse_prices(stream, fmt: PriceFileFormat = PriceFileFormat()) -> dict:
     return series
 
 
-def format_aum(value) -> str:
-    if value is None:
-        return "N/A"
-    if isinstance(value, AumBucket):
-        return _CANONICAL_BUCKET_TAG[value]
-    return repr(float(value))
-
-
-def format_rank(value: float | None) -> str:
-    return "N/A" if value is None else repr(float(value))
-
-
 def write_deals(records, stream, fmt: DealFileFormat = DealFileFormat()):
     writer = csv.writer(stream, delimiter=fmt.delimiter, lineterminator="\n")
-    writer.writerow(
-        [fmt.company_id, fmt.company_name, fmt.sector, fmt.date, fmt.investor, fmt.aum, fmt.rank]
-    )
-    for rec in records:
-        writer.writerow(
-            [
-                rec.company_id,
-                rec.company_name,
-                rec.sector,
-                rec.investment_date.isoformat(),
-                rec.investor,
-                format_aum(rec.investor_aum),
-                format_rank(rec.investor_rank),
-            ]
-        )
+    writer.writerow(fmt[1:])
+    writer.writerows([write(getattr(rec, field)) for field, _, write in _DEAL_COLUMNS] for rec in records)
 
 
 def write_prices(series_by_index, stream, fmt: PriceFileFormat = PriceFileFormat()):
     writer = csv.writer(stream, delimiter=fmt.delimiter, lineterminator="\n")
-    writer.writerow([fmt.index_name, fmt.date, fmt.value])
+    writer.writerow(fmt[1:])
     for name in sorted(series_by_index):
         for quarter, value in series_by_index[name].items():
             writer.writerow([name, quarter.end_date().isoformat(), repr(float(value))])

@@ -62,10 +62,16 @@ class FitReport(NamedTuple):
 
 
 def prob_up(z, params: LogitParams) -> float:
-    """P(UP | z): logistic of the linear score, stable at saturation."""
+    """P(UP | z): logistic of the linear score, stable at saturation. A
+    score past the float range is a NumericalError."""
     if len(z) != params.dim:
         raise ValueError(f"feature dimension {len(z)} != model dimension {params.dim}")
-    score = math.fsum(w * v for w, v in zip(params.weights, z)) + params.bias
+    try:
+        score = math.fsum(w * v for w, v in zip(params.weights, z)) + params.bias
+    except (OverflowError, ValueError):  # fsum's intermediate overflow, or inf - inf
+        score = math.nan
+    if not math.isfinite(score):
+        raise NumericalError("logit score past the float range")
     if score >= 0.0:
         return 1.0 / (1.0 + math.exp(-score))
     e = math.exp(score)

@@ -60,6 +60,8 @@ class SyntheticSpec(NamedTuple):
     def _check(self):
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.seed >= 2**63:  # numpy reads a larger key word of _stream's as a float
+            raise ValueError("seed must be < 2**63")
         if self.std_window < 2:
             raise ValueError("std_window must be at least 2")
         if self.n_quarters < self.std_window + 2:

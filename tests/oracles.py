@@ -37,8 +37,15 @@ threshold_confusion is evaluation.confusion as it was while evaluate
 classified each (p_up, actual) pair again at its own threshold; the
 counts of the predicted labels backtest writes must equal it at the
 backtest's threshold.
+
+listed_parse_deals and listed_write_deals are ingest.parse_deals and
+ingest.write_deals as they were while each listed the deal file's
+columns itself, one field of DealFileFormat at a time; the library's
+readers and writers of its one column table must equal them, text,
+records and row issues alike, for any column names and delimiter.
 """
 
+import csv
 import math
 from datetime import timedelta
 
@@ -46,7 +53,21 @@ import numpy as np
 
 from pesignal.errors import DataError, InsufficientHistoryError
 from pesignal.features import FeatureTable
-from pesignal.ingest import SECTOR_NAMES, AumBucket, DealRecord
+from pesignal.ingest import (
+    SECTOR_NAMES,
+    AumBucket,
+    DealRecord,
+    ParsedDeals,
+    RowIssue,
+    _company_id,
+    _csv_rows,
+    _sector,
+    format_aum,
+    format_rank,
+    parse_aum,
+    parse_date,
+    parse_rank,
+)
 from pesignal.logit import LogitParams, prob_up
 from pesignal.response import Label
 from pesignal.standardize import _window_z
@@ -255,3 +276,44 @@ def numpy_generate_deals(spec) -> list:
                     )
                 )
     return deals
+
+
+def listed_parse_deals(stream, fmt) -> ParsedDeals:
+    fields = (
+        ("company_id", fmt.company_id, _company_id),
+        ("company_name", fmt.company_name, str.strip),
+        ("sector", fmt.sector, _sector),
+        ("investment_date", fmt.date, parse_date),
+        ("investor_aum", fmt.aum, parse_aum),
+        ("investor_rank", fmt.rank, parse_rank),
+        ("investor", fmt.investor, str.strip),
+    )
+    result = ParsedDeals([], [])
+    for line, row in _csv_rows(stream, fmt.delimiter, [column for _, column, _ in fields[:-1]], "deal file"):
+        values = {}
+        for field, column, parser in fields:
+            try:
+                values[field] = parser(row.get(column) or "")
+            except DataError as exc:
+                result.issues.append(RowIssue(line, column, str(exc)))
+                break
+        else:
+            result.records.append(DealRecord(**values))
+    return result
+
+
+def listed_write_deals(records, stream, fmt):
+    writer = csv.writer(stream, delimiter=fmt.delimiter, lineterminator="\n")
+    writer.writerow([fmt.company_id, fmt.company_name, fmt.sector, fmt.date, fmt.investor, fmt.aum, fmt.rank])
+    for rec in records:
+        writer.writerow(
+            [
+                rec.company_id,
+                rec.company_name,
+                rec.sector,
+                rec.investment_date.isoformat(),
+                rec.investor,
+                format_aum(rec.investor_aum),
+                format_rank(rec.investor_rank),
+            ]
+        )

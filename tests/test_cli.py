@@ -550,6 +550,17 @@ class TestExitCodes:
             # a line break ends the row it would separate, so features could not read what synth wrote
             pytest.param("synth", "delimiter", "\n", "bad value for 'delimiter': '\\n'", id="delimiter-newline"),
             pytest.param("synth", "delimiter", "\r", "bad value for 'delimiter': '\\r'", id="delimiter-return"),
+            # a column named twice is read for both fields, so features could not read what synth wrote
+            pytest.param(
+                "synth", "deal_columns", {"date": "investor_aum"},
+                "DealFileFormat fields date and aum both name column 'investor_aum'", id="deal_columns-repeated",
+            ),
+            pytest.param(
+                "synth", "price_columns", {"date": "value"},
+                "PriceFileFormat fields date and value both name column 'value'", id="price_columns-repeated",
+            ),
+            # numpy reads a key word past the int64 range as a float, so such seeds collide
+            pytest.param("synth", "seed", 2**63, "seed must be < 2**63", id="seed-2**63"),
         ],
     )
     def test_bad_setting_is_a_usage_error(self, tmp_path, capsys, command, key, value, message):

@@ -1,5 +1,6 @@
 """Deal/price parsing, first-deal reduction, and serialization round-trips."""
 
+import csv
 import io
 import random
 from datetime import date, timedelta
@@ -26,6 +27,8 @@ from pesignal.ingest import (
     write_prices,
 )
 from pesignal.quarters import Quarter
+
+from oracles import listed_parse_deals, listed_write_deals
 
 DEAL_HEADER = (
     "company_id,company_name,sector,first_investment_date,investor_aum,investor_performance"
@@ -384,3 +387,48 @@ class TestRoundTripProperties:
         out = io.StringIO()
         write_prices(series_by_index, out, fmt)
         assert parse_prices(io.StringIO(out.getvalue()), fmt) == series_by_index
+
+
+# a name for each deal-file column, none repeated, with characters a header has to quote
+column_names = st.lists(st.text(alphabet='ab_ ,;|"', min_size=1, max_size=5), min_size=7, max_size=7, unique=True)
+# cells that fail a column's parser, or pass one column's and fail another's
+bad_cells = cells | st.sampled_from(
+    ["", "N/A", "Fintech", "Market", "2008-13-40", "Feb-30-08", "-1", "5", "nan", "inf", "aum<2", "Top Two Quartiles"]
+)
+
+
+class TestOneColumnTable:
+    """parse_deals and write_deals read one column table; they must give
+    what they gave while each listed the columns itself."""
+
+    def test_default_header(self):
+        out = io.StringIO()
+        write_deals([], out)
+        assert out.getvalue() == (
+            "company_id,company_name,sector,first_investment_date,investor,investor_aum,investor_performance\n"
+        )
+
+    @given(st.data(), st.lists(deal_records, max_size=6), column_names, delimiters)
+    def test_equals_the_listed_columns(self, data, records, names, delimiter):
+        fmt = DealFileFormat(delimiter, *names)
+        out, want = io.StringIO(), io.StringIO()
+        write_deals(records, out, fmt)
+        listed_write_deals(records, want, fmt)
+        assert out.getvalue() == want.getvalue()
+        # the file again with its columns shuffled, investor's perhaps
+        # dropped, and some cells corrupted or rows cut short
+        header, *rows = csv.reader(io.StringIO(out.getvalue()), delimiter=delimiter)
+        order = data.draw(st.permutations(range(7)))
+        if data.draw(st.booleans()):
+            order.remove(header.index(fmt.investor))
+        header, rows = [header[k] for k in order], [[row[k] for k in order] for row in rows]
+        for row in rows:
+            for k in data.draw(st.sets(st.integers(0, len(row) - 1), max_size=2)):
+                row[k] = data.draw(bad_cells)
+            cut = data.draw(st.none() | st.integers(0, len(row)))
+            if cut is not None:
+                del row[cut:]
+        text = io.StringIO()
+        csv.writer(text, delimiter=delimiter, lineterminator="\n").writerows([header, *rows])
+        got = parse_deals(io.StringIO(text.getvalue()), fmt)
+        assert got == listed_parse_deals(io.StringIO(text.getvalue()), fmt)

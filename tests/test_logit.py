@@ -76,6 +76,19 @@ class TestProbUp:
         with pytest.raises(ValueError):
             prob_up((1.0,), LogitParams((1.0, 2.0), 0.0))
 
+    @pytest.mark.parametrize(
+        "z, weights, bias",
+        [
+            pytest.param((1.0, 1.0), (1e308, 1e308), 0.0, id="fsum-intermediate-overflow"),
+            pytest.param((2.0, -2.0), (1e308, 1e308), 0.0, id="fsum-inf-minus-inf"),
+            pytest.param((2.0,), (1e308,), 0.0, id="product-overflow"),
+            pytest.param((1.0,), (1e308,), 1e308, id="bias-overflow"),
+        ],
+    )
+    def test_score_past_the_float_range_is_a_numerical_error(self, z, weights, bias):
+        with pytest.raises(NumericalError, match="logit score past the float range"):
+            prob_up(z, LogitParams(weights, bias))
+
     def test_non_finite_params_rejected(self):
         with pytest.raises(ValueError):
             LogitParams((float("nan"),), 0.0)

@@ -16,7 +16,7 @@ import pesignal
 from pesignal.backtest import BacktestConfig, PredictionRecord
 from pesignal.evaluation import RocCurve, ScoreReport, roc
 from pesignal.features import BROAD_FEATURES, BROAD_SCOPE, FeatureTable, Scope
-from pesignal.ingest import BROAD_INDEX_NAME, SECTOR_NAMES, DealRecord
+from pesignal.ingest import BROAD_INDEX_NAME, SECTOR_NAMES, DealFileFormat, DealRecord, PriceFileFormat
 from pesignal.logit import LogitParams
 from pesignal.quarters import Quarter
 from pesignal.response import Label
@@ -38,6 +38,8 @@ CASES = [
     (FeatureTable(BROAD_SCOPE, Q, BROAD_FEATURES, ((3, None, None, None, 15.0),)), {"rows": ((3, math.inf, None, None, 15.0),)}),
     (RocCurve(((0.0, 0.0), (1.0, 1.0))), {"points": ((0.0, 0.0), (0.5, 0.5))}),
     (DealRecord("C1", "Co", "Finance", date(2008, 2, 12)), {"investor_rank": 5.0}),
+    (DealFileFormat(), {"aum": "sector"}),
+    (PriceFileFormat(), {"value": "date"}),
     (SyntheticSpec(), {"n_sectors": 0}),
 ]
 
