@@ -209,13 +209,13 @@ def read_predictions(stream) -> list:
     quarter, or has a correct cell its predicted and actual cells
     contradict is a DataError naming its line.
     """
-    header = stream.readline().rstrip("\n")
+    header = stream.readline().rstrip("\r\n")
     if header != ",".join(PREDICTION_COLUMNS):
         raise DataError(f"unexpected prediction table header: {header!r}")
     records = []
     seen = set()
     for line_no, line in enumerate(stream, start=2):
-        line = line.rstrip("\n")
+        line = line.rstrip("\r\n")
         if not line:
             continue
         parts = line.split(",")

@@ -213,14 +213,14 @@ def read_feature_table(stream) -> FeatureTable:
     first row, or another quarter than the one after the row before, is
     a DataError naming its line.
     """
-    header = stream.readline().rstrip("\n")
+    header = stream.readline().rstrip("\r\n")
     columns = header.split(",")
     if columns[:2] != ["scope", "quarter_end"]:
         raise DataError(f"unexpected feature table header: {header!r}")
     names = tuple(columns[2:])
     rows = []
     for line_no, line in enumerate(stream, start=2):
-        line = line.rstrip("\n")
+        line = line.rstrip("\r\n")
         if not line:
             continue
         parts = line.split(",")

@@ -225,19 +225,23 @@ def parse_rank(text: str) -> float | None:
     return value
 
 
-def _csv_rows(stream, delimiter: str, wanted: list, what: str):
+def _csv_rows(stream, delimiter: str, read: list, what: str, optional=()):
     """(line number, {column: cell}) for each non-blank row of a CSV file
-    whose header holds the wanted columns; a short row lacks its last
-    columns. A csv.Error, from the header or a row, such as a cell over the
-    csv module's field size limit, is a DataError naming its line."""
+    whose header holds each read column but the optional ones, and names
+    none of them twice; a short row lacks its last columns. A csv.Error,
+    from the header or a row, such as a cell over the csv module's field
+    size limit, is a DataError naming its line."""
     reader = csv.reader(stream, delimiter=delimiter)
     try:
         header = next(reader, None)
         if header is None:
             raise DataError(f"{what} has no header row")
-        missing = [c for c in wanted if c not in header]
+        missing = [c for c in read if c not in header and c not in optional]
         if missing:
             raise DataError(f"{what} header is missing columns: {', '.join(missing)}")
+        repeated = [c for c in read if header.count(c) > 1]
+        if repeated:
+            raise DataError(f"{what} header repeats columns: {', '.join(repeated)}")
         for cells in reader:
             if cells:
                 yield reader.line_num, dict(zip(header, cells))
@@ -289,10 +293,9 @@ def parse_deals(stream, fmt: DealFileFormat = DealFileFormat()) -> ParsedDeals:
     the line and the first failing column. A malformed header is fatal.
     """
     columns = tuple(zip(fmt[1:], _DEAL_COLUMNS))
-    # every column but investor is required; a missing cell reads as ""
-    wanted = [column for column, (field, _, _) in columns if field != "investor"]
     result = ParsedDeals([], [])
-    for line, row in _csv_rows(stream, fmt.delimiter, wanted, "deal file"):
+    # every column but investor is required; a missing cell reads as ""
+    for line, row in _csv_rows(stream, fmt.delimiter, fmt[1:], "deal file", optional=[fmt.investor]):
         values = {}
         for column, (field, parser, _) in columns:
             try:
@@ -331,18 +334,21 @@ def parse_prices(stream, fmt: PriceFileFormat = PriceFileFormat()) -> dict:
     by_index: dict = {}
     for line, row in _csv_rows(stream, fmt.delimiter, fmt[1:], "price file"):
         try:
-            name = (row.get(fmt.index_name) or "").strip()
+            short = [column for column in fmt[1:] if column not in row]
+            if short:
+                raise DataError(f"row has no {short[0]} cell")
+            name = row[fmt.index_name].strip()
             if not name:
                 raise DataError("empty index name")
-            raw_date = (row.get(fmt.date) or "").strip()
+            raw_date = row[fmt.date].strip()
             when = parse_date(raw_date)
             quarter = Quarter.of_date(when)
             if when != quarter.end_date():
                 raise DataError(f"{raw_date} is not a quarter-end date")
             try:
-                value = float((row.get(fmt.value) or "").strip())
+                value = float(row[fmt.value].strip())
             except ValueError:
-                raise DataError(f"cannot parse index level {row.get(fmt.value)!r}") from None
+                raise DataError(f"cannot parse index level {row[fmt.value]!r}") from None
             if not (math.isfinite(value) and value > 0):
                 raise DataError(f"index level must be finite and > 0, got {value!r}")
         except DataError as exc:

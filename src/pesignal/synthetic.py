@@ -163,16 +163,6 @@ def _stream_index(scope: Scope) -> int:
     return _BROAD_STREAM if scope.is_broad else SECTOR_NAMES.index(scope.name)
 
 
-def generate_pe(spec: SyntheticSpec) -> dict:
-    """One positive quarterly P/E series per scope name."""
-    series = {}
-    for scope in spec.scopes():
-        index = _stream_index(scope)
-        path = pe_path(spec, index, 7 if scope.is_broad else index)
-        series[scope.name] = {spec.start + k: float(v) for k, v in enumerate(path)}
-    return series
-
-
 def generate_deals(spec: SyntheticSpec) -> list:
     """First-deal records, one synthetic company per record.
 
@@ -230,18 +220,6 @@ def generate_deals(spec: SyntheticSpec) -> list:
     return deals
 
 
-def generate_features(spec: SyntheticSpec, deals, pe) -> tuple:
-    """Feature tables and z-score tables per scope name."""
-    buckets = deals_by_quarter(deals)
-    features = {}
-    ztables = {}
-    for scope in spec.scopes():
-        sector_pe = None if scope.is_broad else pe[scope.name]
-        features[scope.name] = build_feature_table(buckets, scope, spec.start, spec.last, pe[BROAD_SCOPE.name], sector_pe)
-        ztables[scope.name] = build_zscore_table(features[scope.name], spec.std_window)
-    return features, ztables
-
-
 def generate_labels(
     ztable: FeatureTable,
     params: LogitParams,
@@ -284,24 +262,29 @@ def generate_labels(
 
 
 class SyntheticDataset(NamedTuple):
-    spec: SyntheticSpec
     deals: list
     prices: dict
     pe: dict
     features: dict
-    ztables: dict
     labels: dict
 
 
 def generate_dataset(spec: SyntheticSpec) -> SyntheticDataset:
+    """The deals, then each scope's P/E path, features and labels in one
+    pass. spec.scopes() puts the market first, so every sector finds the
+    market's P/E and prices."""
     deals = generate_deals(spec)
-    pe = generate_pe(spec)
-    features, ztables = generate_features(spec, deals, pe)
-    prices = {}
-    labels = {}
-    # spec.scopes() puts the market first, so every sector finds its prices
+    buckets = deals_by_quarter(deals)
+    data = SyntheticDataset(deals, {}, {}, {}, {})
+    market = BROAD_SCOPE.name
     for scope in spec.scopes():
-        labels[scope.name], prices[scope.name] = generate_labels(
-            ztables[scope.name], planted_params(spec, scope), spec, scope, prices.get(BROAD_SCOPE.name)
+        name, index = scope.name, _stream_index(scope)
+        path = pe_path(spec, index, 7 if scope.is_broad else index)
+        data.pe[name] = {spec.start + k: float(v) for k, v in enumerate(path)}
+        sector_pe = None if scope.is_broad else data.pe[name]
+        data.features[name] = build_feature_table(buckets, scope, spec.start, spec.last, data.pe[market], sector_pe)
+        ztable = build_zscore_table(data.features[name], spec.std_window)
+        data.labels[name], data.prices[name] = generate_labels(
+            ztable, planted_params(spec, scope), spec, scope, data.prices.get(market)
         )
-    return SyntheticDataset(spec, deals, prices, pe, features, ztables, labels)
+    return data

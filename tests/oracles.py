@@ -43,6 +43,13 @@ ingest.write_deals as they were while each listed the deal file's
 columns itself, one field of DealFileFormat at a time; the library's
 readers and writers of its one column table must equal them, text,
 records and row issues alike, for any column names and delimiter.
+
+staged_generate_dataset is synthetic.generate_dataset as it was while
+it walked the scopes three times: every P/E path (staged_generate_pe),
+then every feature and z table (staged_generate_features), then the
+labels. It returns the fields of that dataset by name, spec and
+ztables included; each field the library's one-pass dataset keeps must
+equal it.
 """
 
 import csv
@@ -52,7 +59,7 @@ from datetime import timedelta
 import numpy as np
 
 from pesignal.errors import DataError, InsufficientHistoryError
-from pesignal.features import FeatureTable
+from pesignal.features import BROAD_SCOPE, FeatureTable, build_feature_table, deals_by_quarter
 from pesignal.ingest import (
     SECTOR_NAMES,
     AumBucket,
@@ -70,8 +77,19 @@ from pesignal.ingest import (
 )
 from pesignal.logit import LogitParams, prob_up
 from pesignal.response import Label
-from pesignal.standardize import _window_z
-from pesignal.synthetic import _P_DEALS, _stream, aum_level_path, quarter_deal_counts, rank_level_path
+from pesignal.standardize import _window_z, build_zscore_table
+from pesignal.synthetic import (
+    _P_DEALS,
+    _stream,
+    _stream_index,
+    aum_level_path,
+    generate_deals,
+    generate_labels,
+    pe_path,
+    planted_params,
+    quarter_deal_counts,
+    rank_level_path,
+)
 
 
 def _sigmoid(s):
@@ -317,3 +335,39 @@ def listed_write_deals(records, stream, fmt):
                 format_rank(rec.investor_rank),
             ]
         )
+
+
+def staged_generate_pe(spec) -> dict:
+    series = {}
+    for scope in spec.scopes():
+        index = _stream_index(scope)
+        path = pe_path(spec, index, 7 if scope.is_broad else index)
+        series[scope.name] = {spec.start + k: float(v) for k, v in enumerate(path)}
+    return series
+
+
+def staged_generate_features(spec, deals, pe) -> tuple:
+    buckets = deals_by_quarter(deals)
+    features = {}
+    ztables = {}
+    for scope in spec.scopes():
+        sector_pe = None if scope.is_broad else pe[scope.name]
+        features[scope.name] = build_feature_table(buckets, scope, spec.start, spec.last, pe[BROAD_SCOPE.name], sector_pe)
+        ztables[scope.name] = build_zscore_table(features[scope.name], spec.std_window)
+    return features, ztables
+
+
+def staged_generate_dataset(spec) -> dict:
+    deals = generate_deals(spec)
+    pe = staged_generate_pe(spec)
+    features, ztables = staged_generate_features(spec, deals, pe)
+    prices = {}
+    labels = {}
+    for scope in spec.scopes():
+        labels[scope.name], prices[scope.name] = generate_labels(
+            ztables[scope.name], planted_params(spec, scope), spec, scope, prices.get(BROAD_SCOPE.name)
+        )
+    return {
+        "spec": spec, "deals": deals, "prices": prices, "pe": pe,
+        "features": features, "ztables": ztables, "labels": labels,
+    }

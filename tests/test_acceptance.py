@@ -157,8 +157,8 @@ def _shuffled_labels(labels, seed: int) -> dict:
 
 def _pooled_auc(data, config, labels_by_scope) -> float:
     per_scope = []
-    for scope in data.spec.scopes():
-        result = run(data.features[scope.name], labels_by_scope[scope.name], config)
+    for name in data.features:
+        result = run(data.features[name], labels_by_scope[name], config)
         pairs = scored_pairs(result.records)
         if pairs:
             per_scope.append(pairs)

@@ -21,7 +21,7 @@ from pesignal.cli import RunConfig, main, resolve_config
 from pesignal.errors import NumericalError, UsageError
 from pesignal.evaluation import roc, scored_pairs
 from pesignal.features import read_feature_table
-from pesignal.ingest import SECTOR_NAMES, parse_prices
+from pesignal.ingest import SECTOR_NAMES, parse_deals, parse_prices
 from pesignal.response import Label, build_labels
 from pesignal.synthetic import SyntheticSpec, generate_dataset
 
@@ -371,36 +371,48 @@ class TestExitCodes:
             assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "command, name, column, cell, message",
+        "command, name, line, column, cell, message",
         [
             pytest.param(
-                "features", "pe.csv", 2, "-4", "price file line 3: index level must be finite and > 0, got -4.0",
+                "features", "pe.csv", 2, 2, "-4", "price file line 3: index level must be finite and > 0, got -4.0",
                 id="pe-level",
             ),
             pytest.param(
-                "backtest", "prices.csv", 2, "-4", "price file line 3: index level must be finite and > 0, got -4.0",
+                "backtest", "prices.csv", 2, 2, "-4", "price file line 3: index level must be finite and > 0, got -4.0",
                 id="prices-level",
             ),
             pytest.param(
-                "backtest", "prices.csv", 2, "abc", "price file line 3: cannot parse index level 'abc'",
+                "backtest", "prices.csv", 2, 2, "abc", "price file line 3: cannot parse index level 'abc'",
                 id="prices-level-text",
             ),
-            pytest.param("backtest", "prices.csv", 0, "", "price file line 3: empty index name", id="prices-name"),
+            pytest.param("backtest", "prices.csv", 2, 0, "", "price file line 3: empty index name", id="prices-name"),
             pytest.param(
-                "backtest", "prices.csv", 1, "2000-13-45", "price file line 3: cannot parse date '2000-13-45'",
+                "backtest", "prices.csv", 2, 1, "2000-13-45", "price file line 3: cannot parse date '2000-13-45'",
                 id="prices-date",
             ),
             # the cell None deletes the column's cell
             pytest.param(
-                "evaluate", "predictions_market.csv", 5, None, "prediction table line 3: expected 6 columns",
+                "backtest", "prices.csv", 2, 2, None, "price file line 3: row has no value cell", id="prices-short-row"
+            ),
+            pytest.param(
+                "evaluate", "predictions_market.csv", 2, 5, None, "prediction table line 3: expected 6 columns",
                 id="prediction-five-cells",
             ),
+            # a column past the last appends a cell, here to the header (line 0)
+            pytest.param(
+                "features", "deals.csv", 0, 7, "sector", "deal file header repeats columns: sector",
+                id="deals-repeated-column",
+            ),
+            pytest.param(
+                "backtest", "prices.csv", 0, 3, "value", "price file header repeats columns: value",
+                id="prices-repeated-column",
+            ),
             # the column None empties the file
-            pytest.param("features", "deals.csv", None, None, "deal file has no header row", id="deals-headerless"),
+            pytest.param("features", "deals.csv", 0, None, None, "deal file has no header row", id="deals-headerless"),
         ],
     )
     def test_defective_input_is_a_data_error_naming_the_file(
-        self, tmp_path, capsys, command, name, column, cell, message
+        self, tmp_path, capsys, command, name, line, column, cell, message
     ):
         out = run_pipeline(tmp_path, SMALL)
         path = out / name
@@ -408,12 +420,9 @@ class TestExitCodes:
         if column is None:
             lines = []
         else:
-            parts = lines[2].rstrip("\n").split(",")
-            if cell is None:
-                del parts[column]
-            else:
-                parts[column] = cell
-            lines[2] = ",".join(parts) + "\n"
+            parts = lines[line].rstrip("\n").split(",")
+            parts[column : column + 1] = [] if cell is None else [cell]
+            lines[line] = ",".join(parts) + "\n"
         path.write_text("".join(lines), encoding="utf-8")
         capsys.readouterr()
         study = [command, "--config", str(tmp_path / "config.json"), "--out", str(out), "--scopes", ",".join(SMALL_SCOPES)]
@@ -804,6 +813,24 @@ class TestByteOrderMark:
         assert main(["synth", *study]) == 1
         err = capsys.readouterr().err
         assert err == f"pesignal: usage error: config file {tmp_path / 'config.json'} is not UTF-8: byte 0xe9 at offset 16\n"
+
+
+class TestWindowsLineEnds:
+    # a table saved on Windows ends each line with \r\n
+    def test_each_table_reads_the_same_with_crlf_line_ends(self, tmp_path):
+        out = run_pipeline(tmp_path, SMALL)
+        files = pesignal.cli._Files(resolve_config({}, {}))
+        for name, reader in (
+            ("deals.csv", parse_deals),
+            ("prices.csv", parse_prices),
+            ("pe.csv", parse_prices),
+            ("features_market.csv", read_feature_table),
+            ("features_communications.csv", read_feature_table),
+            ("predictions_market.csv", read_predictions),
+        ):
+            crlf = tmp_path / name
+            crlf.write_bytes((out / name).read_bytes().replace(b"\n", b"\r\n"))
+            assert files.parse(crlf, reader) == files.parse(out / name, reader), name
 
 
 class TestColumnMappings:

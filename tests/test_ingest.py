@@ -149,6 +149,17 @@ class TestParseDeals:
         with pytest.raises(DataError, match="missing columns"):
             parse_deals(stream)
 
+    # the last of two cells of one name would win without a word
+    @pytest.mark.parametrize("column", ["sector", "first_investment_date", "investor"])
+    def test_a_repeated_column_a_field_reads_is_fatal(self, column):
+        stream = io.StringIO(f"{DEAL_HEADER},investor,{column}\na,A,Finance,2008-02-12,1.0,N/A,Fund One,x\n")
+        with pytest.raises(DataError, match=f"^deal file header repeats columns: {column}$"):
+            parse_deals(stream)
+
+    def test_a_repeated_column_no_field_reads_is_kept(self):
+        stream = io.StringIO(f"note,{DEAL_HEADER},note\nx,a,A,Finance,2008-02-12,1.0,N/A,y\n")
+        assert parse_deals(stream) == parse_deals(deals_io("a,A,Finance,2008-02-12,1.0,N/A"))
+
     def test_unknown_sector_rejected_with_diagnostics(self):
         parsed = parse_deals(
             deals_io(
@@ -307,6 +318,15 @@ class TestParsePrices:
     def test_missing_column_fatal(self):
         with pytest.raises(DataError, match="missing columns"):
             parse_prices(io.StringIO("index_name,when,value\n"))
+
+    def test_repeated_column_fatal(self):
+        with pytest.raises(DataError, match="^price file header repeats columns: value$"):
+            parse_prices(io.StringIO("index_name,date,value,value\nMARKET,2002-12-31,100,200\n"))
+
+    @pytest.mark.parametrize("row, column", [("MARKET,2002-12-31", "value"), ("MARKET", "date")])
+    def test_short_row_names_its_missing_column(self, row, column):
+        with pytest.raises(DataError, match=f"^price file line 2: row has no {column} cell$"):
+            parse_prices(prices_io(row))
 
 
 class TestRoundTrips:

@@ -15,20 +15,19 @@ from pesignal.ingest import first_deals, parse_deals, parse_prices
 from pesignal.logit import LogitParams, prob_up
 from pesignal.quarters import Quarter
 from pesignal.response import Label, build_labels
+from pesignal.standardize import build_zscore_table
 from pesignal.synthetic import (
     SyntheticSpec,
     aum_level_path,
     deal_intensity_path,
     generate_dataset,
     generate_deals,
-    generate_features,
     generate_labels,
-    generate_pe,
     pe_path,
     planted_params,
     quarter_deal_counts,
 )
-from oracles import numpy_generate_deals, planted_samples
+from oracles import numpy_generate_deals, planted_samples, staged_generate_dataset
 
 SMALL = SyntheticSpec(seed=7, n_quarters=20, n_sectors=2, std_window=6)
 
@@ -70,6 +69,22 @@ def test_same_seed_same_dataset():
     assert a.labels == b.labels
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SyntheticSpec(seed=seed, n_sectors=n_sectors, noise_scale=noise_scale)
+        for seed, n_sectors, noise_scale in ((0, 1, 1.0), (7, 3, 0.0), (7, 3, 1.0), (20, 19, 1.0))
+    ]
+    + [SyntheticSpec(seed=5, n_quarters=12, n_sectors=3, std_window=2)],
+    ids=["one-sector", "three-noiseless", "three", "nineteen", "short-window"],
+)
+def test_one_pass_dataset_equals_the_staged_oracle(spec):
+    data = generate_dataset(spec)
+    oracle = staged_generate_dataset(spec)
+    for field in data._fields:
+        assert getattr(data, field) == oracle[field], field
+
+
 def test_different_seeds_differ():
     a = generate_dataset(SMALL)
     b = generate_dataset(SyntheticSpec(seed=8, n_quarters=20, n_sectors=2, std_window=6))
@@ -97,7 +112,7 @@ def named_rows(table):
 
 def test_zero_noise_features_follow_mean_paths():
     spec = SyntheticSpec(seed=3, n_quarters=12, n_sectors=2, std_window=4, noise_scale=0.0)
-    features, _ = generate_features(spec, generate_deals(spec), generate_pe(spec))
+    features = generate_dataset(spec).features
     intensity = {
         s: deal_intensity_path(spec, s) for s in range(2)
     }
@@ -125,7 +140,7 @@ def test_counts_are_non_negative_integers():
 
 
 def test_feature_counts_match_the_drawn_counts():
-    features, _ = generate_features(SMALL, generate_deals(SMALL), generate_pe(SMALL))
+    features = generate_dataset(SMALL).features
     for s, name in enumerate(name for name in features if name != BROAD_SCOPE.name):
         counts = quarter_deal_counts(SMALL, s)
         assert [row["deal_count"] for row in named_rows(features[name])] == counts
@@ -147,7 +162,7 @@ def test_deal_dates_fall_inside_their_quarter():
 
 def test_every_quarter_keeps_a_numeric_aum_and_rank():
     spec = SyntheticSpec(seed=5, n_quarters=24, n_sectors=3, std_window=6, noise_scale=2.0)
-    features, _ = generate_features(spec, generate_deals(spec), generate_pe(spec))
+    features = generate_dataset(spec).features
     for table in features.values():
         for row in named_rows(table):
             if row["deal_count"] > 0:
@@ -156,7 +171,7 @@ def test_every_quarter_keeps_a_numeric_aum_and_rank():
 
 
 def test_pe_series_positive_and_complete():
-    pe = generate_pe(SMALL)
+    pe = generate_dataset(SMALL).pe
     assert set(pe) == {BROAD_SCOPE.name, "Commercial Services", "Communications"}
     for series in pe.values():
         assert list(series) == [SMALL.start + k for k in range(SMALL.n_quarters)]
@@ -196,8 +211,9 @@ def test_labels_cover_every_generated_quarter():
 def test_sector_label_generation_needs_market_prices():
     data = generate_dataset(SMALL)
     scope = Scope("Communications")
+    ztable = build_zscore_table(data.features[scope.name], SMALL.std_window)
     with pytest.raises(ValueError, match="market price series"):
-        generate_labels(data.ztables[scope.name], planted_params(SMALL, scope), SMALL, scope)
+        generate_labels(ztable, planted_params(SMALL, scope), SMALL, scope)
 
 
 def test_huge_bias_forces_up_on_z_quarters():
@@ -206,7 +222,7 @@ def test_huge_bias_forces_up_on_z_quarters():
         planted_w=(0.0, 0.0, 0.0, 0.0, 0.0), planted_b=50.0,
     )
     data = generate_dataset(spec)
-    table = data.ztables[BROAD_SCOPE.name]
+    table = build_zscore_table(data.features[BROAD_SCOPE.name], spec.std_window)
     z_quarters = {table.start + k for k in range(len(table.rows))} - set(table.dropped)
     for quarter, y in data.labels[BROAD_SCOPE.name].items():
         if quarter in z_quarters:
