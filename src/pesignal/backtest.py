@@ -72,14 +72,24 @@ class PredictionRecord(NamedTuple):
 
 
 class SkippedWindow(NamedTuple):
-    predicted: Quarter
+    quarter: Quarter
     reason: str
 
 
 class BacktestResult(NamedTuple):
+    """One scope's walk: windows holds every planned window in schedule
+    order, a PredictionRecord if it was fitted, a SkippedWindow if not."""
+
     scope: Scope
-    records: tuple
-    skipped: tuple
+    windows: tuple
+
+    @property
+    def records(self) -> tuple:
+        return tuple(w for w in self.windows if isinstance(w, PredictionRecord))
+
+    @property
+    def skipped(self) -> tuple:
+        return tuple(w for w in self.windows if isinstance(w, SkippedWindow))
 
 
 def run(features: FeatureTable, labels, config: BacktestConfig = BacktestConfig()) -> BacktestResult:
@@ -98,39 +108,39 @@ def run_scopes(scoped, config: BacktestConfig) -> list:
     """run on each (features, labels) pair: plan every scope, fit all
     windows in one fit_windows batch, zero-padded to the widest scope's
     features ahead of the bias, which changes no bit (see logit), and
-    assemble each scope with its weights trimmed back to its features."""
+    make each fitted window's outcome its _window, weights trimmed back."""
     import numpy as np
 
     plans = [_plan(features, labels, config) for features, labels in scoped]
     if not plans:
         return []
     width = max(p.z.shape[1] for p in plans)
-    z = np.concatenate([np.pad(p.z, ((0, 0), (0, width - p.z.shape[1])))[p.rows] for p in plans])
-    y = np.concatenate([np.array([lab is Label.UP for lab in p.actual], dtype=float)[p.rows] for p in plans])
-    outcomes = iter(fit_windows(z, y, config))
-    return [_assemble(p, outcomes, config) for p in plans]
+    rows = [np.flatnonzero([isinstance(w, int) for w in p.windows])[:, None] + np.arange(config.est_window) for p in plans]
+    z = np.concatenate([np.pad(p.z, ((0, 0), (0, width - p.z.shape[1])))[r] for p, r in zip(plans, rows)])
+    y = np.concatenate([np.array([lab is Label.UP for lab in p.actual], dtype=float)[r] for p, r in zip(plans, rows)])
+    fits = iter(fit_windows(z, y, config))
+    walks = [[_window(p, w, next(fits), config) if isinstance(w, int) else w for w in p.windows] for p in plans]
+    return [BacktestResult(p.table.scope, tuple(walk)) for p, walk in zip(plans, walks)]
 
 
 class _Plan(NamedTuple):
     table: FeatureTable  # the z table
     z: object  # its rows as an array, NaN in a dropped row
     actual: list  # each row's Label or None
-    steps: list  # each window's skip reason, None when it is fitted
-    rows: object  # each fitted window's rows
+    windows: list  # each window's SkippedWindow, or the row it predicts when it is fitted
 
 
 def _plan(features: FeatureTable, labels, config: BacktestConfig) -> _Plan:
     # The first std_window - 1 quarters only feed standardization, so
-    # z-table row k is quarter table.start + k. Window k fits rows
-    # k .. k+ne-1 and predicts row k+ne, which makes
+    # z-table row k is quarter table.start + k. Window j fits rows
+    # j .. j+ne-1 and predicts row k = j+ne, which makes
     # quarter_count - std_window - est_window + 1 windows.
     import numpy as np
 
     table = build_zscore_table(features, config.std_window)
     z = np.array(table.rows, dtype=float)  # a dropped row's None reads as NaN
     ne = config.est_window
-    windows = len(table.rows) - ne
-    if windows <= 0:
+    if len(table.rows) <= ne:
         raise InsufficientHistoryError(
             f"walk-forward needs at least {config.std_window + ne} quarters"
             f" ({config.std_window} to standardize, {ne} to estimate,"
@@ -139,46 +149,35 @@ def _plan(features: FeatureTable, labels, config: BacktestConfig) -> _Plan:
     actual = [labels.get(table.start + k) for k in range(len(table.rows))]
     has_z = ~np.isnan(z).any(axis=1)
     usable = has_z & np.array([y is not None for y in actual])
-    steps = []
-    for k in range(windows):
-        gap = k + int(np.argmin(usable[k : k + ne]))
-        if not has_z[k + ne]:
-            steps.append(f"no z-score row at predicted quarter {table.start + k + ne}")
-        elif not usable[gap]:
-            missing = "label" if has_z[gap] else "z-score row"
-            steps.append(f"no {missing} at {table.start + gap} inside the estimation window")
+    windows = []
+    for k in range(ne, len(table.rows)):
+        quarter = table.start + k
+        gap = k - ne + int(np.argmin(usable[k - ne : k]))
+        if has_z[k] and usable[gap]:
+            windows.append(k)
+        elif not has_z[k]:
+            windows.append(SkippedWindow(quarter, f"no z-score row at predicted quarter {quarter}"))
         else:
-            steps.append(None)
-    rows = np.flatnonzero([step is None for step in steps])[:, None] + np.arange(ne)
-    return _Plan(table, z, actual, steps, rows)
+            missing = "label" if has_z[gap] else "z-score row"
+            windows.append(SkippedWindow(quarter, f"no {missing} at {table.start + gap} inside the estimation window"))
+    return _Plan(table, z, actual, windows)
 
 
-def _assemble(plan: _Plan, outcomes, config: BacktestConfig) -> BacktestResult:
-    # records and skips in schedule order, taking each fitted window's outcome from the iterator
-    ne = config.est_window
-    records, skipped = [], []
-    for k, step in enumerate(plan.steps):
-        quarter = plan.table.start + k + ne
-        outcome = next(outcomes) if step is None else step
-        if isinstance(outcome, NumericalError):
-            outcome = f"estimation failed: {outcome}"
-        if isinstance(outcome, str):
-            skipped.append(SkippedWindow(quarter, outcome))
-            continue
-        params = LogitParams(outcome.params.weights[: plan.z.shape[1]], outcome.params.bias)
-        p = prob_up(plan.z[k + ne], params)
-        records.append(
-            PredictionRecord(
-                scope=plan.table.scope,
-                quarter=quarter,
-                p_up=p,
-                # classify the cell the table holds, which evaluate reads back
-                predicted=classify(float(_p_up_cell(p)), config.threshold),
-                actual=plan.actual[k + ne],
-                fit=outcome._replace(params=params),
-            )
-        )
-    return BacktestResult(plan.table.scope, tuple(records), tuple(skipped))
+def _window(plan: _Plan, k: int, outcome, config: BacktestConfig):
+    """The PredictionRecord of the window predicting row k, or its SkippedWindow if the fit failed."""
+    if isinstance(outcome, NumericalError):
+        return SkippedWindow(plan.table.start + k, f"estimation failed: {outcome}")
+    params = LogitParams(outcome.params.weights[: plan.z.shape[1]], outcome.params.bias)
+    p = prob_up(plan.z[k], params)
+    return PredictionRecord(
+        scope=plan.table.scope,
+        quarter=plan.table.start + k,
+        p_up=p,
+        # classify the cell the table holds, which evaluate reads back
+        predicted=classify(float(_p_up_cell(p)), config.threshold),
+        actual=plan.actual[k],
+        fit=outcome._replace(params=params),
+    )
 
 
 PREDICTION_COLUMNS = ("scope", "quarter_end", "p_up", "predicted", "actual", "correct")

@@ -333,8 +333,12 @@ def cmd_synth(config: RunConfig) -> int:
 
 
 def cmd_features(config: RunConfig) -> int:
-    # t is the one fit setting features reads; check it as backtest does
+    # t is the one fit setting features reads; check it as backtest does,
+    # and the first and last quarters against each other, before any input
     RunConfig(t=config.t).backtest_config()
+    first, last = (Quarter.parse(q) if q else None for q in (config.first, config.last))
+    if first and last and first > last:
+        raise UsageError(f"first {first} comes after last {last}")
     files = _Files(config)
     deals_path = config.input_path("deals")
     pe_path = config.input_path("pe")
@@ -346,8 +350,8 @@ def cmd_features(config: RunConfig) -> int:
     buckets = deals_by_quarter(first_deals(parsed.records))
     pe_map = files.parse(pe_path, parse_prices, config.price_format())
     market_pe = _series_for(pe_map, BROAD_INDEX_NAME, pe_path)
-    first = Quarter.parse(config.first) if config.first else min(market_pe)
-    last = Quarter.parse(config.last) if config.last else max(market_pe)
+    first = first or min(market_pe)
+    last = last or max(market_pe)
     out = config.out_dir()
     for scope in config.scope_list():
         sector_pe = None if scope.is_broad else _series_for(pe_map, scope.name, pe_path)
@@ -381,7 +385,7 @@ def cmd_backtest(config: RunConfig) -> int:
     for result in run_scopes(scoped, bt_config):
         name = result.scope.name
         for skip in result.skipped:
-            _log("%s %s: skipped, %s", name, skip.predicted, skip.reason)
+            _log("%s %s: skipped, %s", name, skip.quarter, skip.reason)
         capped = sum(not record.fit.converged for record in result.records)
         _log(
             "%s: %d windows fitted, %d stopped at the iteration cap, %d skipped",

@@ -226,11 +226,12 @@ def parse_rank(text: str) -> float | None:
 
 
 def _csv_rows(stream, delimiter: str, read: list, what: str, optional=()):
-    """(line number, {column: cell}) for each non-blank row of a CSV file
-    whose header holds each read column but the optional ones, and names
-    none of them twice; a short row lacks its last columns. A csv.Error,
-    from the header or a row, such as a cell over the csv module's field
-    size limit, is a DataError naming its line."""
+    """(line number, {column: cell}, short) for each non-blank row of a
+    CSV file whose header holds each read column but the optional ones,
+    and names none of them twice; short is the leftmost read column a row
+    is too short to hold, else None. A csv.Error, from the header or a
+    row, such as a cell over the csv module's field size limit, is a
+    DataError naming its line."""
     reader = csv.reader(stream, delimiter=delimiter)
     try:
         header = next(reader, None)
@@ -242,9 +243,11 @@ def _csv_rows(stream, delimiter: str, read: list, what: str, optional=()):
         repeated = [c for c in read if header.count(c) > 1]
         if repeated:
             raise DataError(f"{what} header repeats columns: {', '.join(repeated)}")
+        read_at = sorted(header.index(c) for c in read if c in header)
         for cells in reader:
             if cells:
-                yield reader.line_num, dict(zip(header, cells))
+                short = None if len(cells) > read_at[-1] else header[next(k for k in read_at if k >= len(cells))]
+                yield reader.line_num, dict(zip(header, cells)), short
     except csv.Error as exc:
         raise DataError(f"{what} line {reader.line_num}: {exc}") from None
 
@@ -294,12 +297,15 @@ def parse_deals(stream, fmt: DealFileFormat = DealFileFormat()) -> ParsedDeals:
     """
     columns = tuple(zip(fmt[1:], _DEAL_COLUMNS))
     result = ParsedDeals([], [])
-    # every column but investor is required; a missing cell reads as ""
-    for line, row in _csv_rows(stream, fmt.delimiter, fmt[1:], "deal file", optional=[fmt.investor]):
+    # every column but investor is required; a header without it reads its cells as ""
+    for line, row, short in _csv_rows(stream, fmt.delimiter, fmt[1:], "deal file", optional=[fmt.investor]):
+        if short is not None:
+            result.issues.append(RowIssue(line, short, f"row has no {short} cell"))
+            continue
         values = {}
         for column, (field, parser, _) in columns:
             try:
-                values[field] = parser(row.get(column) or "")
+                values[field] = parser(row.get(column, ""))
             except DataError as exc:
                 result.issues.append(RowIssue(line, column, str(exc)))
                 break
@@ -332,11 +338,10 @@ def parse_prices(stream, fmt: PriceFileFormat = PriceFileFormat()) -> dict:
     label downstream, so there is no lenient mode.
     """
     by_index: dict = {}
-    for line, row in _csv_rows(stream, fmt.delimiter, fmt[1:], "price file"):
+    for line, row, short in _csv_rows(stream, fmt.delimiter, fmt[1:], "price file"):
         try:
-            short = [column for column in fmt[1:] if column not in row]
-            if short:
-                raise DataError(f"row has no {short[0]} cell")
+            if short is not None:
+                raise DataError(f"row has no {short} cell")
             name = row[fmt.index_name].strip()
             if not name:
                 raise DataError("empty index name")

@@ -307,11 +307,15 @@ def listed_parse_deals(stream, fmt) -> ParsedDeals:
         ("investor", fmt.investor, str.strip),
     )
     result = ParsedDeals([], [])
-    for line, row in _csv_rows(stream, fmt.delimiter, [column for _, column, _ in fields[:-1]], "deal file"):
+    columns = [column for _, column, _ in fields]
+    for line, row, short in _csv_rows(stream, fmt.delimiter, columns, "deal file", optional=[fmt.investor]):
+        if short is not None:
+            result.issues.append(RowIssue(line, short, f"row has no {short} cell"))
+            continue
         values = {}
         for field, column, parser in fields:
             try:
-                values[field] = parser(row.get(column) or "")
+                values[field] = parser(row.get(column, ""))
             except DataError as exc:
                 result.issues.append(RowIssue(line, column, str(exc)))
                 break

@@ -56,7 +56,7 @@ def test_criterion_3_schedule_yields_50_predictions():
     table = data.features["Market"]
     assert (table.start, table.start + (len(table.rows) - 1)) == (Quarter(2000, 1), Quarter(2016, 4))
     result = run(table, data.labels["Market"], BacktestConfig(std_window=12, est_window=7, max_iter=20))
-    predicted = sorted([r.quarter for r in result.records] + [s.predicted for s in result.skipped])
+    predicted = [w.quarter for w in result.windows]
     assert len(predicted) == 50
     assert predicted[0].end_date().isoformat() == "2004-09-30"
     assert predicted[-1].end_date().isoformat() == "2016-12-31"

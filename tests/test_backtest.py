@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from pesignal.backtest import (
     BacktestConfig,
+    BacktestResult,
     PredictionRecord,
+    SkippedWindow,
     read_predictions,
     run,
     run_scopes,
@@ -60,9 +62,9 @@ FAST = BacktestConfig(std_window=4, est_window=3, max_iter=300)
 
 
 def walk(rows, config):
-    """Every predicted quarter of the walk, recorded or skipped, in order."""
+    """Every predicted quarter of the walk, recorded or skipped, in the order the windows come."""
     result = run(rows, broad_labels(quarters_of(rows)), config)
-    return sorted([r.quarter for r in result.records] + [s.predicted for s in result.skipped])
+    return [w.quarter for w in result.windows]
 
 
 class TestSchedule:
@@ -99,6 +101,30 @@ class TestSchedule:
             predicted = walk(broad_rows(n), BacktestConfig(std_window=t, est_window=ne, max_iter=0))
             assert predicted == [START + k for k in range(t + ne - 1, n)]
             assert len(predicted) == n - t - ne + 1
+
+    def test_records_and_skipped_split_the_windows_in_order(self):
+        assert BacktestResult._fields == ("scope", "windows")
+        assert SkippedWindow._fields == ("quarter", "reason")
+        rng = random.Random(11)
+        mixed = 0
+        for _ in range(30):
+            t = rng.randint(2, 8)
+            ne = rng.randint(2, 6)
+            n = rng.randint(t + ne, t + ne + 20)
+            rows = broad_rows(n, seed=rng.randrange(1000), hole=rng.choice([None, rng.randrange(n)]))
+            labels = broad_labels(quarters_of(rows))
+            for q in rng.sample(sorted(labels), rng.randint(0, 3)):
+                del labels[q]
+            result = run(rows, labels, BacktestConfig(std_window=t, est_window=ne, max_iter=5))
+            # one window per planned quarter, as many as test_count_formula counts, in schedule order
+            assert len(result.windows) == n - t - ne + 1
+            assert [w.quarter for w in result.windows] == [START + k for k in range(t + ne - 1, n)]
+            # records and skipped are the two kinds of window, each in the order the windows come
+            assert result.records == tuple(w for w in result.windows if type(w) is PredictionRecord)
+            assert result.skipped == tuple(w for w in result.windows if type(w) is SkippedWindow)
+            assert len(result.records) + len(result.skipped) == len(result.windows)
+            mixed += bool(result.records and result.skipped)
+        assert mixed >= 5
 
     def test_insufficient_history(self):
         with pytest.raises(InsufficientHistoryError, match="19 quarters"):
@@ -206,8 +232,11 @@ class TestRun:
         clean = run(rows, labels, FAST)
         monkeypatch.setattr("pesignal.backtest.fit_windows", second_fails)
         result = run(rows, labels, FAST)
-        assert [s.predicted for s in result.skipped] == [START + k for k in (6, 7, 8, 10, 12, 13, 14)]
-        reasons = {s.predicted: s.reason for s in result.skipped}
+        assert [s.quarter for s in result.skipped] == [START + k for k in (6, 7, 8, 10, 12, 13, 14)]
+        # the failed window keeps its place in the schedule, between the records either side of it
+        assert [w.quarter for w in result.windows] == [START + k for k in range(6, 16)]
+        assert result.windows[3:6] == (clean.windows[3], SkippedWindow(START + 10, "estimation failed: boom"), clean.windows[5])
+        reasons = {s.quarter: s.reason for s in result.skipped}
         assert reasons[START + 10] == "estimation failed: boom"
         assert all("no label at" in r for q, r in reasons.items() if q != START + 10)
         assert [r.quarter for r in result.records] == [START + k for k in (9, 11, 15)]
@@ -296,7 +325,7 @@ def test_no_lookahead_through_the_pipeline(offset, seed, change_deals, change_pr
         got = [(r.quarter, r.p_up, r.predicted, r.fit) for r in changed.records if r.quarter <= q]
         assert got == want, scope.name
         assert [r.actual for r in changed.records if r.quarter < q] == [r.actual for r in full.records if r.quarter < q]
-        assert [s for s in changed.skipped if s.predicted <= q] == [s for s in full.skipped if s.predicted <= q]
+        assert [s for s in changed.skipped if s.quarter <= q] == [s for s in full.skipped if s.quarter <= q]
 
 
 class TestPredictionIO:

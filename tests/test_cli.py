@@ -579,6 +579,22 @@ class TestExitCodes:
         assert f"usage error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_first_after_last_is_a_usage_error(self, tmp_path, capsys):
+        # exit 1 before any input is read: the out directory with the inputs does not exist
+        config = write_config(tmp_path, dict(SMALL, first="2005Q1", last="2003-03-31"))
+        out = tmp_path / "out"
+        assert main(["features", "--config", config, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "pesignal: usage error: first 2005Q1 comes after last 2003Q1\n"
+        assert not out.exists()
+        # a bound the P/E file gives is data, so a first after it stays a data error
+        assert main(["synth", "--config", config, "--out", str(out)]) == 0
+        assert main(["features", "--config", write_config(tmp_path, dict(SMALL, first="2030Q1")), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.endswith("pesignal: data error: quarter range reversed: 2030Q1 > 2005Q4\n")
+        # first equal to last passes the check, and falls short of t quarters later
+        settings = dict(SMALL, first="2004Q1", last="2004Q1")
+        assert main(["features", "--config", write_config(tmp_path, settings), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.endswith("standardization needs 6 quarters, series has 1\n")
+
     @pytest.mark.parametrize(
         "content, message",
         [
@@ -671,6 +687,11 @@ class TestExitCodes:
                 "market", 2, "pesignal: data error: {path}: line 3, column sector: unknown sector 'Market'",
                 id="strict-market-deal-row",
             ),
+            pytest.param(
+                "short", 2,
+                "pesignal: data error: {path}: line 3, column investor_performance: row has no investor_performance cell",
+                id="strict-short-deal-row",
+            ),
         ],
     )
     def test_failing_command_prints_one_line_and_its_exit_code(self, tmp_path, capsys, monkeypatch, case, code, line):
@@ -695,6 +716,9 @@ class TestExitCodes:
             if case == "prices":
                 parts[1] = "2000-05-31"
                 argv = ["backtest", *study]
+            elif case == "short":
+                parts[-2:] = [parts[-2] + "\n"]  # the rank cell goes, the line end stays
+                argv = ["features", *study, "--strict"]
             else:
                 parts[2] = "Market" if case == "market" else "Zeppelins"
                 argv = ["features", *study, "--strict"]
@@ -738,7 +762,7 @@ class TestCommandLog:
             fitted, skipped = len(result.records), len(result.skipped)
             capped = sum(not record.fit.converged for record in result.records)
             assert (fitted + skipped, skipped) == (50, 4) and 0 < capped < fitted, name
-            expected += [f"{name} {skip.predicted}: skipped, {skip.reason}" for skip in result.skipped]
+            expected += [f"{name} {skip.quarter}: skipped, {skip.reason}" for skip in result.skipped]
             expected.append(f"{name}: {fitted} windows fitted, {capped} stopped at the iteration cap, {skipped} skipped")
         assert err.splitlines() == expected
         assert "converged=" not in err

@@ -17,6 +17,7 @@ from pesignal.ingest import (
     DealFileFormat,
     DealRecord,
     PriceFileFormat,
+    RowIssue,
     first_deals,
     parse_aum,
     parse_date,
@@ -33,6 +34,8 @@ from oracles import listed_parse_deals, listed_write_deals
 DEAL_HEADER = (
     "company_id,company_name,sector,first_investment_date,investor_aum,investor_performance"
 )
+# the header write_deals gives, with investor
+WRITTEN_HEADER = "company_id,company_name,sector,first_investment_date,investor,investor_aum,investor_performance"
 
 
 def deals_io(*rows):
@@ -218,6 +221,43 @@ class TestParseDeals:
         assert rec.sector == "Utilities"
         assert rec.investor_aum == 2.0
         assert rec.investor_rank == 1.0
+
+    # a row cut short is a row issue naming the first column it has no cell
+    # for, in the header's order, not a deal without the fields it lacks
+    @pytest.mark.parametrize(
+        "header, row, column",
+        [
+            pytest.param(WRITTEN_HEADER, "a,A,Finance,2008-02-12", "investor", id="cut-after-date"),
+            pytest.param(WRITTEN_HEADER, "a,A,Finance,2008-02-12,F,3.0", "investor_performance", id="cut-after-aum"),
+            pytest.param(DEAL_HEADER, "a,A,Finance,2008-02-12", "investor_aum", id="no-investor-cut-after-date"),
+            pytest.param(DEAL_HEADER, "a,A,Finance,2008-02-12,3.0", "investor_performance", id="no-investor-cut-after-aum"),
+            pytest.param(
+                "company_id,company_name,investor_performance,sector,first_investment_date,investor_aum",
+                "a,A",
+                "investor_performance",
+                id="header-order",
+            ),
+            pytest.param(f"note,{DEAL_HEADER}", "x,a,A,Finance,2008-02-12,1.0", "investor_performance", id="unread-first"),
+            pytest.param(DEAL_HEADER, "a", "company_name", id="one-cell"),
+        ],
+    )
+    def test_short_row_is_a_row_issue_naming_its_first_missing_column(self, header, row, column):
+        parsed = parse_deals(io.StringIO(f"{header}\n{row}\n"))
+        assert parsed.records == []
+        assert parsed.issues == [RowIssue(2, column, f"row has no {column} cell")]
+
+    def test_short_row_names_a_column_named_empty(self):
+        stream = io.StringIO("company_id,,sector,first_investment_date,investor_aum,investor_performance\na\n")
+        parsed = parse_deals(stream, DealFileFormat(company_name=""))
+        assert parsed.issues == [RowIssue(2, "", "row has no  cell")]
+
+    def test_an_empty_cell_is_no_short_row(self):
+        (rec,) = parse_deals(io.StringIO(f"{WRITTEN_HEADER}\na,A,Finance,2008-02-12,F,3.0,\n")).records
+        assert (rec.investor, rec.investor_aum, rec.investor_rank) == ("F", 3.0, None)
+
+    def test_a_row_may_lack_a_column_no_field_reads(self):
+        stream = io.StringIO(f"{DEAL_HEADER},note\na,A,Finance,2008-02-12,1.0,N/A\n")
+        assert parse_deals(stream) == parse_deals(deals_io("a,A,Finance,2008-02-12,1.0,N/A"))
 
     def test_investor_column_optional(self):
         stream = io.StringIO(

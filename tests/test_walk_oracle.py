@@ -196,17 +196,16 @@ def oracle_run(features: FeatureTable, labels, config: BacktestConfig) -> Backte
     z = np.array([[zs for zs, _ in samples] for samples in batch], dtype=float).reshape(*shape, len(table.names))
     y = np.array([[1.0 if y is Label.UP else 0.0 for _, y in samples] for samples in batch]).reshape(shape)
     outcomes = iter(fit_windows(z, y, config))
-    records = []
-    skipped = []
+    windows = []
     for entry, step in zip(entries, plan):
         outcome = next(outcomes) if isinstance(step, list) else step
         if isinstance(outcome, NumericalError):
             outcome = f"estimation failed: {outcome}"
         if isinstance(outcome, str):
-            skipped.append(SkippedWindow(entry.predicted, outcome))
+            windows.append(SkippedWindow(entry.predicted, outcome))
             continue
         p = prob_up(z_by_quarter[entry.predicted].z, outcome.params)
-        records.append(
+        windows.append(
             PredictionRecord(
                 scope=scope,
                 quarter=entry.predicted,
@@ -216,7 +215,7 @@ def oracle_run(features: FeatureTable, labels, config: BacktestConfig) -> Backte
                 fit=outcome,
             )
         )
-    return BacktestResult(scope, tuple(records), tuple(skipped))
+    return BacktestResult(scope, tuple(windows))
 
 
 def draw_rows(rng, scope, n, hole_rate, coarse):
@@ -296,6 +295,7 @@ def test_run_matches_the_object_walk(
     got = run(rows, {lab.quarter: lab.y for lab in labels}, config)
     want = oracle_run(rows, labels, config)
     assert got.scope == want.scope
+    assert got.windows == want.windows
     assert got.skipped == want.skipped
     # record equality compares every field, the whole FitReport included
     assert got.records == want.records
