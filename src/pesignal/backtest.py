@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 
 from ._record import NamedTuple, checked
-from .errors import DataError, InsufficientHistoryError, NumericalError
-from .features import FeatureTable, Scope
+from .errors import InsufficientHistoryError, NumericalError
+from .features import FeatureTable, Scope, read_table, table_cell, write_table
 from .logit import FitReport, LogitParams, classify, fit_windows, prob_up
 from .logit import fit  # noqa: F401  (bench/test_bench.py checks the tracer wraps it here)
 from .quarters import Quarter
@@ -174,7 +174,7 @@ def _window(plan: _Plan, k: int, outcome, config: BacktestConfig):
         quarter=plan.table.start + k,
         p_up=p,
         # classify the cell the table holds, which evaluate reads back
-        predicted=classify(float(_p_up_cell(p)), config.threshold),
+        predicted=classify(float(table_cell(p)), config.threshold),
         actual=plan.actual[k],
         fit=outcome._replace(params=params),
     )
@@ -183,60 +183,35 @@ def _window(plan: _Plan, k: int, outcome, config: BacktestConfig):
 PREDICTION_COLUMNS = ("scope", "quarter_end", "p_up", "predicted", "actual", "correct")
 
 
-def _p_up_cell(p: float) -> str:
-    return f"{p:.6f}"
-
-
 def prediction_row(rec: PredictionRecord) -> list:
-    """A record's cells in PREDICTION_COLUMNS order: 6-decimal p_up, NA for unscored actual/correct."""
+    """A record's cells in PREDICTION_COLUMNS order: p_up a float, NA for unscored actual/correct."""
     actual = "NA" if rec.actual is None else rec.actual.value
     correct = "NA" if rec.correct is None else ("1" if rec.correct else "0")
     quarter_end = rec.quarter.end_date().isoformat()
-    return [rec.scope.name, quarter_end, _p_up_cell(rec.p_up), rec.predicted.value, actual, correct]
+    return [rec.scope.name, quarter_end, rec.p_up, rec.predicted.value, actual, correct]
 
 
 def write_predictions(records, stream):
     """Prediction table: a PREDICTION_COLUMNS header, then one prediction_row per record."""
-    for cells in [PREDICTION_COLUMNS, *map(prediction_row, records)]:
-        stream.write(",".join(cells) + "\n")
+    write_table([PREDICTION_COLUMNS, *map(prediction_row, records)], stream)
 
 
 def read_predictions(stream) -> list:
     """Parse one scope's prediction table back; fit comes back as None.
 
-    A row that names another scope than the first row, repeats a
-    quarter, or has a correct cell its predicted and actual cells
-    contradict is a DataError naming its line.
+    A row that repeats a quarter, or has a correct cell its predicted
+    and actual cells contradict, is a DataError naming its line.
     """
-    header = stream.readline().rstrip("\r\n")
-    if header != ",".join(PREDICTION_COLUMNS):
-        raise DataError(f"unexpected prediction table header: {header!r}")
-    records = []
     seen = set()
-    for line_no, line in enumerate(stream, start=2):
-        line = line.rstrip("\r\n")
-        if not line:
-            continue
-        parts = line.split(",")
-        try:
-            if len(parts) != 6:
-                raise ValueError("expected 6 columns")
-            scope_name, quarter_end, p_up, predicted, actual, correct = parts
-            rec = PredictionRecord(
-                scope=Scope(scope_name),
-                quarter=Quarter.parse(quarter_end),
-                p_up=float(p_up),
-                predicted=Label(predicted),
-                actual=None if actual == "NA" else Label(actual),
-            )
-            if records and rec.scope != records[0].scope:
-                raise ValueError(f"scope {rec.scope.name}, but the table is {records[0].scope.name}'s")
-            if rec.quarter in seen:
-                raise ValueError(f"quarter {rec.quarter} appears twice")
-            if correct != prediction_row(rec)[-1]:
-                raise ValueError(f"correct is {correct!r}, which predicted {predicted} and actual {actual} contradict")
-        except (ValueError, DataError) as exc:
-            raise DataError(f"prediction table line {line_no}: {exc}") from None
-        records.append(rec)
-        seen.add(rec.quarter)
-    return records
+
+    def record(names, scope, quarter, cells):
+        p_up, predicted, actual, correct = cells
+        rec = PredictionRecord(scope, quarter, float(p_up), Label(predicted), None if actual == "NA" else Label(actual))
+        if quarter in seen:
+            raise ValueError(f"quarter {quarter} appears twice")
+        if correct != prediction_row(rec)[-1]:
+            raise ValueError(f"correct is {correct!r}, which predicted {predicted} and actual {actual} contradict")
+        seen.add(quarter)
+        return rec
+
+    return read_table(stream, "prediction table", record, fits=lambda names: names == PREDICTION_COLUMNS[2:])[2]

@@ -350,12 +350,18 @@ def cmd_features(config: RunConfig) -> int:
     buckets = deals_by_quarter(first_deals(parsed.records))
     pe_map = files.parse(pe_path, parse_prices, config.price_format())
     market_pe = _series_for(pe_map, BROAD_INDEX_NAME, pe_path)
-    first = first or min(market_pe)
-    last = last or max(market_pe)
+    lo, hi = min(market_pe), max(market_pe)
+    for key, quarter in (("first", first), ("last", last)):
+        if quarter and not lo <= quarter <= hi:
+            raise DataError(f"{pe_path}: {key} {quarter} lies outside the market P/E series, {lo} to {hi}")
+    first, last = first or lo, last or hi
     out = config.out_dir()
     for scope in config.scope_list():
         sector_pe = None if scope.is_broad else _series_for(pe_map, scope.name, pe_path)
-        table = build_feature_table(buckets, scope, first, last, market_pe, sector_pe)
+        try:
+            table = build_feature_table(buckets, scope, first, last, market_pe, sector_pe)
+        except DataError as exc:
+            raise DataError(f"{pe_path}: {exc}") from None
         ztable = build_zscore_table(table, config.t)
         if ztable.dropped:
             _log("%s: %d quarters dropped for missing features", scope.name, len(ztable.dropped))

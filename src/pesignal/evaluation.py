@@ -15,6 +15,7 @@ from collections import Counter
 from ._record import NamedTuple, checked
 from .backtest import PREDICTION_COLUMNS, prediction_row
 from .errors import DataError
+from .features import write_table
 from .response import Label
 
 
@@ -166,13 +167,9 @@ def write_score_reports(reports, stream):
 
 
 def write_roc_points(curve: RocCurve, stream):
-    stream.write("fpr,tpr\n")
-    for fpr, tpr in curve.points:
-        stream.write(f"{fpr:.6f},{tpr:.6f}\n")
+    write_table([("fpr", "tpr"), *curve.points], stream)
 
 
 def write_scatter(records, stream):
     """Per-quarter dots for plotting: the prediction table without p_up."""
-    for cells in [list(PREDICTION_COLUMNS), *map(prediction_row, records)]:
-        del cells[2]
-        stream.write(",".join(cells) + "\n")
+    write_table([cells[:2] + cells[3:] for cells in [PREDICTION_COLUMNS, *map(prediction_row, records)]], stream)

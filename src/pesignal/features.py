@@ -176,16 +176,57 @@ def build_feature_table(
     return FeatureTable(scope, first_quarter, names, tuple(rows))
 
 
+def table_cell(value) -> str:
+    """A value as a table holds it: a string or an int as is, None as NA, a float to 6 decimals."""
+    return "NA" if value is None else str(value) if isinstance(value, (str, int)) else f"{value:.6f}"
+
+
+def write_table(rows, stream):
+    """Write rows, the header first, one line each: its table_cells joined by commas."""
+    for row in rows:
+        stream.write(",".join(map(table_cell, row)) + "\n")
+
+
 def write_feature_table(table: FeatureTable, stream):
     """Emit an audit table, feature or z: scope, quarter-end date, then
-    the table's columns, an int as is, a float to 6 decimals and None as
-    NA; all-None rows are left out."""
-    stream.write(",".join(["scope", "quarter_end", *table.names]) + "\n")
-    for k, row in enumerate(table.rows):
-        if row.count(None) < len(row):
-            cells = [table.scope.name, (table.start + k).end_date().isoformat()]
-            cells += ["NA" if v is None else str(v) if isinstance(v, int) else f"{v:.6f}" for v in row]
-            stream.write(",".join(cells) + "\n")
+    the table's columns; all-None rows are left out."""
+    kept = [k for k, row in enumerate(table.rows) if row.count(None) < len(row)]
+    dated = [(table.scope.name, (table.start + k).end_date().isoformat(), *table.rows[k]) for k in kept]
+    write_table([("scope", "quarter_end", *table.names), *dated], stream)
+
+
+def read_table(stream, what: str, row, fits=lambda names: True) -> tuple:
+    """(scope, names, rows) of a table whose columns are scope, quarter_end, then names.
+
+    The header must pass fits(names); blank lines are skipped, and CRLF
+    ends a line as LF does. A line must have the header's width, a
+    quarter and the first row's scope; row(names, scope, quarter, cells)
+    makes its entry of rows, and a ValueError or DataError on the line
+    is a DataError naming it. scope is None when no row follows the header.
+    """
+    header = stream.readline().rstrip("\r\n")
+    columns = header.split(",")
+    names = tuple(columns[2:])
+    if columns[:2] != ["scope", "quarter_end"] or not fits(names):
+        raise DataError(f"unexpected {what} header: {header!r}")
+    scope, rows = None, []
+    for line_no, line in enumerate(stream, start=2):
+        line = line.rstrip("\r\n")
+        if not line:
+            continue
+        cells = line.split(",")
+        try:
+            if len(cells) != len(columns):
+                raise ValueError(f"expected {len(columns)} columns")
+            quarter = Quarter.parse(cells[1])
+            if scope is None:
+                scope = Scope(cells[0])
+            elif cells[0] != scope.name:
+                raise ValueError(f"scope {cells[0]}, but the table is {scope.name}'s")
+            rows.append(row(names, scope, quarter, cells[2:]))
+        except (ValueError, DataError) as exc:
+            raise DataError(f"{what} line {line_no}: {exc}") from None
+    return scope, names, rows
 
 
 def _cell(name: str, cell: str):
@@ -206,39 +247,21 @@ def _cell(name: str, cell: str):
 
 
 def read_feature_table(stream) -> FeatureTable:
-    """Parse a feature table back into a FeatureTable.
+    """Parse a feature table back into a FeatureTable, its values at the
+    table's 6-decimal precision. Columns that do not fit the first row's
+    scope, or a quarter that does not follow the row before, is a
+    DataError naming its line."""
+    quarters = []
 
-    Values carry the table's 6-decimal precision, not the full floats
-    the writer started from. A row that names another scope than the
-    first row, or another quarter than the one after the row before, is
-    a DataError naming its line.
-    """
-    header = stream.readline().rstrip("\r\n")
-    columns = header.split(",")
-    if columns[:2] != ["scope", "quarter_end"]:
-        raise DataError(f"unexpected feature table header: {header!r}")
-    names = tuple(columns[2:])
-    rows = []
-    for line_no, line in enumerate(stream, start=2):
-        line = line.rstrip("\r\n")
-        if not line:
-            continue
-        parts = line.split(",")
-        try:
-            if len(parts) != len(columns):
-                raise ValueError(f"expected {len(columns)} columns")
-            quarter = Quarter.parse(parts[1])
-            if not rows:
-                scope, start = Scope(parts[0]), quarter
-                if names != feature_names(scope):
-                    raise ValueError(f"columns {names} do not fit scope {scope.name}")
-            elif parts[0] != scope.name:
-                raise ValueError(f"scope {parts[0]}, but the table is {scope.name}'s")
-            elif quarter != start + len(rows):
-                raise ValueError(f"quarter {quarter}, but the row before is {start + (len(rows) - 1)}")
-            rows.append(tuple(_cell(name, cell) for name, cell in zip(names, parts[2:])))
-        except (ValueError, DataError) as exc:
-            raise DataError(f"feature table line {line_no}: {exc}") from None
+    def values(names, scope, quarter, cells):
+        if not quarters and names != feature_names(scope):
+            raise ValueError(f"columns {names} do not fit scope {scope.name}")
+        if quarters and quarter != quarters[-1] + 1:
+            raise ValueError(f"quarter {quarter}, but the row before is {quarters[-1]}")
+        quarters.append(quarter)
+        return tuple(map(_cell, names, cells))
+
+    scope, names, rows = read_table(stream, "feature table", values)
     if not rows:
         raise DataError("empty feature table")
-    return FeatureTable(scope, start, names, tuple(rows))
+    return FeatureTable(scope, quarters[0], names, tuple(rows))

@@ -21,8 +21,8 @@ from pesignal.backtest import (
 )
 from pesignal.errors import DataError, InsufficientHistoryError, NumericalError
 from pesignal.evaluation import report
-from pesignal.features import BROAD_FEATURES, BROAD_SCOPE, FeatureTable, build_feature_table, deals_by_quarter
-from pesignal.ingest import AumBucket, first_deals
+from pesignal.features import BROAD_FEATURES, BROAD_SCOPE, FeatureTable, Scope, build_feature_table, deals_by_quarter
+from pesignal.ingest import SECTOR_NAMES, AumBucket, first_deals
 from pesignal.logit import fit, fit_windows
 from pesignal.quarters import Quarter, quarter_range
 from pesignal.response import Label, build_labels
@@ -347,6 +347,22 @@ class TestPredictionIO:
             assert parsed.predicted is rec.predicted
             assert parsed.actual is rec.actual
             assert parsed.fit is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_drawn_records_round_trip(self, data):
+        # p_up at 6 decimals, which the table holds exactly; quarters in order, with gaps
+        scope = data.draw(st.sampled_from([BROAD_SCOPE, *map(Scope, SECTOR_NAMES)]))
+        quarter = data.draw(st.builds(Quarter, st.integers(1990, 2030), st.integers(1, 4)))
+        records = []
+        for gap in data.draw(st.lists(st.integers(1, 4), max_size=60)):
+            quarter += gap
+            p_up = data.draw(st.integers(0, 10**6)) / 10**6
+            labels = data.draw(st.tuples(st.sampled_from(Label), st.none() | st.sampled_from(Label)))
+            records.append(PredictionRecord(scope, quarter, p_up, *labels, fit=None))
+        out = io.StringIO()
+        write_predictions(records, out)
+        assert read_predictions(io.StringIO(out.getvalue())) == records
 
     def test_correct_flag_formatting(self):
         records = [

@@ -589,11 +589,39 @@ class TestExitCodes:
         # a bound the P/E file gives is data, so a first after it stays a data error
         assert main(["synth", "--config", config, "--out", str(out)]) == 0
         assert main(["features", "--config", write_config(tmp_path, dict(SMALL, first="2030Q1")), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.endswith("pesignal: data error: quarter range reversed: 2030Q1 > 2005Q4\n")
+        message = f"{out / 'pe.csv'}: first 2030Q1 lies outside the market P/E series, 2000Q1 to 2005Q4"
+        assert capsys.readouterr().err.endswith(f"pesignal: data error: {message}\n")
         # first equal to last passes the check, and falls short of t quarters later
         settings = dict(SMALL, first="2004Q1", last="2004Q1")
         assert main(["features", "--config", write_config(tmp_path, settings), "--out", str(out)]) == 2
         assert capsys.readouterr().err.endswith("standardization needs 6 quarters, series has 1\n")
+
+    @pytest.mark.parametrize(
+        "key, quarter",
+        [
+            pytest.param("first", "1990Q1", id="first-before"),
+            pytest.param("last", "1990Q1", id="last-before"),
+            pytest.param("last", "2030Q1", id="last-after"),
+        ],
+    )
+    def test_a_bound_outside_the_pe_series_is_a_data_error_naming_the_pe_file(self, tmp_path, capsys, key, quarter):
+        out = tmp_path / "out"
+        assert main(["synth", "--config", write_config(tmp_path, SMALL), "--out", str(out)]) == 0
+        config = write_config(tmp_path, dict(SMALL, **{key: quarter}))
+        assert main(["features", "--config", config, "--out", str(out)]) == 2
+        message = f"{out / 'pe.csv'}: {key} {quarter} lies outside the market P/E series, 2000Q1 to 2005Q4"
+        assert capsys.readouterr().err.endswith(f"pesignal: data error: {message}\n")
+
+    def test_a_sector_pe_series_that_ends_early_is_a_data_error_naming_the_pe_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = write_config(tmp_path, SMALL)
+        assert main(["synth", "--config", config, "--out", str(out)]) == 0
+        pe = out / "pe.csv"
+        lines = pe.read_text(encoding="utf-8").splitlines(keepends=True)
+        pe.write_text("".join(line for line in lines if not line.startswith("Communications,2005-12-31")), encoding="utf-8")
+        assert main(["features", "--config", config, "--out", str(out), "--scopes", "Market,Communications"]) == 2
+        message = f"{pe}: sector P/E series for Communications does not cover 2005Q4"
+        assert capsys.readouterr().err.endswith(f"pesignal: data error: {message}\n")
 
     @pytest.mark.parametrize(
         "content, message",

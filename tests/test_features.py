@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import feature_series
+from pesignal.backtest import PREDICTION_COLUMNS, read_predictions
 from pesignal.errors import DataError
 from pesignal.features import (
     BROAD_FEATURES,
@@ -414,6 +415,39 @@ class TestBuildFeatureTable:
         sector = "scope,quarter_end," + ",".join(SECTOR_FEATURES)
         with pytest.raises(DataError, match=r"line 2: sector_count_pct out of \[0, 100\]: 100.5"):
             read_feature_table(io.StringIO(sector + "\nFinance,2008-03-31,1,100.5,NA,NA,15.0,15.0\n"))
+
+
+# both tables whose columns begin scope,quarter_end, each a header and two valid rows
+SCOPED_TABLES = [
+    pytest.param(
+        read_feature_table, "feature table", "scope,quarter_end," + ",".join(BROAD_FEATURES),
+        ["Market,2008-03-31,1,4.000000,4.000000,1.500000,15.000000", "Market,2008-06-30,0,NA,NA,NA,15.100000"],
+        id="read_feature_table",
+    ),
+    pytest.param(
+        read_predictions, "prediction table", ",".join(PREDICTION_COLUMNS),
+        ["Market,2004-09-30,0.700000,UP,DOWN,0", "Market,2004-12-31,0.800000,UP,NA,NA"],
+        id="read_predictions",
+    ),
+]
+
+
+@pytest.mark.parametrize("reader, what, header, rows", SCOPED_TABLES)
+def test_the_scoped_table_readers_share_one_framing(reader, what, header, rows):
+    def read(*lines, end="\n"):
+        return reader(io.StringIO("".join(line + end for line in lines)))
+
+    want = read(header, *rows)
+    assert read(header, *rows, end="\r\n") == want
+    assert read(header, rows[0], "", rows[1], "") == want
+    width = header.count(",") + 1
+    for line in (rows[1].rsplit(",", 1)[0], rows[1] + ",1"):
+        with pytest.raises(DataError, match=f"^{what} line 3: expected {width} columns$"):
+            read(header, rows[0], line)
+    with pytest.raises(DataError, match=f"^{what} line 3: scope Finance, but the table is Market's$"):
+        read(header, rows[0], rows[1].replace("Market", "Finance"))
+    with pytest.raises(DataError, match=f"^unexpected {what} header: 'index_name,date,value'$"):
+        read("index_name,date,value", *rows)
 
 
 FIRST, LAST = Quarter(2008, 1), Quarter(2009, 4)
