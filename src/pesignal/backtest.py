@@ -14,6 +14,7 @@ import math
 from ._record import NamedTuple, checked
 from .errors import InsufficientHistoryError, NumericalError
 from .features import FeatureTable, Scope, read_table, table_cell, write_table
+from .ingest import parse_float
 from .logit import FitReport, LogitParams, classify, fit_windows, prob_up
 from .logit import fit  # noqa: F401  (bench/test_bench.py checks the tracer wraps it here)
 from .quarters import Quarter
@@ -206,7 +207,7 @@ def read_predictions(stream) -> list:
 
     def record(names, scope, quarter, cells):
         p_up, predicted, actual, correct = cells
-        rec = PredictionRecord(scope, quarter, float(p_up), Label(predicted), None if actual == "NA" else Label(actual))
+        rec = PredictionRecord(scope, quarter, parse_float(p_up), Label(predicted), None if actual == "NA" else Label(actual))
         if quarter in seen:
             raise ValueError(f"quarter {quarter} appears twice")
         if correct != prediction_row(rec)[-1]:

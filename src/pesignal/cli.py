@@ -241,20 +241,22 @@ def resolve_config(file_settings: dict, overrides: dict) -> RunConfig:
     return RunConfig(**merged)
 
 
-def _slug(name: str) -> str:
-    return name.lower().replace(" ", "_").replace("-", "_")
-
-
 class _Files:
     """The files one command reads and writes, each recorded by the SHA-256
     of exactly the bytes it parsed or wrote. manifest writes them all, so
-    a command that fails first leaves the last run's files as they were."""
+    a command that fails first leaves the last run's files as they were.
+    config is what the manifest records."""
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.inputs = {}
         self.outputs = {}
         self.rendered = []
+
+    def table(self, kind: str, scope_name: str) -> Path:
+        """<out>/<kind>_<slug>.csv, where a scope's table of that kind lives."""
+        slug = scope_name.lower().replace(" ", "_").replace("-", "_")
+        return self.config.out_dir() / f"{kind}_{slug}.csv"
 
     def parse(self, path: Path, reader, *args, **kwargs):
         """reader(stream, *args, **kwargs) on the file, read from disk once;
@@ -314,7 +316,7 @@ def _series_for(series_map: dict, name: str, path: Path):
     return series_map[name]
 
 
-def cmd_synth(config: RunConfig) -> int:
+def cmd_synth(config: RunConfig, files: _Files):
     spec = config.synthetic_spec()
     made = spec.scopes()
     for scope in config.scope_list():
@@ -322,24 +324,20 @@ def cmd_synth(config: RunConfig) -> int:
             raise UsageError(f"scope {scope.name!r} is not synthesized with n_sectors = {spec.n_sectors}")
     data = generate_dataset(spec)
     inputs = {key: str(config.input_path(key)) for key in ("deals", "prices", "pe")}
-    config = config._replace(scopes=tuple(s.name for s in made), **inputs)
-    files = _Files(config)
+    config = files.config = config._replace(scopes=tuple(s.name for s in made), **inputs)
     files.write(config.input_path("deals"), write_deals, data.deals, fmt=config.deal_format())
     files.write(config.input_path("prices"), write_prices, data.prices, fmt=config.price_format())
     files.write(config.input_path("pe"), write_prices, data.pe, fmt=config.price_format())
     _log("synth: %d deals, %d scopes, %d quarters", len(data.deals), len(made), spec.n_quarters)
-    files.manifest("synth")
-    return 0
 
 
-def cmd_features(config: RunConfig) -> int:
+def cmd_features(config: RunConfig, files: _Files):
     # t is the one fit setting features reads; check it as backtest does,
     # and the first and last quarters against each other, before any input
     RunConfig(t=config.t).backtest_config()
     first, last = (Quarter.parse(q) if q else None for q in (config.first, config.last))
     if first and last and first > last:
         raise UsageError(f"first {first} comes after last {last}")
-    files = _Files(config)
     deals_path = config.input_path("deals")
     pe_path = config.input_path("pe")
     parsed = files.parse(deals_path, parse_deals, config.deal_format())
@@ -355,7 +353,6 @@ def cmd_features(config: RunConfig) -> int:
         if quarter and not lo <= quarter <= hi:
             raise DataError(f"{pe_path}: {key} {quarter} lies outside the market P/E series, {lo} to {hi}")
     first, last = first or lo, last or hi
-    out = config.out_dir()
     for scope in config.scope_list():
         sector_pe = None if scope.is_broad else _series_for(pe_map, scope.name, pe_path)
         try:
@@ -367,22 +364,18 @@ def cmd_features(config: RunConfig) -> int:
             _log("%s: %d quarters dropped for missing features", scope.name, len(ztable.dropped))
         if ztable.zero_variance:
             _log("%s: %d zero-variance windows pinned to z=0", scope.name, len(ztable.zero_variance))
-        files.write(out / f"features_{_slug(scope.name)}.csv", write_feature_table, table)
-        files.write(out / f"zscores_{_slug(scope.name)}.csv", write_feature_table, ztable)
-    files.manifest("features")
-    return 0
+        files.write(files.table("features", scope.name), write_feature_table, table)
+        files.write(files.table("zscores", scope.name), write_feature_table, ztable)
 
 
-def cmd_backtest(config: RunConfig) -> int:
+def cmd_backtest(config: RunConfig, files: _Files):
     bt_config = config.backtest_config()
-    files = _Files(config)
     prices_path = config.input_path("prices")
     price_map = files.parse(prices_path, parse_prices, config.price_format())
     market_prices = _series_for(price_map, BROAD_INDEX_NAME, prices_path)
-    out = config.out_dir()
     scoped = []
     for scope in config.scope_list():
-        path = out / f"features_{_slug(scope.name)}.csv"
+        path = files.table("features", scope.name)
         table = files.parse(path, read_feature_table)
         if table.scope != scope:
             raise DataError(f"{path} holds {table.scope.name} features, not {scope.name}'s")
@@ -397,19 +390,15 @@ def cmd_backtest(config: RunConfig) -> int:
             "%s: %d windows fitted, %d stopped at the iteration cap, %d skipped",
             name, len(result.records), capped, len(result.skipped),
         )
-        files.write(out / f"predictions_{_slug(name)}.csv", write_predictions, result.records)
-    files.manifest("backtest")
-    return 0
+        files.write(files.table("predictions", name), write_predictions, result.records)
 
 
-def cmd_evaluate(config: RunConfig) -> int:
-    files = _Files(config)
-    out = config.out_dir()
+def cmd_evaluate(config: RunConfig, files: _Files):
     reports = []
     pooled_records = []
     per_scope = []
     for scope in config.scope_list():
-        path = out / f"predictions_{_slug(scope.name)}.csv"
+        path = files.table("predictions", scope.name)
         records = files.parse(path, read_predictions)
         if records and records[0].scope != scope:
             raise DataError(f"{path} holds {records[0].scope.name} predictions, not {scope.name}'s")
@@ -425,12 +414,10 @@ def cmd_evaluate(config: RunConfig) -> int:
         if scope_report.curve is None:
             _log("%s: no ROC curve, AUC undefined: need at least one UP and one DOWN outcome", name)
         else:
-            files.write(out / f"roc_{_slug(name)}.csv", write_roc_points, scope_report.curve)
+            files.write(files.table("roc", name), write_roc_points, scope_report.curve)
         if name != "ALL":
-            files.write(out / f"scatter_{_slug(name)}.csv", write_scatter, records)
-    files.write(out / "scores.jsonl", write_score_reports, reports)
-    files.manifest("evaluate")
-    return 0
+            files.write(files.table("scatter", name), write_scatter, records)
+    files.write(config.out_dir() / "scores.jsonl", write_score_reports, reports)
 
 
 _COMMANDS = {
@@ -476,7 +463,11 @@ def main(argv=None) -> int:
         command = overrides.pop("command")
         path = overrides.pop("config", None)
         config = resolve_config({} if path is None else load_config_file(path), overrides)
-        return _COMMANDS[command](config)
+        # a command only reads and renders; the manifest writes every file once it has returned
+        files = _Files(config)
+        _COMMANDS[command](config, files)
+        files.manifest(command)
+        return 0
     except PesignalError as exc:
         print(f"pesignal: {exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

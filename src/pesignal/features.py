@@ -11,7 +11,7 @@ import math
 
 from ._record import NamedTuple, checked
 from .errors import DataError
-from .ingest import BROAD_INDEX_NAME, SECTOR_NAMES, AumBucket
+from .ingest import BROAD_INDEX_NAME, SECTOR_NAMES, AumBucket, parse_float
 from .quarters import Quarter, quarter_range
 
 BROAD_FEATURES = ("deal_count", "avg_aum", "weighted_avg_aum", "avg_fund_ranking", "market_pe")
@@ -238,7 +238,7 @@ def _cell(name: str, cell: str):
         return int(cell)
     if cell == "NA":
         return None
-    value = float(cell)
+    value = parse_float(cell)
     if not math.isfinite(value):
         raise ValueError(f"{name} is not finite: {cell!r}")
     if name == "sector_count_pct" and not 0.0 <= value <= 100.0:

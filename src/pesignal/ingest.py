@@ -189,6 +189,14 @@ def parse_date(text: str) -> date:
     raise DataError(f"cannot parse date {text!r}")
 
 
+def parse_float(text: str) -> float:
+    """float(text), which also takes surrounding whitespace, "_" separators
+    and other scripts' digits, for ASCII text with none of them."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
 def parse_aum(text: str):
     """Numeric $B level, bucket tag, or None for N/A-style tokens."""
     raw = text.strip()
@@ -198,7 +206,7 @@ def parse_aum(text: str):
     if tag in _BUCKET_TAGS:
         return _BUCKET_TAGS[tag]
     try:
-        value = float(raw)
+        value = parse_float(raw)
     except ValueError:
         raise DataError(f"cannot parse AUM {text!r}") from None
     if not (math.isfinite(value) and value >= 0):
@@ -217,7 +225,7 @@ def parse_rank(text: str) -> float | None:
     if key == "bottom two quartiles":
         return 3.5
     try:
-        value = float(raw)
+        value = parse_float(raw)
     except ValueError:
         raise DataError(f"cannot parse performance rank {text!r}") from None
     if not 1.0 <= value <= 4.0:
@@ -351,7 +359,7 @@ def parse_prices(stream, fmt: PriceFileFormat = PriceFileFormat()) -> dict:
             if when != quarter.end_date():
                 raise DataError(f"{raw_date} is not a quarter-end date")
             try:
-                value = float(row[fmt.value].strip())
+                value = parse_float(row[fmt.value].strip())
             except ValueError:
                 raise DataError(f"cannot parse index level {row[fmt.value]!r}") from None
             if not (math.isfinite(value) and value > 0):

@@ -286,6 +286,30 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
+    @pytest.mark.parametrize(
+        "command, second, code, message",
+        [
+            ("features", "Communications", 2, "has no series named 'Communications'"),
+            ("backtest", "Commercial Services", 1, "input file not found"),
+            ("evaluate", "Commercial Services", 1, "input file not found"),
+        ],
+        ids=["features", "backtest", "evaluate"],
+    )
+    def test_rerun_that_fails_on_its_second_scope_leaves_every_file_and_manifest(
+        self, tmp_path, capsys, command, second, code, message
+    ):
+        # a Market-only study of one synthetic sector, then a rerun whose second
+        # scope has no P/E series, or no table the study wrote for it
+        config = write_config(tmp_path, {**SMALL, "n_sectors": 1})
+        out = tmp_path / "out"
+        for step in ("synth", "features", "backtest", "evaluate"):
+            assert main([step, "--config", config, "--out", str(out), "--scopes", "Market"]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        assert main([command, "--config", config, "--out", str(out), "--scopes", f"Market,{second}"]) == code
+        assert message in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_missing_input_file_is_a_usage_error(self, tmp_path, capsys):
         assert main(["features", "--out", str(tmp_path / "nowhere")]) == 1
         assert "not found" in capsys.readouterr().err
@@ -684,7 +708,7 @@ class TestExitCodes:
     def test_numerical_failure_maps_to_exit_3(self, monkeypatch, capsys):
         from pesignal import cli
 
-        monkeypatch.setitem(cli._COMMANDS, "backtest", lambda config: (_ for _ in ()).throw(NumericalError("boom")))
+        monkeypatch.setitem(cli._COMMANDS, "backtest", lambda config, files: (_ for _ in ()).throw(NumericalError("boom")))
         assert main(["backtest"]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
@@ -735,7 +759,7 @@ class TestExitCodes:
             path.write_bytes((out / "features_communications.csv").read_bytes())
             argv = ["backtest", *study]
         elif case == "numerical":
-            monkeypatch.setitem(pesignal.cli._COMMANDS, "backtest", lambda config: (_ for _ in ()).throw(NumericalError("boom")))
+            monkeypatch.setitem(pesignal.cli._COMMANDS, "backtest", lambda config, files: (_ for _ in ()).throw(NumericalError("boom")))
             argv = ["backtest", *study]
         else:
             path = out / ("prices.csv" if case == "prices" else "deals.csv")

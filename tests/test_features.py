@@ -3,6 +3,7 @@
 import io
 import math
 import random
+import re
 import statistics
 from datetime import date
 from decimal import ROUND_HALF_UP, Decimal
@@ -448,6 +449,23 @@ def test_the_scoped_table_readers_share_one_framing(reader, what, header, rows):
         read(header, rows[0], rows[1].replace("Market", "Finance"))
     with pytest.raises(DataError, match=f"^unexpected {what} header: 'index_name,date,value'$"):
         read("index_name,date,value", *rows)
+
+
+# float() alone takes surrounding whitespace, "_" separators and other
+# scripts' digits, none of which table_cell writes; repr writes an exponent
+@pytest.mark.parametrize("text", [" 0.5", "0.000_5", "\u0660.\u0665", "1e-05"])
+@pytest.mark.parametrize("reader, what, header, rows", SCOPED_TABLES)
+def test_the_scoped_table_readers_take_only_ascii_number_cells(reader, what, header, rows, text):
+    def read(cell):
+        cells = rows[0].split(",")
+        cells[3 if reader is read_feature_table else 2] = cell  # avg_aum, p_up
+        return reader(io.StringIO(f"{header}\n{','.join(cells)}\n{rows[1]}\n"))
+
+    if text == "1e-05":
+        assert read(text) == read("0.000010")
+    else:
+        with pytest.raises(DataError, match=f"^{what} line 2: could not convert string to float: {re.escape(repr(text))}$"):
+            read(text)
 
 
 FIRST, LAST = Quarter(2008, 1), Quarter(2009, 4)

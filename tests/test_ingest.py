@@ -37,6 +37,11 @@ DEAL_HEADER = (
 # the header write_deals gives, with investor
 WRITTEN_HEADER = "company_id,company_name,sector,first_investment_date,investor,investor_aum,investor_performance"
 
+# (cell, the number a deal or price reader reads, None if it rejects the
+# cell): either reader strips a cell first, but float() alone would also
+# take "_" separators and other scripts' digits; repr writes an exponent
+NUMBER_CELLS = [(" 0.5", 0.5), ("0.000_5", None), ("\u0660.\u0665", None), ("1e-05", 1e-05)]
+
 
 def deals_io(*rows):
     return io.StringIO("\n".join([DEAL_HEADER, *rows]) + "\n")
@@ -117,6 +122,11 @@ class TestFieldParsers:
         with pytest.raises(DataError):
             parse_rank("great")
 
+    @pytest.mark.parametrize("text", ["2_5", "\u0662", "\uff12"])
+    def test_rank_is_an_ascii_number(self, text):
+        with pytest.raises(DataError, match="^cannot parse performance rank"):
+            parse_rank(text)
+
 
 class TestParseDeals:
     def test_bucket_and_missing_rank_row(self):
@@ -193,6 +203,14 @@ class TestParseDeals:
             "company_id",
         ]
         assert parsed.issues[-1].message == "empty company_id"
+
+    @pytest.mark.parametrize("text, value", NUMBER_CELLS)
+    def test_aum_is_an_ascii_number(self, text, value):
+        parsed = parse_deals(deals_io(f"a,A,Finance,2008-02-12,{text},N/A"))
+        if value is None:
+            assert parsed.issues == [RowIssue(2, "investor_aum", f"cannot parse AUM {text!r}")]
+        else:
+            assert [r.investor_aum for r in parsed.records] == [value]
 
     def test_issue_reads_as_line_column_and_message(self):
         # the text `features --strict` reports after the deal file's path
@@ -354,6 +372,15 @@ class TestParsePrices:
     def test_non_finite_value_fatal(self, level):
         with pytest.raises(DataError, match=f"line 3: index level must be finite and > 0, got {level}"):
             parse_prices(prices_io("MARKET,2002-12-31,1.0", f"MARKET,2003-03-31,{level}"))
+
+    @pytest.mark.parametrize("text, value", NUMBER_CELLS)
+    def test_level_is_an_ascii_number(self, text, value):
+        rows = ("MARKET,2002-12-31,1.0", f"MARKET,2003-03-31,{text}")
+        if value is None:
+            with pytest.raises(DataError, match=f"^price file line 3: cannot parse index level {text!r}$"):
+                parse_prices(prices_io(*rows))
+        else:
+            assert parse_prices(prices_io(*rows))["MARKET"][Quarter(2003, 1)] == value
 
     def test_missing_column_fatal(self):
         with pytest.raises(DataError, match="missing columns"):
