@@ -27,7 +27,7 @@ from .backtest import BacktestConfig, read_predictions, run_scopes, write_predic
 from .backtest import run  # noqa: F401  (bench/test_bench.py checks the tracer wraps it here)
 from .errors import DataError, PesignalError, UsageError
 from .evaluation import report, write_roc_points, write_scatter, write_score_reports
-from .features import Scope, build_feature_table, deals_by_quarter, read_feature_table, write_feature_table
+from .features import Scope, build_feature_table, deals_by_quarter, named_series, read_feature_table, write_feature_table
 from .ingest import (
     BROAD_INDEX_NAME,
     DealFileFormat,
@@ -241,6 +241,14 @@ def resolve_config(file_settings: dict, overrides: dict) -> RunConfig:
     return RunConfig(**merged)
 
 
+def _naming(path: Path, build, *args, **kwargs):
+    """build(*args, **kwargs), whose DataError names the file path it read from."""
+    try:
+        return build(*args, **kwargs)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 class _Files:
     """The files one command reads and writes, each recorded by the SHA-256
     of exactly the bytes it parsed or wrote. manifest writes them all, so
@@ -275,10 +283,7 @@ class _Files:
         # a stream over the bytes holds the file once, where a StringIO would
         # hold it again at four bytes a character; utf-8-sig drops the
         # byte-order mark of Excel's UTF-8 exports, which the digest keeps
-        try:
-            return reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""), *args, **kwargs)
-        except DataError as exc:
-            raise DataError(f"{path}: {exc}") from None
+        return _naming(path, reader, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""), *args, **kwargs)
 
     def write(self, path: Path, writer, *args, **kwargs):
         """writer(*args, stream, **kwargs) rendered, for manifest to write atomically."""
@@ -308,12 +313,6 @@ class _Files:
                 os.replace(tmp, path)
             except OSError as exc:
                 raise UsageError(f"cannot write {path}: {exc.strerror}") from None
-
-
-def _series_for(series_map: dict, name: str, path: Path):
-    if name not in series_map:
-        raise DataError(f"{path} has no series named {name!r}")
-    return series_map[name]
 
 
 def cmd_synth(config: RunConfig, files: _Files):
@@ -347,18 +346,14 @@ def cmd_features(config: RunConfig, files: _Files):
         _log("%s %s", deals_path, issue)
     buckets = deals_by_quarter(first_deals(parsed.records))
     pe_map = files.parse(pe_path, parse_prices, config.price_format())
-    market_pe = _series_for(pe_map, BROAD_INDEX_NAME, pe_path)
+    market_pe = _naming(pe_path, named_series, pe_map, BROAD_INDEX_NAME)
     lo, hi = min(market_pe), max(market_pe)
     for key, quarter in (("first", first), ("last", last)):
         if quarter and not lo <= quarter <= hi:
             raise DataError(f"{pe_path}: {key} {quarter} lies outside the market P/E series, {lo} to {hi}")
     first, last = first or lo, last or hi
     for scope in config.scope_list():
-        sector_pe = None if scope.is_broad else _series_for(pe_map, scope.name, pe_path)
-        try:
-            table = build_feature_table(buckets, scope, first, last, market_pe, sector_pe)
-        except DataError as exc:
-            raise DataError(f"{pe_path}: {exc}") from None
+        table = _naming(pe_path, build_feature_table, buckets, scope, first, last, pe_map)
         ztable = build_zscore_table(table, config.t)
         if ztable.dropped:
             _log("%s: %d quarters dropped for missing features", scope.name, len(ztable.dropped))
@@ -372,15 +367,13 @@ def cmd_backtest(config: RunConfig, files: _Files):
     bt_config = config.backtest_config()
     prices_path = config.input_path("prices")
     price_map = files.parse(prices_path, parse_prices, config.price_format())
-    market_prices = _series_for(price_map, BROAD_INDEX_NAME, prices_path)
     scoped = []
     for scope in config.scope_list():
         path = files.table("features", scope.name)
         table = files.parse(path, read_feature_table)
         if table.scope != scope:
             raise DataError(f"{path} holds {table.scope.name} features, not {scope.name}'s")
-        sector_prices = None if scope.is_broad else _series_for(price_map, scope.name, prices_path)
-        scoped.append((table, build_labels(scope, market_prices, sector_prices)))
+        scoped.append((table, _naming(prices_path, build_labels, scope, price_map)))
     for result in run_scopes(scoped, bt_config):
         name = result.scope.name
         for skip in result.skipped:

@@ -15,7 +15,7 @@ from collections import Counter
 from ._record import NamedTuple, checked
 from .backtest import PREDICTION_COLUMNS, prediction_row
 from .errors import DataError
-from .features import write_table
+from .features import table_cell, write_table
 from .response import Label
 
 
@@ -144,7 +144,7 @@ def report(records, scope_name: str | None = None) -> ScoreReport:
 
 
 def _json_number(value) -> str:
-    return "null" if value is None else f"{value:.6f}"
+    return "null" if value is None else table_cell(value)
 
 
 def score_report_json(rep: ScoreReport) -> str:

@@ -129,34 +129,34 @@ def _weighted_mean(aums) -> float | None:
     return math.ldexp(math.fsum(w * s for w, s in zip(weights, scaled)) / math.fsum(weights), e)
 
 
+def named_series(series_map: dict, name: str) -> dict:
+    """The {Quarter: value} series a {name: series} map holds under name; a DataError if none."""
+    if name not in series_map:
+        raise DataError(f"has no series named {name!r}")
+    return series_map[name]
+
+
 def build_feature_table(
-    buckets: dict,
-    scope: Scope,
-    first_quarter: Quarter,
-    last_quarter: Quarter,
-    market_pe: dict,
-    sector_pe: dict | None = None,
+    buckets: dict, scope: Scope, first_quarter: Quarter, last_quarter: Quarter, pe: dict
 ) -> FeatureTable:
     """The scope's features for every quarter in [first_quarter, last_quarter].
 
     buckets maps each quarter to its first deals (deals_by_quarter), so
-    one grouping serves every scope. market_pe and sector_pe are
-    {Quarter: P/E} maps; market_pe must cover every quarter, and sector
-    scopes additionally need sector_pe coverage. Raises DataError
-    naming the first bare quarter. deal_count is an int; avg_aum and
-    weighted_avg_aum are None exactly when no deal in the quarter and
-    scope carries a usable AUM.
+    one grouping serves every scope. pe maps each index name to its
+    {Quarter: P/E} series, as parse_prices reads them. Market's series
+    and the scope's own must cover every quarter; a DataError names
+    the missing series or the first bare quarter. deal_count is an int;
+    avg_aum and weighted_avg_aum are None exactly when no deal in the
+    quarter and scope carries a usable AUM.
     """
-    if not scope.is_broad and sector_pe is None:
-        raise DataError(f"sector scope {scope.name} needs a sector P/E series")
+    market_pe, own_pe = named_series(pe, BROAD_INDEX_NAME), named_series(pe, scope.name)
     names = feature_names(scope)
     rows = []
     for quarter in quarter_range(first_quarter, last_quarter):
-        m_pe = market_pe.get(quarter)
-        s_pe = None if scope.is_broad else sector_pe.get(quarter)
+        m_pe, s_pe = market_pe.get(quarter), own_pe.get(quarter)
         if m_pe is None:
             raise DataError(f"market P/E series does not cover {quarter}")
-        if s_pe is None and not scope.is_broad:
+        if s_pe is None:
             raise DataError(f"sector P/E series for {scope.name} does not cover {quarter}")
         bucket = buckets.get(quarter, [])
         matched = matching_deals(bucket, scope)
@@ -199,10 +199,11 @@ def read_table(stream, what: str, row, fits=lambda names: True) -> tuple:
     """(scope, names, rows) of a table whose columns are scope, quarter_end, then names.
 
     The header must pass fits(names); blank lines are skipped, and CRLF
-    ends a line as LF does. A line must have the header's width, a
-    quarter and the first row's scope; row(names, scope, quarter, cells)
-    makes its entry of rows, and a ValueError or DataError on the line
-    is a DataError naming it. scope is None when no row follows the header.
+    ends a line as LF does. A line must have the header's width, its
+    quarter's last day as YYYY-MM-DD and the first row's scope;
+    row(names, scope, quarter, cells) makes its entry of rows, and a
+    ValueError or DataError on the line is a DataError naming it. scope
+    is None when no row follows the header.
     """
     header = stream.readline().rstrip("\r\n")
     columns = header.split(",")
@@ -218,7 +219,7 @@ def read_table(stream, what: str, row, fits=lambda names: True) -> tuple:
         try:
             if len(cells) != len(columns):
                 raise ValueError(f"expected {len(columns)} columns")
-            quarter = Quarter.parse(cells[1])
+            quarter = Quarter.ending(cells[1])
             if scope is None:
                 scope = Scope(cells[0])
             elif cells[0] != scope.name:

@@ -353,11 +353,7 @@ def parse_prices(stream, fmt: PriceFileFormat = PriceFileFormat()) -> dict:
             name = row[fmt.index_name].strip()
             if not name:
                 raise DataError("empty index name")
-            raw_date = row[fmt.date].strip()
-            when = parse_date(raw_date)
-            quarter = Quarter.of_date(when)
-            if when != quarter.end_date():
-                raise DataError(f"{raw_date} is not a quarter-end date")
+            quarter = Quarter.ending(row[fmt.date].strip(), parse_date)
             try:
                 value = parse_float(row[fmt.value].strip())
             except ValueError:

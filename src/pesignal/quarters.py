@@ -73,6 +73,19 @@ class Quarter(NamedTuple):
         except ValueError:
             raise DataError(f"cannot parse quarter from {text!r}") from None
 
+    @classmethod
+    def ending(cls, text: str, parse=iso_date) -> "Quarter":
+        """The quarter whose last day parse(text) is, text as YYYY-MM-DD by
+        default; a date parse rejects, or any other day, is a DataError."""
+        try:
+            when = parse(text)
+        except ValueError:
+            raise DataError(f"cannot parse quarter from {text!r}") from None
+        quarter = cls.of_date(when)
+        if when != quarter.end_date():
+            raise DataError(f"{text} is not a quarter-end date")
+        return quarter
+
     def __str__(self) -> str:
         return f"{self.year}Q{self.index}"
 

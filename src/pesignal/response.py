@@ -12,7 +12,7 @@ import enum
 import math
 
 from .errors import DataError
-from .features import BROAD_SCOPE, Scope
+from .features import BROAD_SCOPE, Scope, named_series
 from .quarters import Quarter
 
 
@@ -41,31 +41,28 @@ def ann_forward_return(prices: dict, t: Quarter, index: str = "the index") -> fl
     return value
 
 
-def sector_spread(sector_prices: dict, market_prices: dict, t: Quarter, sector: str = "the sector") -> float:
-    """Sector annualized forward return less the market's, in percent points."""
-    return ann_forward_return(sector_prices, t, sector) - ann_forward_return(market_prices, t, BROAD_SCOPE.name)
+def sector_spread(prices: dict, market: dict, t: Quarter, sector: str = "the sector") -> float:
+    """The sector's annualized forward return, from its prices, less the market's, in percent points."""
+    return ann_forward_return(prices, t, sector) - ann_forward_return(market, t, BROAD_SCOPE.name)
 
 
-def build_labels(
-    scope: Scope,
-    market_prices: dict,
-    sector_prices: dict | None = None,
-) -> dict:
+def build_labels(scope: Scope, prices: dict) -> dict:
     """The Label of every quarter where the needed prices exist, by quarter.
 
-    Prices are {Quarter: index level} maps. The label at t consumes
-    P(t+1), so the final covered quarter of the price history is never
-    labeled; callers wanting the last feature quarter labeled must
-    supply one extra trailing price.
+    prices maps each index name to its {Quarter: index level} series, as
+    parse_prices reads them; Market's series and the scope's own must be
+    there. The label at t consumes P(t+1), so the final covered quarter
+    of the price history is never labeled; callers wanting the last
+    feature quarter labeled must supply one extra trailing price.
     """
-    if not scope.is_broad and sector_prices is None:
-        raise DataError(f"sector scope {scope.name} needs sector prices")
+    market, own = named_series(prices, BROAD_SCOPE.name), named_series(prices, scope.name)
+    priced = market.keys() & own.keys()
     labels = {}
-    for t in sorted(market_prices):
-        if t + 1 not in market_prices or not (scope.is_broad or {t, t + 1} <= sector_prices.keys()):
+    for t in sorted(priced):
+        if t + 1 not in priced:
             continue  # a missing price leaves t unlabeled
         if scope.is_broad:
-            labels[t] = label_of(ann_forward_return(market_prices, t, scope.name))
+            labels[t] = label_of(ann_forward_return(market, t, scope.name))
         else:
-            labels[t] = label_of(sector_spread(sector_prices, market_prices, t, scope.name))
+            labels[t] = label_of(sector_spread(own, market, t, scope.name))
     return labels

@@ -19,7 +19,8 @@ from datetime import MAXYEAR, MINYEAR, timedelta
 from typing import TYPE_CHECKING
 
 from ._record import NamedTuple, checked
-from .features import BROAD_FEATURES, BROAD_SCOPE, FeatureTable, Scope, build_feature_table, deals_by_quarter, feature_names
+from .features import BROAD_FEATURES, BROAD_SCOPE, FeatureTable, Scope, build_feature_table, deals_by_quarter
+from .features import feature_names, named_series
 from .ingest import AumBucket, DealRecord, SECTOR_NAMES
 from .logit import LogitParams, prob_up
 from .quarters import Quarter
@@ -220,24 +221,17 @@ def generate_deals(spec: SyntheticSpec) -> list:
     return deals
 
 
-def generate_labels(
-    ztable: FeatureTable,
-    params: LogitParams,
-    spec: SyntheticSpec,
-    scope: Scope,
-    market_prices: dict | None = None,
-) -> tuple:
+def generate_labels(ztable: FeatureTable, params: LogitParams, spec: SyntheticSpec, scope: Scope, prices: dict) -> tuple:
     """Draw labels from the planted law and back out a price series.
 
     Quarters with a z row draw UP with probability P(UP | z) under the
     planted parameters; quarters before the first z (or with a dropped
     row) flip a fair coin. The emitted series spans one quarter past the
     horizon so every drawn label is reproduced by the response module.
-    Sector paths anchor to the market path so the drawn label decides
-    the spread sign.
+    prices maps each index name drawn so far to its series; a sector's
+    path anchors to Market's there, so the drawn label decides the
+    spread sign.
     """
-    if not scope.is_broad and market_prices is None:
-        raise ValueError("sector label generation needs the market price series")
     rng = _stream(spec.seed, _P_LABELS, _stream_index(scope))
     values = [100.0]
     drawn = []
@@ -252,13 +246,13 @@ def generate_labels(
         if scope.is_broad:
             ann = sign * (8.0 + 30.0 * u_mag)
         else:
-            ann = ann_forward_return(market_prices, quarter) + sign * (6.0 + 22.0 * u_mag)
+            ann = ann_forward_return(named_series(prices, BROAD_SCOPE.name), quarter) + sign * (6.0 + 22.0 * u_mag)
         values.append(values[-1] * (1.0 + ann / 100.0) ** 0.25)
-    prices = {spec.start + k: v for k, v in enumerate(values)}
-    labels = build_labels(scope, market_prices or prices, None if scope.is_broad else prices)
+    own = {spec.start + k: v for k, v in enumerate(values)}
+    labels = build_labels(scope, {**prices, scope.name: own})
     if list(labels.values()) != drawn:
         raise AssertionError("synthesized prices failed to reproduce the drawn labels")
-    return labels, prices
+    return labels, own
 
 
 class SyntheticDataset(NamedTuple):
@@ -276,15 +270,11 @@ def generate_dataset(spec: SyntheticSpec) -> SyntheticDataset:
     deals = generate_deals(spec)
     buckets = deals_by_quarter(deals)
     data = SyntheticDataset(deals, {}, {}, {}, {})
-    market = BROAD_SCOPE.name
     for scope in spec.scopes():
         name, index = scope.name, _stream_index(scope)
         path = pe_path(spec, index, 7 if scope.is_broad else index)
         data.pe[name] = {spec.start + k: float(v) for k, v in enumerate(path)}
-        sector_pe = None if scope.is_broad else data.pe[name]
-        data.features[name] = build_feature_table(buckets, scope, spec.start, spec.last, data.pe[market], sector_pe)
+        data.features[name] = build_feature_table(buckets, scope, spec.start, spec.last, data.pe)
         ztable = build_zscore_table(data.features[name], spec.std_window)
-        data.labels[name], data.prices[name] = generate_labels(
-            ztable, planted_params(spec, scope), spec, scope, data.prices.get(market)
-        )
+        data.labels[name], data.prices[name] = generate_labels(ztable, planted_params(spec, scope), spec, scope, data.prices)
     return data

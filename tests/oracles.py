@@ -59,7 +59,7 @@ from datetime import timedelta
 import numpy as np
 
 from pesignal.errors import DataError, InsufficientHistoryError
-from pesignal.features import BROAD_SCOPE, FeatureTable, build_feature_table, deals_by_quarter
+from pesignal.features import FeatureTable, build_feature_table, deals_by_quarter
 from pesignal.ingest import (
     SECTOR_NAMES,
     AumBucket,
@@ -355,8 +355,7 @@ def staged_generate_features(spec, deals, pe) -> tuple:
     features = {}
     ztables = {}
     for scope in spec.scopes():
-        sector_pe = None if scope.is_broad else pe[scope.name]
-        features[scope.name] = build_feature_table(buckets, scope, spec.start, spec.last, pe[BROAD_SCOPE.name], sector_pe)
+        features[scope.name] = build_feature_table(buckets, scope, spec.start, spec.last, pe)
         ztables[scope.name] = build_zscore_table(features[scope.name], spec.std_window)
     return features, ztables
 
@@ -369,7 +368,7 @@ def staged_generate_dataset(spec) -> dict:
     labels = {}
     for scope in spec.scopes():
         labels[scope.name], prices[scope.name] = generate_labels(
-            ztables[scope.name], planted_params(spec, scope), spec, scope, prices.get(BROAD_SCOPE.name)
+            ztables[scope.name], planted_params(spec, scope), spec, scope, prices
         )
     return {
         "spec": spec, "deals": deals, "prices": prices, "pe": pe,

@@ -37,7 +37,7 @@ def test_criterion_1_forward_returns_and_labels():
         assert simple == pytest.approx(quarterly, abs=0.005)
     assert ann_forward_return(prices, first) == pytest.approx(-11.60, abs=0.005)
     assert ann_forward_return(prices, second) == pytest.approx(79.97, abs=0.005)
-    labels = build_labels(BROAD_SCOPE, prices)
+    labels = build_labels(BROAD_SCOPE, {"Market": prices})
     assert labels == {first: Label.DOWN, second: Label.UP}
 
 
@@ -47,7 +47,7 @@ def test_criterion_2_sector_spreads_and_labels():
     first, second = Quarter(2008, 1), Quarter(2008, 2)
     assert sector_spread(sector, market, first) == pytest.approx(-6.30, abs=0.005)
     assert sector_spread(sector, market, second) == pytest.approx(44.70, abs=0.005)
-    labels = build_labels(Scope("Finance"), market, sector)
+    labels = build_labels(Scope("Finance"), {"Market": market, "Finance": sector})
     assert labels == {first: Label.DOWN, second: Label.UP}
 
 

@@ -250,10 +250,9 @@ LOOKAHEAD_DATA = generate_dataset(LOOKAHEAD_SPEC)
 def pipeline(deals, prices, pe, scope, config):
     """Raw deals, price levels and P/E series to one scope's walk."""
     spec = LOOKAHEAD_SPEC
-    sector_pe = None if scope.is_broad else pe[scope.name]
     buckets = deals_by_quarter(first_deals(deals))
-    rows = build_feature_table(buckets, scope, spec.start, spec.last, pe["Market"], sector_pe)
-    labels = build_labels(scope, prices["Market"], None if scope.is_broad else prices[scope.name])
+    rows = build_feature_table(buckets, scope, spec.start, spec.last, pe)
+    labels = build_labels(scope, prices)
     return run(rows, labels, config)
 
 

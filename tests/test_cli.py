@@ -487,8 +487,23 @@ class TestExitCodes:
         study = ["backtest", "--config", str(tmp_path / "config.json"), "--out", str(out), "--scopes", scope]
         assert main(study) == 2
         err = capsys.readouterr().err
-        assert f"data error: {message}" in err
+        assert f"data error: {path}: {message}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("missing", ["Market", "Commercial Services"])
+    def test_backtest_names_the_price_file_and_the_series_it_lacks(self, tmp_path, capsys, missing):
+        config = write_config(tmp_path, {**SMALL, "n_sectors": 1})
+        out = tmp_path / "out"
+        study = ["--config", config, "--out", str(out), "--scopes", "Market,Commercial Services"]
+        for command in ("synth", "features"):
+            assert main([command, *study]) == 0
+        path = out / "prices.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(line for line in lines if not line.startswith(f"{missing},")), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["backtest", *study]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and f"has no series named '{missing}'" in err
 
     def _study_with_first_aum(self, tmp_path, capsys, aum):
         """Run synth, give the first deal this AUM, then run features and
@@ -809,7 +824,7 @@ class TestCommandLog:
         for name in scopes:
             with open(out / f"features_{name.lower().replace(' ', '_')}.csv", encoding="utf-8") as handle:
                 table = read_feature_table(handle)
-            labels = build_labels(table.scope, prices["Market"], None if table.scope.is_broad else prices[name])
+            labels = build_labels(table.scope, prices)
             result = run(table, labels, resolve_config(settings, {}).backtest_config())
             fitted, skipped = len(result.records), len(result.skipped)
             capped = sum(not record.fit.converged for record in result.records)
@@ -1096,7 +1111,7 @@ class TestCliMatchesLibrary:
             slug = scope.name.lower().replace(" ", "_")
             with open(out / f"features_{slug}.csv", encoding="utf-8") as handle:
                 table = read_feature_table(handle)
-            labels = build_labels(scope, prices["Market"], None if scope.is_broad else prices[scope.name])
+            labels = build_labels(scope, prices)
             alone = run(table, labels, config.backtest_config())
             assert result.records == alone.records and result.skipped == alone.skipped, scope.name
             assert {len(r.fit.params.weights) for r in result.records} == {len(table.names)}

@@ -241,7 +241,7 @@ class TestAumFeatures:
 
     def test_weighted_mean_of_one_extreme_aum_is_itself(self):
         for aum in (5e-324, 1.5e308):
-            table = build_feature_table(deals_by_quarter([deal(aum=aum)]), BROAD_SCOPE, Q, Q, pe_series(Q, 1))
+            table = build_feature_table(deals_by_quarter([deal(aum=aum)]), BROAD_SCOPE, Q, Q, {"Market": pe_series(Q, 1)})
             assert by_name(table, 0)["weighted_avg_aum"] == aum
 
     def test_weighted_pair(self):
@@ -291,7 +291,7 @@ class TestBuildFeatureTable:
             BROAD_SCOPE,
             Quarter(2008, 1),
             Quarter(2008, 2),
-            pe_series(Quarter(2008, 1), 2),
+            {"Market": pe_series(Quarter(2008, 1), 2)},
         )
         assert (table.scope, table.start, table.names, len(table.rows)) == (BROAD_SCOPE, Quarter(2008, 1), BROAD_FEATURES, 2)
         first, second = by_name(table, 0), by_name(table, 1)
@@ -312,8 +312,7 @@ class TestBuildFeatureTable:
             Scope("Finance"),
             Quarter(2008, 1),
             Quarter(2008, 1),
-            pe_series(Quarter(2008, 1), 1),
-            sector_pe=pe_series(Quarter(2008, 1), 1, base=22.0),
+            {"Market": pe_series(Quarter(2008, 1), 1), "Finance": pe_series(Quarter(2008, 1), 1, base=22.0)},
         )
         assert table.names == SECTOR_FEATURES
         row = by_name(table, 0)
@@ -326,19 +325,22 @@ class TestBuildFeatureTable:
     def test_missing_market_pe_names_quarter(self):
         with pytest.raises(DataError, match="2008Q2"):
             build_feature_table(
-                {}, BROAD_SCOPE, Quarter(2008, 1), Quarter(2008, 2), pe_series(Quarter(2008, 1), 1)
+                {}, BROAD_SCOPE, Quarter(2008, 1), Quarter(2008, 2), {"Market": pe_series(Quarter(2008, 1), 1)}
             )
 
     def test_sector_scope_needs_sector_pe(self):
-        with pytest.raises(DataError, match="Finance"):
-            build_feature_table(
-                {}, Scope("Finance"), Quarter(2008, 1), Quarter(2008, 1), pe_series(Quarter(2008, 1), 1)
-            )
+        pe = pe_series(Quarter(2008, 1), 1)
+        with pytest.raises(DataError, match="^has no series named 'Finance'$"):
+            build_feature_table({}, Scope("Finance"), Quarter(2008, 1), Quarter(2008, 1), {"Market": pe, "Utilities": pe})
+        for scope in (BROAD_SCOPE, Scope("Finance")):
+            with pytest.raises(DataError, match="^has no series named 'Market'$"):
+                build_feature_table({}, scope, Quarter(2008, 1), Quarter(2008, 1), {"Finance": pe})
 
     def test_sector_pe_that_ends_early_names_the_sector_and_quarter(self):
         first, last = Quarter(2008, 1), Quarter(2008, 2)
+        pe = {"Market": pe_series(first, 2), "Finance": pe_series(first, 1)}
         with pytest.raises(DataError, match="^sector P/E series for Finance does not cover 2008Q2$"):
-            build_feature_table({}, Scope("Finance"), first, last, pe_series(first, 2), pe_series(first, 1))
+            build_feature_table({}, Scope("Finance"), first, last, pe)
 
     def test_feature_series_round_trip(self):
         deals = [deal("Finance", date(2008, 2, 1), aum=4.0, rank=1.5)]
@@ -347,7 +349,7 @@ class TestBuildFeatureTable:
             BROAD_SCOPE,
             Quarter(2008, 1),
             Quarter(2008, 3),
-            pe_series(Quarter(2008, 1), 3),
+            {"Market": pe_series(Quarter(2008, 1), 3)},
         )
         series = feature_series(table)
         assert set(series) == set(BROAD_FEATURES)
@@ -362,7 +364,7 @@ class TestBuildFeatureTable:
             BROAD_SCOPE,
             Quarter(2008, 1),
             Quarter(2008, 2),
-            pe_series(Quarter(2008, 1), 2),
+            {"Market": pe_series(Quarter(2008, 1), 2)},
         )
         out = io.StringIO()
         write_feature_table(table, out)
@@ -382,8 +384,7 @@ class TestBuildFeatureTable:
                 scope,
                 Quarter(2008, 1),
                 Quarter(2008, 2),
-                pe_series(Quarter(2008, 1), 2),
-                sector_pe=None if scope.is_broad else pe_series(Quarter(2008, 1), 2),
+                {"Market": pe_series(Quarter(2008, 1), 2), "Finance": pe_series(Quarter(2008, 1), 2)},
             )
             out = io.StringIO()
             write_feature_table(table, out)
@@ -449,6 +450,17 @@ def test_the_scoped_table_readers_share_one_framing(reader, what, header, rows):
         read(header, rows[0], rows[1].replace("Market", "Finance"))
     with pytest.raises(DataError, match=f"^unexpected {what} header: 'index_name,date,value'$"):
         read("index_name,date,value", *rows)
+    # a quarter_end cell is read as written: the quarter's last day, YYYY-MM-DD, unpadded
+    scope, end, *rest = rows[1].split(",")
+    quarter, mid = str(Quarter.of_date(date.fromisoformat(end))), end[:-2] + "15"
+    for cell, error in (
+        (f" {end}", f"cannot parse quarter from ' {end}'"),
+        (f"{end} ", f"cannot parse quarter from '{end} '"),
+        (quarter, f"cannot parse quarter from '{quarter}'"),
+        (mid, f"{mid} is not a quarter-end date"),
+    ):
+        with pytest.raises(DataError, match=f"^{what} line 3: {re.escape(error)}$"):
+            read(header, rows[0], ",".join([scope, cell, *rest]))
 
 
 # float() alone takes surrounding whitespace, "_" separators and other
@@ -501,18 +513,26 @@ class TestGroupedAggregation:
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(deal_records, max_size=40)
-        | st.lists(deal_records.filter(lambda d: d.sector in SECTOR_NAMES[:2]), max_size=40)
+        | st.lists(deal_records.filter(lambda d: d.sector in SECTOR_NAMES[:2]), max_size=40),
+        # series under any other name, and of any length, that no scope reads
+        st.dictionaries(
+            st.sampled_from(SECTOR_NAMES) | st.text(max_size=3),
+            st.builds(pe_series, st.just(FIRST), st.integers(0, 9), st.floats(1.0, 40.0)),
+            max_size=3,
+        ),
     )
-    def test_matches_per_quarter_scan_for_every_scope(self, deals):
+    def test_matches_per_quarter_scan_for_every_scope(self, deals, others):
         # one grouping serves Market and all 19 sectors, as in the CLI
         buckets = deals_by_quarter(deals)
         market_pe = pe_series(FIRST, 8)
         sector_pe = pe_series(FIRST, 8, base=22.0)
         for scope in [BROAD_SCOPE] + [Scope(name) for name in SECTOR_NAMES]:
             s_pe = None if scope.is_broad else sector_pe
-            got = build_feature_table(buckets, scope, FIRST, LAST, market_pe, s_pe)
+            pe = {"Market": market_pe} if scope.is_broad else {"Market": market_pe, scope.name: sector_pe}
+            got = build_feature_table(buckets, scope, FIRST, LAST, pe)
             want = oracle_feature_table(deals, scope, FIRST, LAST, market_pe, s_pe)
             assert repr(got) == repr(want)
+            assert repr(build_feature_table(buckets, scope, FIRST, LAST, {**others, **pe})) == repr(got)
 
 
 def finite_or_na(name):

@@ -64,12 +64,12 @@ class TestForwardReturns:
         with pytest.raises(DataError, match=f"forward return of Finance at {START} overflows"):
             ann_forward_return(prices(p0, p1), START, "Finance")
         with pytest.raises(DataError, match=f"forward return of Market at {START} overflows"):
-            build_labels(BROAD_SCOPE, prices(p0, p1))
+            build_labels(BROAD_SCOPE, {"Market": prices(p0, p1)})
         # a sector's label needs the market's return as well as its own
         with pytest.raises(DataError, match=f"forward return of Finance at {START} overflows"):
-            build_labels(Scope("Finance"), prices(*LEVELS), prices(p0, p1))
+            build_labels(Scope("Finance"), {"Market": prices(*LEVELS), "Finance": prices(p0, p1)})
         with pytest.raises(DataError, match=f"forward return of Market at {START} overflows"):
-            build_labels(Scope("Finance"), prices(p0, p1), prices(*LEVELS))
+            build_labels(Scope("Finance"), {"Market": prices(p0, p1), "Finance": prices(*LEVELS)})
 
     def test_signs_agree(self):
         rng = random.Random(23)
@@ -93,12 +93,12 @@ class TestForwardReturns:
 class TestBroadLabel:
     def test_down_then_up(self):
         p = prices(*LEVELS)
-        labels = build_labels(BROAD_SCOPE, p)
+        labels = build_labels(BROAD_SCOPE, {"Market": p})
         assert labels[START] is Label.DOWN
         assert labels[START + 1] is Label.UP
 
     def test_zero_return_is_down(self):
-        assert build_labels(BROAD_SCOPE, prices(50.0, 50.0)) == {START: Label.DOWN}
+        assert build_labels(BROAD_SCOPE, {"Market": prices(50.0, 50.0)}) == {START: Label.DOWN}
 
 
 class TestSectorSpread:
@@ -117,16 +117,15 @@ class TestSectorSpread:
         # is positive, its spread negative, and the spread decides
         sector, market = prices_with_ann_return(12.0), prices_with_ann_return(30.0)
         assert ann_forward_return(sector, START) > 0.0
-        assert build_labels(scope, market, sector) == {START: Label.DOWN}
-        down = build_labels(scope, prices_with_ann_return(-11.60), prices_with_ann_return(-17.90))
-        assert down == {START: Label.DOWN}
-        up = build_labels(scope, prices_with_ann_return(79.97), prices_with_ann_return(124.67))
-        assert up == {START: Label.UP}
+        assert build_labels(scope, {"Market": market, scope.name: sector}) == {START: Label.DOWN}
+        for market_pct, sector_pct, label in ((-11.60, -17.90, Label.DOWN), (79.97, 124.67, Label.UP)):
+            market, sector = prices_with_ann_return(market_pct), prices_with_ann_return(sector_pct)
+            assert build_labels(scope, {"Market": market, scope.name: sector}) == {START: label}
 
     def test_equal_returns_down(self):
         p = prices(*LEVELS)
         assert sector_spread(p, p, START) == 0.0
-        assert build_labels(Scope("Finance"), p, p) == {START: Label.DOWN, START + 1: Label.DOWN}
+        assert build_labels(Scope("Finance"), {"Market": p, "Finance": p}) == {START: Label.DOWN, START + 1: Label.DOWN}
 
     def test_antisymmetry(self):
         rng = random.Random(31)
@@ -138,22 +137,25 @@ class TestSectorSpread:
 class TestBuildLabels:
     def test_broad_coverage(self):
         p = prices(*LEVELS)
-        labels = build_labels(BROAD_SCOPE, p)
+        labels = build_labels(BROAD_SCOPE, {"Market": p})
         assert list(labels) == [START, START + 1]
         assert list(labels.values()) == [Label.DOWN, Label.UP]
 
     def test_sector_needs_both_series(self):
         market = prices(*LEVELS)
         sector = prices(100.0, 90.0, start=START + 1)
-        labels = build_labels(Scope("Finance"), market, sector)
+        labels = build_labels(Scope("Finance"), {"Market": market, "Finance": sector})
         assert list(labels) == [START + 1]
-        with pytest.raises(DataError):
-            build_labels(Scope("Finance"), market)
+        with pytest.raises(DataError, match="^has no series named 'Finance'$"):
+            build_labels(Scope("Finance"), {"Market": market, "Energy Minerals": sector})
+        for scope in (BROAD_SCOPE, Scope("Finance")):
+            with pytest.raises(DataError, match="^has no series named 'Market'$"):
+                build_labels(scope, {"Finance": sector})
 
     def test_empty_prices_label_nothing(self):
-        assert build_labels(BROAD_SCOPE, {}) == {}
-        assert build_labels(Scope("Finance"), {}, prices(*LEVELS)) == {}
-        assert build_labels(Scope("Finance"), prices(*LEVELS), {}) == {}
+        assert build_labels(BROAD_SCOPE, {"Market": {}}) == {}
+        assert build_labels(Scope("Finance"), {"Market": {}, "Finance": prices(*LEVELS)}) == {}
+        assert build_labels(Scope("Finance"), {"Market": prices(*LEVELS), "Finance": {}}) == {}
 
     def test_label_consistency_enforced(self):
         # each label is the sign of the return that decides it: the
@@ -161,9 +163,9 @@ class TestBuildLabels:
         rng = random.Random(37)
         market = prices(*(rng.uniform(50, 150) for _ in range(12)))
         sector = prices(*(rng.uniform(50, 150) for _ in range(10)), start=START + 1)
-        broad = build_labels(BROAD_SCOPE, market)
+        broad = build_labels(BROAD_SCOPE, {"Market": market})
         assert broad == {t: label_of(ann_forward_return(market, t)) for t in quarter_range(START, START + 10)}
-        spread = build_labels(Scope("Finance"), market, sector)
+        spread = build_labels(Scope("Finance"), {"Market": market, "Finance": sector})
         assert spread == {
             t: label_of(sector_spread(sector, market, t)) for t in quarter_range(START + 1, START + 9)
         }

@@ -193,10 +193,10 @@ def test_labels_round_trip_through_prices():
     data = generate_dataset(SMALL)
     market = data.prices[BROAD_SCOPE.name]
     assert max(market) == SMALL.last + 1
-    again = build_labels(BROAD_SCOPE, market)
+    again = build_labels(BROAD_SCOPE, data.prices)
     assert again == data.labels[BROAD_SCOPE.name]
     scope = Scope("Communications")
-    sector_again = build_labels(scope, market, data.prices[scope.name])
+    sector_again = build_labels(scope, data.prices)
     assert sector_again == data.labels[scope.name]
 
 
@@ -212,8 +212,8 @@ def test_sector_label_generation_needs_market_prices():
     data = generate_dataset(SMALL)
     scope = Scope("Communications")
     ztable = build_zscore_table(data.features[scope.name], SMALL.std_window)
-    with pytest.raises(ValueError, match="market price series"):
-        generate_labels(ztable, planted_params(SMALL, scope), SMALL, scope)
+    with pytest.raises(DataError, match="^has no series named 'Market'$"):
+        generate_labels(ztable, planted_params(SMALL, scope), SMALL, scope, {scope.name: data.prices[scope.name]})
 
 
 def test_huge_bias_forces_up_on_z_quarters():
@@ -277,21 +277,8 @@ def test_written_files_round_trip_exactly(tmp_path):
     assert pe == data.pe
     buckets = deals_by_quarter(parsed.records)
     for scope in SMALL.scopes():
-        table = build_feature_table(
-            buckets,
-            scope,
-            SMALL.start,
-            SMALL.last,
-            market_pe=pe[BROAD_SCOPE.name],
-            sector_pe=None if scope.is_broad else pe[scope.name],
-        )
-        assert table == data.features[scope.name]
-        labels = build_labels(
-            scope,
-            prices[BROAD_SCOPE.name],
-            None if scope.is_broad else prices[scope.name],
-        )
-        assert labels == data.labels[scope.name]
+        assert build_feature_table(buckets, scope, SMALL.start, SMALL.last, pe) == data.features[scope.name]
+        assert build_labels(scope, prices) == data.labels[scope.name]
 
 
 def _pooled_auc(spec: SyntheticSpec, config: BacktestConfig) -> float:

@@ -27,6 +27,7 @@ from pesignal.backtest import BacktestConfig, BacktestResult, PredictionRecord, 
 from pesignal.errors import DataError, InsufficientHistoryError, NumericalError
 from oracles import feature_series, series_zscore
 from pesignal.features import BROAD_SCOPE, FeatureTable, Scope, feature_names
+from pesignal.ingest import SECTOR_NAMES
 from pesignal.logit import classify, fit_windows, prob_up
 from pesignal.quarters import Quarter, quarter_count, quarter_range
 from pesignal.response import Label, ann_forward_return, build_labels, label_of, sector_spread
@@ -346,13 +347,19 @@ def draw_prices(rng, start, n, hole_rate):
     n_sector=st.integers(1, 16),
     offset=st.integers(-4, 4),
     hole_rate=rates,
+    # more series, whose names may be Market's or the scope's own; the
+    # map's own two then replace them
+    others=st.lists(st.sampled_from(("Market", *SECTOR_NAMES)), unique=True, max_size=3),
 )
-def test_label_map_matches_the_label_objects(scope, seed, n_market, n_sector, offset, hole_rate):
+def test_label_map_matches_the_label_objects(scope, seed, n_market, n_sector, offset, hole_rate, others):
     rng = np.random.default_rng(seed)
     market = draw_prices(rng, START, n_market, hole_rate)
     sector = None if scope.is_broad else draw_prices(rng, START + offset, n_sector, hole_rate)
-    want = oracle_labels(scope, market, sector)
-    assert build_labels(scope, market, sector) == {lab.quarter: lab.y for lab in want}
+    want = {lab.quarter: lab.y for lab in oracle_labels(scope, market, sector)}
+    prices = {"Market": market} if scope.is_broad else {"Market": market, scope.name: sector}
+    assert build_labels(scope, prices) == want
+    other = {name: draw_prices(rng, START, n_sector, hole_rate) for name in others}
+    assert build_labels(scope, {**other, **prices}) == want
 
 
 def test_run_raises_the_schedule_history_error():
